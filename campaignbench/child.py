@@ -98,6 +98,7 @@ def _openblas() -> dict:
         config = getattr(lib, "scipy_openblas_get_config64_", None)
         threads = getattr(lib, "scipy_openblas_get_num_threads64_", None)
         if config is not None and threads is not None:
+            config.argtypes, threads.argtypes = [], []
             config.restype, threads.restype = ctypes.c_char_p, ctypes.c_int
             return {"config": config().decode(), "threads": threads()}
     return {"config": "unknown", "threads": "unknown"}

@@ -45,8 +45,17 @@ def _offered_kept_hook(counters, args, kwargs, result):
     counters["kept"] = counters.get("kept", 0) + len(result)
 
 
-def _t(name: str, *specs: str, hook=None) -> Target:
-    return Target(name, specs, hook)
+_PRODUCT_COUNTERS = ("flops", "bytes") + tuple(
+    f"{label}.{kind}" for label, _ in SIZE_BUCKETS for kind in ("calls", "flops")
+)
+CALLS_SELF = ("calls", "self_s")
+CALLS_INCL = ("calls", "incl_s")
+INCL = ("incl_s",)
+
+
+def _t(name: str, *specs: str, columns: tuple[str, ...] = (), counters: tuple[str, ...] = (),
+       hook=None) -> Target:
+    return Target(name, specs, hook, columns, counters)
 
 
 # Which end-to-end metric each layer should move, written before measuring:
@@ -58,77 +67,49 @@ def _t(name: str, *specs: str, hook=None) -> Target:
 #   wide-dims (refute_h5_scalar_case also peak_rss_mb there).
 # - campaigns scaffold (self_s, check_s_max): campaign_s everywhere.
 TARGETS = [
-    _t("kernels.quat_matmul", "daggerlab.kernels:quat_matmul", hook=_quat_matmul_hook),
-    _t("matcat.compose", "daggerlab.matcat:compose", hook=_compose_hook),
-    _t("matcat.Morphism", "daggerlab.matcat:Morphism.__init__"),
-    _t("matcat.dagger", "daggerlab.matcat:Morphism.dagger"),
-    _t("matcat.frobenius_distance", "daggerlab.matcat:frobenius_distance"),
-    _t("scalars.Field.width", "daggerlab.scalars:Field.width"),
-    _t("scalars.Scalar", "daggerlab.scalars:Scalar.__init__"),
+    _t("kernels.quat_matmul", "daggerlab.kernels:quat_matmul", columns=CALLS_SELF,
+       counters=("flops", "bytes"), hook=_quat_matmul_hook),
+    _t("matcat.compose", "daggerlab.matcat:compose", columns=CALLS_SELF,
+       counters=_PRODUCT_COUNTERS, hook=_compose_hook),
+    _t("matcat.Morphism", "daggerlab.matcat:Morphism.__init__", columns=CALLS_SELF),
+    _t("matcat.dagger", "daggerlab.matcat:Morphism.dagger", columns=CALLS_SELF),
+    _t("matcat.frobenius_distance", "daggerlab.matcat:frobenius_distance", columns=CALLS_SELF),
+    _t("scalars.Field.width", "daggerlab.scalars:Field.width", columns=("calls",)),
+    _t("scalars.Scalar", "daggerlab.scalars:Scalar.__init__", columns=("calls",)),
     _t("biproduct.orthonormal_columns", "daggerlab.biproduct:orthonormal_columns",
-       hook=_offered_kept_hook),
-    _t("biproduct.derived_add", "daggerlab.biproduct:derived_add"),
-    _t("biproduct.diagonal_pair", "daggerlab.biproduct:diagonal_pair"),
-    _t("biproduct.oplus_mor", "daggerlab.biproduct:oplus_mor"),
-    _t("biproduct.verify_biproduct", "daggerlab.biproduct:verify_biproduct"),
-    _t("sampling.random_dagger_mono", "daggerlab.sampling:random_dagger_mono"),
-    _t("axioms.complement_h3", "daggerlab.axioms:complement_h3"),
-    _t("axioms.strict_sqrt_complex", "daggerlab.axioms:strict_sqrt_complex"),
-    _t("axioms.refute_h5_scalar_case", "daggerlab.axioms:refute_h5_scalar_case"),
-    _t("axioms.finite_directed_colimit", "daggerlab.axioms:finite_directed_colimit"),
-    _t("axioms.mediating_dagger_mono", "daggerlab.axioms:mediating_dagger_mono"),
-    _t("axioms.jointly_epic_check", "daggerlab.axioms:jointly_epic_check"),
-    _t("linalg.svd", "numpy.linalg:svd", "numpy.linalg:matrix_rank"),
-    _t("linalg.eig", "numpy.linalg:eig", "numpy.linalg:eigvals"),
-    _t("linalg.lstsq", "numpy.linalg:lstsq"),
-    _t("reconstruct.functor_v", "daggerlab.reconstruct:functor_v"),
-    _t("reconstruct.gram_schmidt", "daggerlab.reconstruct:gram_schmidt"),
-    _t("reconstruct.orthocomplement", "daggerlab.reconstruct:orthocomplement"),
-    _t("reconstruct.EndoField", "daggerlab.reconstruct:EndoField.*"),
-    _t("projspan.word_closure", "daggerlab.projspan:word_closure", hook=_offered_kept_hook),
-    _t("projspan.real_span_rank", "daggerlab.projspan:real_span_rank"),
+       columns=("calls", "incl_s", "self_s"), hook=_offered_kept_hook),
+    _t("biproduct.derived_add", "daggerlab.biproduct:derived_add", columns=CALLS_INCL),
+    _t("biproduct.diagonal_pair", "daggerlab.biproduct:diagonal_pair", columns=CALLS_INCL),
+    _t("biproduct.oplus_mor", "daggerlab.biproduct:oplus_mor", columns=CALLS_SELF),
+    _t("biproduct.verify_biproduct", "daggerlab.biproduct:verify_biproduct", columns=INCL),
+    _t("sampling.random_dagger_mono", "daggerlab.sampling:random_dagger_mono",
+       columns=CALLS_INCL),
+    _t("axioms.complement_h3", "daggerlab.axioms:complement_h3", columns=CALLS_INCL),
+    _t("axioms.strict_sqrt_complex", "daggerlab.axioms:strict_sqrt_complex",
+       columns=CALLS_INCL),
+    _t("axioms.refute_h5_scalar_case", "daggerlab.axioms:refute_h5_scalar_case",
+       columns=CALLS_INCL),
+    _t("axioms.finite_directed_colimit", "daggerlab.axioms:finite_directed_colimit",
+       columns=CALLS_INCL),
+    _t("axioms.mediating_dagger_mono", "daggerlab.axioms:mediating_dagger_mono",
+       columns=CALLS_INCL),
+    _t("axioms.jointly_epic_check", "daggerlab.axioms:jointly_epic_check",
+       columns=CALLS_INCL),
+    _t("linalg.svd", "numpy.linalg:svd", "numpy.linalg:matrix_rank", columns=CALLS_SELF),
+    _t("linalg.eig", "numpy.linalg:eig", "numpy.linalg:eigvals", columns=CALLS_SELF),
+    _t("linalg.lstsq", "numpy.linalg:lstsq", columns=CALLS_SELF),
+    _t("reconstruct.functor_v", "daggerlab.reconstruct:functor_v", columns=INCL),
+    _t("reconstruct.gram_schmidt", "daggerlab.reconstruct:gram_schmidt", columns=INCL),
+    _t("reconstruct.orthocomplement", "daggerlab.reconstruct:orthocomplement", columns=INCL),
+    _t("reconstruct.EndoField", "daggerlab.reconstruct:EndoField.*", columns=INCL),
+    _t("projspan.word_closure", "daggerlab.projspan:word_closure",
+       columns=("incl_s", "self_s"), hook=_offered_kept_hook),
+    _t("projspan.real_span_rank", "daggerlab.projspan:real_span_rank", columns=INCL),
+    # reported as cli.emit_s below
     _t("cli.emit", "daggerlab.cli:_emit"),
 ]
 
-CALLS, INCL, SELF = 0, 1, 2
-# (metric suffix, aggregate column) per traced name
-_SPAN_METRICS = {
-    "kernels.quat_matmul": (("calls", CALLS), ("self_s", SELF)),
-    "matcat.compose": (("calls", CALLS), ("self_s", SELF)),
-    "matcat.Morphism": (("calls", CALLS), ("self_s", SELF)),
-    "matcat.dagger": (("calls", CALLS), ("self_s", SELF)),
-    "matcat.frobenius_distance": (("calls", CALLS), ("self_s", SELF)),
-    "scalars.Field.width": (("calls", CALLS),),
-    "scalars.Scalar": (("calls", CALLS),),
-    "biproduct.orthonormal_columns": (("calls", CALLS), ("incl_s", INCL), ("self_s", SELF)),
-    "biproduct.derived_add": (("calls", CALLS), ("incl_s", INCL)),
-    "biproduct.diagonal_pair": (("calls", CALLS), ("incl_s", INCL)),
-    "biproduct.oplus_mor": (("calls", CALLS), ("self_s", SELF)),
-    "biproduct.verify_biproduct": (("incl_s", INCL),),
-    "sampling.random_dagger_mono": (("calls", CALLS), ("incl_s", INCL)),
-    "axioms.complement_h3": (("calls", CALLS), ("incl_s", INCL)),
-    "axioms.strict_sqrt_complex": (("calls", CALLS), ("incl_s", INCL)),
-    "axioms.refute_h5_scalar_case": (("calls", CALLS), ("incl_s", INCL)),
-    "axioms.finite_directed_colimit": (("calls", CALLS), ("incl_s", INCL)),
-    "axioms.mediating_dagger_mono": (("calls", CALLS), ("incl_s", INCL)),
-    "axioms.jointly_epic_check": (("calls", CALLS), ("incl_s", INCL)),
-    "linalg.svd": (("calls", CALLS), ("self_s", SELF)),
-    "linalg.eig": (("calls", CALLS), ("self_s", SELF)),
-    "linalg.lstsq": (("calls", CALLS), ("self_s", SELF)),
-    "reconstruct.functor_v": (("incl_s", INCL),),
-    "reconstruct.gram_schmidt": (("incl_s", INCL),),
-    "reconstruct.orthocomplement": (("incl_s", INCL),),
-    "reconstruct.EndoField": (("incl_s", INCL),),
-    "projspan.word_closure": (("incl_s", INCL), ("self_s", SELF)),
-    "projspan.real_span_rank": (("incl_s", INCL),),
-}
-_PRODUCT_COUNTERS = ["flops", "bytes"] + [
-    f"{label}.{kind}" for label, _ in SIZE_BUCKETS for kind in ("calls", "flops")
-]
-_COUNTER_METRICS = {
-    "kernels.quat_matmul": ("flops", "bytes"),
-    "matcat.compose": tuple(_PRODUCT_COUNTERS),
-}
+_COLUMN = {"calls": 0, "incl_s": 1, "self_s": 2}
 
 
 def _unit(suffix: str) -> str:
@@ -155,19 +136,18 @@ def per_layer_metrics(trace: dict, check_walls: dict, untraced_checks: list[floa
     """
     totals, counters, edges = trace["totals"], trace["counters"], trace["edges"]
     out: dict[str, tuple[float, str]] = {}
-    for name, columns in _SPAN_METRICS.items():
-        for suffix, column in columns:
-            out[f"{name}.{suffix}"] = (totals[name][column], _unit(suffix))
-    for name, keys in _COUNTER_METRICS.items():
-        for key in keys:
-            out[f"{name}.{key}"] = (counters.get(name, {}).get(key, 0), _unit(key))
+    for target in TARGETS:
+        for column in target.columns:
+            out[f"{target.name}.{column}"] = (totals[target.name][_COLUMN[column]], _unit(column))
+        for key in target.counters:
+            out[f"{target.name}.{key}"] = (counters.get(target.name, {}).get(key, 0), _unit(key))
 
     gs = counters.get("biproduct.orthonormal_columns", {})
     out["biproduct.orthonormal_columns.accept_ratio"] = (
         _ratio(gs.get("kept", 0), gs.get("offered", 0)), "ratio")
     attempts = edges.get("sampling.random_dagger_mono>biproduct.orthonormal_columns", 0)
     out["sampling.random_dagger_mono.attempts_ratio"] = (
-        _ratio(attempts, totals["sampling.random_dagger_mono"][CALLS]), "ratio")
+        _ratio(attempts, totals["sampling.random_dagger_mono"][_COLUMN["calls"]]), "ratio")
     wc = counters.get("projspan.word_closure", {})
     tried = wc.get("offered", 0) + edges.get("projspan.word_closure>matcat.compose", 0)
     out["projspan.word_closure.dedup_ratio"] = (_ratio(wc.get("kept", 0), tried), "ratio")
@@ -177,7 +157,7 @@ def per_layer_metrics(trace: dict, check_walls: dict, untraced_checks: list[floa
     out["campaigns.self_s"] = (
         sum(wall - covered.get(check, 0.0) for check, wall in check_walls.items()), "s")
     out["campaigns.check_s_max"] = (max(untraced_checks, default=0.0), "s")
-    out["cli.emit_s"] = (totals["cli.emit"][INCL], "s")
+    out["cli.emit_s"] = (totals["cli.emit"][_COLUMN["incl_s"]], "s")
     out["trace.overhead_s"] = (overhead_s, "s")
     out["report_bytes_changed"] = (bytes_changed, "count")
     return out

@@ -5,6 +5,7 @@
 
 from __future__ import annotations
 
+import json
 import sys
 import time
 from pathlib import Path
@@ -115,6 +116,8 @@ def test_per_layer_names_follow_the_contract():
     with Tracer(TARGETS) as tracer:
         pass
     names = list(per_layer_metrics(tracer.result(), {}, [], 0.0, 0))
+    declared = json.loads((HERE.parent / "BENCHMARK.json").read_text())["per_layer"]
+    assert sorted(names) == sorted(m["name"] for m in declared)
     assert len(names) == len(set(names)) <= 128
     assert all(len(n) <= 64 for n in names)
 
@@ -126,17 +129,19 @@ def _result(exit_code: int, verdicts: dict, sha: str) -> dict:
 def test_checker_separates_failures_from_byte_drift():
     base = run.WORKLOADS["wide-dims"][0]
     pin = run.PINS["runs"][run.label(base)]
-    checker = run.Checker(run.PINS["seed"])
-    checker.check(base, _result(pin["exit"], pin["verdicts"], "drifted"))
+    seed = run.PINS["seed"]
+    checker = run.Checker()
+    checker.check(base, seed, _result(pin["exit"], pin["verdicts"], "drifted"))
     assert (checker.failed, checker.bytes_changed) == (0, 1)
-    checker.check(base, _result(pin["exit"], pin["verdicts"], "other"))
+    checker.check(base, seed, _result(pin["exit"], pin["verdicts"], "other"))
     assert (checker.failed, checker.bytes_changed) == (1, 2)
 
-    other_seed = run.Checker(run.PINS["seed"] + 1)
-    other_seed.check(base, _result(pin["exit"], pin["verdicts"], "any"))
+    other_seed = run.Checker()
+    other_seed.check(base, seed + 1, _result(pin["exit"], pin["verdicts"], "any"))
+    other_seed.check(base, seed + 2, _result(pin["exit"], pin["verdicts"], "another"))
     assert (other_seed.failed, other_seed.bytes_changed) == (0, 0)
     wrong = dict(pin["verdicts"], H5="pass")
-    other_seed.check(base, _result(pin["exit"], wrong, "any"))
-    other_seed.check(base, _result(0, pin["verdicts"], "any"))
-    other_seed.check(base, None)
+    other_seed.check(base, seed + 1, _result(pin["exit"], wrong, "any"))
+    other_seed.check(base, seed + 1, _result(0, pin["verdicts"], "any"))
+    other_seed.check(base, seed + 1, None)
     assert other_seed.failed == 1 + 2 * len(pin["verdicts"])

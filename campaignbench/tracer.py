@@ -34,11 +34,15 @@ class Target:
     A spec is "module:qualname"; a qualname ending in ".*" covers every
     function defined in that class. `hook` sees (counters, args, kwargs,
     result) after each successful call and adds counts to `counters`.
+    `columns` names the aggregates reported for this target ("calls",
+    "incl_s", "self_s") and `counters` the hook counts reported.
     """
 
     name: str
     specs: tuple[str, ...]
     hook: Hook | None = None
+    columns: tuple[str, ...] = ()
+    counters: tuple[str, ...] = ()
 
 
 class Tracer:
