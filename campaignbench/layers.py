@@ -59,10 +59,10 @@ def _t(name: str, *specs: str, columns: tuple[str, ...] = (), counters: tuple[st
 
 
 # Which end-to-end metric each layer should move, written before measuring:
-# - kernels: campaign_s on lemmas-H and wide-dims; no change on lemmas-C,
-#   which makes no quaternion products.
+# - kernels: campaign_s on wide-dims, where quaternion products are about a
+#   quarter of the time; no change on lemmas-C, which makes none.
 # - matcat, scalars, biproduct, sampling, reconstruct: per-call overhead,
-#   campaign_s on lemmas-C and lemmas-H, barely on wide-dims.
+#   campaign_s on lemmas-C, barely on wide-dims.
 # - axioms.refute_h5_scalar_case, linalg, projspan: campaign_s on
 #   wide-dims (refute_h5_scalar_case also peak_rss_mb there).
 # - campaigns scaffold (self_s, check_s_max): campaign_s everywhere.

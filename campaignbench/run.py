@@ -1,17 +1,18 @@
 """Campaign benchmark for daggerlab.
 
-    python3 campaignbench/run.py --workload lemmas-C [--seed 42] [--seconds 36] [--trace 0]
+    python3 campaignbench/run.py --workload lemmas-C [--seed 42] [--seconds 58] [--trace 0]
     python3 campaignbench/run.py --workload all
 
 Every campaign run is one fresh `python3 campaignbench/child.py` process
 calling the public CLI entry point `daggerlab.cli.main` with fixed argv,
 one process at a time. With `--trace 0` the benchmark measures set-up in
-separate fresh processes, then repeats whole workload iterations, at
-least MIN_ITERATIONS of them and more until the next one would end after
-`--seconds`, and reports the end-to-end metrics as medians. The
-iterations cycle through CAMPAIGN_SEEDS campaign seeds derived from
-`--seed`, the first being `--seed` itself, so that one run's median
-spans several campaigns and every run repeats at least one of them.
+separate fresh processes, then repeats whole workload iterations until
+the next one would end after `--seconds`. Each iteration is one
+campaign at its own campaign seed derived from `--seed`, except that the
+first two both run at `--seed`, so that every run compares the report
+bytes of a repeated campaign. campaign_s and campaign_cpu_s are the
+mean per campaign over the run (total time divided by campaigns, the
+inverse of throughput); set-up time and peak RSS are medians.
 With `--trace 1` it runs one untraced and one traced iteration at
 `--seed`, reports the per-layer metrics and the tracing overhead, and
 writes the per-check aggregates to
@@ -54,24 +55,29 @@ def _dims(first: int, last: int) -> str:
 
 # Why each workload exists is recorded in BENCHMARK.json. The sample
 # counts and dimensions are cut from the CLI defaults so that one
-# iteration takes about 5 s and every run holds at least MIN_ITERATIONS.
+# iteration takes about 5 s and a run holds several of them. There are
+# two workloads, not more, so that every run can be about a minute long:
+# shorter runs do not average out the host's swings in speed.
 WORKLOADS = {
     "lemmas-C": [["lemmas", "--field", "C", "--trials", "20"]],
-    "lemmas-H": [["lemmas", "--field", "H", "--trials", "30"]],
     "wide-dims": [
         ["verify-axioms", "--field", "R", "--dims", _dims(0, 12), "--trials", "5"],
         ["verify-axioms", "--field", "H", "--dims", _dims(0, 8), "--trials", "5"],
         ["span", "--dims", _dims(2, 7)],
     ],
 }
-SETUP_PROBES = 5
-MIN_ITERATIONS = 5
+SETUP_PROBES = 3
 # The work of one campaign varies with its seed (axioms.h2-directed-colimits
-# by up to 2x), so a run averages over several; fewer than MIN_ITERATIONS
-# of them, so that at least one is repeated and its bytes compared.
-CAMPAIGN_SEEDS = 4
+# by up to 2x), so every iteration but the repeated first one gets a fresh
+# campaign seed and a run averages over as many inputs as it holds.
 SEED_STRIDE = 1_000_003
 RUN_LIMIT_S = 170.0  # a whole invocation must end within 180 s
+DEFAULT_SECONDS = 58
+
+
+def campaign_seed(seed: int, iteration: int) -> int:
+    """Iterations 0 and 1 repeat `seed`; later ones step away from it."""
+    return seed + max(iteration - 1, 0) * SEED_STRIDE
 
 
 class ChildFailed(RuntimeError):
@@ -171,26 +177,31 @@ def provenance(results: list[dict | None]) -> dict:
 
 def measure(workload: str, seed: int, seconds: int, checker: Checker,
             deadline: float) -> tuple[dict, list]:
-    """End-to-end metrics: median over set-up probes and iterations."""
+    """End-to-end metrics of repeated iterations.
+
+    The host's speed swings by up to 2x within seconds and has two
+    modes, so a median of whole campaigns jumps between modes from run
+    to run; the mean over the whole run averages the swings out.
+    """
     setups = [run_child(["setup"], deadline)["setup_s"] for _ in range(SETUP_PROBES)]
-    seeds = [seed + k * SEED_STRIDE for k in range(CAMPAIGN_SEEDS)]
     iterations = []
     began = time.monotonic()
     while True:
         started = time.monotonic()
-        campaign_seed = seeds[len(iterations) % CAMPAIGN_SEEDS]
-        iterations.append(run_iteration(workload, campaign_seed, False, checker, deadline))
-        took = time.monotonic() - started
+        iterations.append(run_iteration(workload, campaign_seed(seed, len(iterations)), False,
+                                        checker, deadline))
         now = time.monotonic()
-        enough = len(iterations) >= MIN_ITERATIONS and now - began + took > seconds
+        took = now - started
+        enough = len(iterations) >= 2 and now - began + took > seconds
         if enough or now + 1.5 * took > deadline:
             break
     complete = [it for it in iterations if all(r is not None for r in it)] or iterations
     # every campaign process pays the same set-up before its run starts
     setups += [r["setup_s"] for it in iterations for r in it if r is not None]
+    walls = [_sum(it, "wall_s") for it in complete]
     metrics = {
-        "campaign_s": (statistics.median(_sum(it, "wall_s") for it in complete), "s"),
-        "campaign_cpu_s": (statistics.median(_sum(it, "cpu_s") for it in complete), "s"),
+        "campaign_s": (statistics.fmean(walls), "s"),
+        "campaign_cpu_s": (statistics.fmean(_sum(it, "cpu_s") for it in complete), "s"),
         "setup_s": (statistics.median(setups), "s"),
         "peak_rss_mb": (statistics.median(
             max((r["maxrss_mb"] for r in it if r is not None), default=0.0)
@@ -198,8 +209,11 @@ def measure(workload: str, seed: int, seconds: int, checker: Checker,
         "checks_passed_ratio": (
             (checker.attempted - checker.failed) / checker.attempted, "ratio"),
     }
-    over = f"median of {len(complete)} over {min(len(complete), CAMPAIGN_SEEDS)} campaign seeds"
-    notes = {"campaign_s": over, "campaign_cpu_s": over, "setup_s": f"median of {len(setups)}"}
+    seeds = len({campaign_seed(seed, i) for i in range(len(complete))})
+    over = (f"mean of {len(complete)} campaigns over {seeds} campaign seeds; "
+            f"median {statistics.median(walls):.4g} s, max {max(walls):.4g} s")
+    notes = {"campaign_s": over, "campaign_cpu_s": f"mean of {len(complete)}",
+             "setup_s": f"median of {len(setups)}"}
     return {"metrics": metrics, "notes": notes}, [r for it in iterations for r in it]
 
 
@@ -299,7 +313,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=[*WORKLOADS, "all"])
     parser.add_argument("--seed", type=int, default=PINS["seed"])
-    parser.add_argument("--seconds", type=int, default=36)
+    parser.add_argument("--seconds", type=int, default=DEFAULT_SECONDS)
     parser.add_argument("--trace", type=int, choices=[0, 1], default=0)
     args = parser.parse_args(argv)
     if args.seconds < 1:

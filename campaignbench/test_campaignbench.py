@@ -122,6 +122,12 @@ def test_per_layer_names_follow_the_contract():
     assert all(len(n) <= 64 for n in names)
 
 
+def test_every_run_repeats_its_first_campaign_and_then_varies_the_seed():
+    seeds = [run.campaign_seed(7, i) for i in range(6)]
+    assert seeds[0] == seeds[1] == 7
+    assert len(set(seeds[1:])) == 5
+
+
 def _result(exit_code: int, verdicts: dict, sha: str) -> dict:
     return {"exit": exit_code, "verdicts": verdicts, "report_sha256": sha}
 
