@@ -9,7 +9,6 @@ Hermitian-space structure from unit-object columns, and projection-word
 saturation campaigns, all driven by a seeded CLI.
 """
 
-from .kernels import BACKEND as KERNEL_BACKEND
 from .matcat import Morphism, Obj, UNIT, ZERO_OBJ, compose, frobenius_distance
 from .scalars import Field, Scalar, TolerancePolicy, DEFAULT_TOL
 
@@ -26,6 +25,5 @@ __all__ = [
     "ZERO_OBJ",
     "compose",
     "frobenius_distance",
-    "KERNEL_BACKEND",
     "__version__",
 ]

@@ -26,6 +26,7 @@ from .biproduct import (
     verify_biproduct,
 )
 from .errors import (
+    ContradictionError,
     DomainError,
     NoMorphismError,
     NotNormalizableError,
@@ -572,7 +573,7 @@ def jointly_epic_check(
         if not approx_eq(f, g, tol):
             agree = False
     if spans != agree:
-        raise AssertionError("span rank and random-pair probe disagree")
+        raise ContradictionError("span rank and random-pair probe disagree")
     return spans
 
 

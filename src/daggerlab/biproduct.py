@@ -9,12 +9,11 @@ entrywise sum appears only inside test oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
-import numpy as np
-
 from .errors import ShapeMismatchError
-from .matcat import Morphism, Obj, frobenius_distance
+from .matcat import Morphism, Obj, embed, frobenius_distance
 from .scalars import DEFAULT_TOL, Field, Scalar, TolerancePolicy, real_sqrt
 
 
@@ -44,11 +43,9 @@ def make_biproduct(field: Field, a: Obj, b: Obj) -> Biproduct:
     zero object the other injection degenerates to the identity, so the
     zero object is neutral by construction."""
     total = oplus_obj(a, b)
-    el = np.zeros((total.dim, a.dim, 4))
-    el[: a.dim, :, 0] = np.eye(a.dim)
-    er = np.zeros((total.dim, b.dim, 4))
-    er[a.dim:, :, 0] = np.eye(b.dim)
-    return Biproduct(a, b, total, Morphism(field, a, total, el), Morphism(field, b, total, er))
+    inj_left = embed(field, a, total, [(0, 0, Morphism.identity(field, a))])
+    inj_right = embed(field, b, total, [(a.dim, 0, Morphism.identity(field, b))])
+    return Biproduct(a, b, total, inj_left, inj_right)
 
 
 def verify_biproduct(bp: Biproduct, tol: TolerancePolicy = DEFAULT_TOL) -> tuple[bool, float]:
@@ -81,10 +78,7 @@ def oplus_mor(f: Morphism, g: Morphism) -> Morphism:
         raise ShapeMismatchError("direct sum over mixed fields")
     dom = oplus_obj(f.dom, g.dom)
     cod = oplus_obj(f.cod, g.cod)
-    e = np.zeros((cod.dim, dom.dim, 4))
-    e[: f.cod.dim, : f.dom.dim] = f.entries
-    e[f.cod.dim:, f.dom.dim:] = g.entries
-    return Morphism(f.field, dom, cod, e)
+    return embed(f.field, dom, cod, [(0, 0, f), (f.cod.dim, f.dom.dim, g)])
 
 
 def copairing(fs: Sequence[Morphism]) -> Morphism:
@@ -96,8 +90,9 @@ def copairing(fs: Sequence[Morphism]) -> Morphism:
     field = fs[0].field
     if any(f.cod != cod or f.field is not field for f in fs):
         raise ShapeMismatchError("copairing requires a common codomain")
-    e = np.concatenate([f.entries for f in fs], axis=1)
-    return Morphism(field, Obj(sum(f.dom.dim for f in fs)), cod, e)
+    starts = accumulate((f.dom.dim for f in fs), initial=0)
+    parts = [(0, col, f) for col, f in zip(starts, fs)]
+    return embed(field, Obj(sum(f.dom.dim for f in fs)), cod, parts)
 
 
 def pairing(fs: Sequence[Morphism]) -> Morphism:
@@ -109,8 +104,9 @@ def pairing(fs: Sequence[Morphism]) -> Morphism:
     field = fs[0].field
     if any(f.dom != dom or f.field is not field for f in fs):
         raise ShapeMismatchError("pairing requires a common domain")
-    e = np.concatenate([f.entries for f in fs], axis=0)
-    return Morphism(field, dom, Obj(sum(f.cod.dim for f in fs)), e)
+    starts = accumulate((f.cod.dim for f in fs), initial=0)
+    parts = [(row, 0, f) for row, f in zip(starts, fs)]
+    return embed(field, dom, Obj(sum(f.cod.dim for f in fs)), parts)
 
 
 @dataclass(frozen=True)
@@ -144,12 +140,8 @@ def nfold_biproduct(x: Obj, n: int, field: Field) -> list[Morphism]:
     if n < 0:
         raise ValueError("n must be a natural number")
     total = Obj(n * x.dim)
-    out = []
-    for i in range(n):
-        e = np.zeros((total.dim, x.dim, 4))
-        e[i * x.dim: (i + 1) * x.dim, :, 0] = np.eye(x.dim)
-        out.append(Morphism(field, x, total, e))
-    return out
+    ident = Morphism.identity(field, x)
+    return [embed(field, x, total, [(i * x.dim, 0, ident)]) for i in range(n)]
 
 
 def orthonormal_columns(

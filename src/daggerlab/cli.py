@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -48,6 +49,31 @@ def _parse_dims(text: str) -> tuple[int, ...]:
     return dims
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad integer {text!r}") from exc
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad number {text!r}") from exc
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and at least 0, got {text!r}")
+    return value
+
+
+def _add_tolerances(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--tol-abs", type=_tolerance, default=1e-9)
+    parser.add_argument("--tol-rel", type=_tolerance, default=1e-9)
+
+
 def _add_common(parser: argparse.ArgumentParser, default_dims: str) -> None:
     parser.add_argument("--field", choices=["R", "C", "H"], default="C")
     parser.add_argument("--dims", type=_parse_dims, default=_parse_dims(default_dims))
@@ -57,10 +83,9 @@ def _add_common(parser: argparse.ArgumentParser, default_dims: str) -> None:
         default=int(os.environ.get("DAGGERLAB_SEED", "0")),
         help="campaign seed (falls back to DAGGERLAB_SEED, then 0)",
     )
-    parser.add_argument("--trials", type=int, default=None,
+    parser.add_argument("--trials", type=_positive_int, default=None,
                         help="override the per-check sample counts")
-    parser.add_argument("--tol-abs", type=float, default=1e-9)
-    parser.add_argument("--tol-rel", type=float, default=1e-9)
+    _add_tolerances(parser)
     parser.add_argument("--out", default=None, help="write the report here instead of stdout")
     parser.add_argument("--format", choices=["json", "text"], default="text")
 
@@ -83,13 +108,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("span", help="projection-word saturation reports")
     _add_common(p, "1,2,3,4,5")
-    p.add_argument("--max-len", type=int, default=projspan.DEFAULT_MAX_LEN)
+    p.add_argument("--max-len", type=_positive_int, default=projspan.DEFAULT_MAX_LEN)
 
     p = sub.add_parser("sqrt", help="strict square root certificate for a unitary")
     p.add_argument("--input", default="-", help="morphism JSON file, '-' for stdin")
     p.add_argument("--out", default=None)
-    p.add_argument("--tol-abs", type=float, default=1e-9)
-    p.add_argument("--tol-rel", type=float, default=1e-9)
+    _add_tolerances(p)
     return parser
 
 

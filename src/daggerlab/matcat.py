@@ -1,23 +1,35 @@
 """The concrete dagger category: objects are finite dimensions, morphisms
 are matrices over R, C or H, and the dagger is the conjugate transpose.
 
-Matrices act on column vectors.  Entries are stored as raw quaternion
-components in a (cod, dom, 4) float64 array for every field; the unused
-trailing components of real/complex entries are kept exactly zero, so a
-single representation serves all three fields.  Scalars act on columns
-from the right (a 1x1 morphism composed after the column), which keeps
-the quaternionic module structure free of left/right ambiguity.
+Matrices act on column vectors.  Each field keeps one native array, and
+only this module reads or writes it:
+
+- R: a float64 (cod, dom) array;
+- C: a complex128 (cod, dom) array;
+- H: a complex128 (2 cod, 2 dom) array in the complex adjoint
+  representation, where the entry w + xi + yj + zk is the 2x2 block
+  [[w + xi, y + zi], [-y + zi, w - xi]].
+
+The complex adjoint map is an injective *-homomorphism, so for every
+field composition is one matrix product and the dagger one conjugate
+transpose.  Its Frobenius norm counts every quaternion entry twice, so
+`norm` and `frobenius_distance` divide by sqrt(2) over H.  The public
+boundary is a (cod, dom, 4) array of quaternion components: the
+constructor takes it, `entries` derives it, and the JSON format stores
+it.  Scalars act on columns from the right (a 1x1 morphism
+composed after the column), which keeps the quaternionic module
+structure free of left/right ambiguity.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import FieldMismatchError, ShapeMismatchError
-from .kernels import quat_matmul
+from .errors import ContradictionError, FieldMismatchError, ShapeMismatchError
 from .scalars import DEFAULT_TOL, Field, Scalar, TolerancePolicy
 
 
@@ -37,13 +49,68 @@ ZERO_OBJ = Obj(0)
 UNIT = Obj(1)
 
 
+def _block(field: Field) -> int:
+    """Side of the native block holding one entry."""
+    return 2 if field is Field.QUATERNION else 1
+
+
+def _span(field: Field, start: int, count: int) -> slice:
+    """Native rows (or columns) of `count` object coordinates from `start`."""
+    s = _block(field)
+    return slice(s * start, s * (start + count))
+
+
+def _dtype(field: Field) -> type:
+    return np.float64 if field is Field.REAL else np.complex128
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    out = np.empty(re.shape, np.complex128)
+    out.real = re
+    out.imag = im
+    return out
+
+
+def _native(field: Field, e: np.ndarray) -> np.ndarray:
+    """Native array of a (cod, dom, >= width) component array."""
+    if field is Field.REAL:
+        return np.array(e[..., 0])
+    a = _complex(e[..., 0], e[..., 1])
+    if field is Field.COMPLEX:
+        return a
+    b = _complex(e[..., 2], e[..., 3])
+    out = np.empty((2 * a.shape[0], 2 * a.shape[1]), np.complex128)
+    out[0::2, 0::2] = a
+    out[0::2, 1::2] = b
+    out[1::2, 0::2] = -b.conj()
+    out[1::2, 1::2] = a.conj()
+    return out
+
+
+def _sq_norm(field: Field, a: np.ndarray) -> float:
+    """Squared Frobenius norm of the matrix a native array stands for."""
+    return float(np.vdot(a, a).real) / _block(field)
+
+
+def _wrap(field: Field, dom: Obj, cod: Obj, a: np.ndarray) -> "Morphism":
+    """Morphism around a native array, without boundary checks."""
+    m = object.__new__(Morphism)
+    object.__setattr__(m, "field", field)
+    object.__setattr__(m, "dom", dom)
+    object.__setattr__(m, "cod", cod)
+    object.__setattr__(m, "_a", a)
+    return m
+
+
 class Morphism:
     """A matrix with explicit domain and codomain over a fixed field."""
 
-    __slots__ = ("field", "dom", "cod", "entries")
+    __slots__ = ("field", "dom", "cod", "_a")
 
     def __init__(self, field: Field, dom: Obj, cod: Obj, entries: np.ndarray):
-        entries = np.ascontiguousarray(entries, dtype=np.float64)
+        """Build from a (cod, dom, 4) array of quaternion components;
+        components beyond the field's width must be exactly zero."""
+        entries = np.asarray(entries, dtype=np.float64)
         if entries.shape != (cod.dim, dom.dim, 4):
             raise ShapeMismatchError(
                 f"entries shape {entries.shape} != {(cod.dim, dom.dim, 4)}"
@@ -55,7 +122,7 @@ class Morphism:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "dom", dom)
         object.__setattr__(self, "cod", cod)
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_a", _native(field, entries))
 
     def __setattr__(self, name, value):
         raise AttributeError("Morphism is immutable")
@@ -64,29 +131,27 @@ class Morphism:
 
     @classmethod
     def zero(cls, field: Field, dom: Obj, cod: Obj) -> "Morphism":
-        return cls(field, dom, cod, np.zeros((cod.dim, dom.dim, 4)))
+        s = _block(field)
+        return _wrap(field, dom, cod, np.zeros((s * cod.dim, s * dom.dim), _dtype(field)))
 
     @classmethod
     def identity(cls, field: Field, obj: Obj) -> "Morphism":
-        e = np.zeros((obj.dim, obj.dim, 4))
-        e[..., 0] = np.eye(obj.dim)
-        return cls(field, obj, obj, e)
+        return _wrap(field, obj, obj, np.eye(_block(field) * obj.dim, dtype=_dtype(field)))
 
     @classmethod
     def from_real(cls, field: Field, mat: np.ndarray | Sequence[Sequence[float]]) -> "Morphism":
         """Real matrix embedded in any of the three fields."""
         mat = np.atleast_2d(np.asarray(mat, dtype=np.float64))
-        e = np.zeros(mat.shape + (4,))
-        e[..., 0] = mat
-        return cls(field, Obj(mat.shape[1]), Obj(mat.shape[0]), e)
+        s = _block(field)
+        a = np.zeros((s * mat.shape[0], s * mat.shape[1]), _dtype(field))
+        for k in range(s):
+            a[k::s, k::s] = mat
+        return _wrap(field, Obj(mat.shape[1]), Obj(mat.shape[0]), a)
 
     @classmethod
     def from_complex(cls, mat: np.ndarray | Sequence[Sequence[complex]]) -> "Morphism":
-        mat = np.atleast_2d(np.asarray(mat, dtype=np.complex128))
-        e = np.zeros(mat.shape + (4,))
-        e[..., 0] = mat.real
-        e[..., 1] = mat.imag
-        return cls(Field.COMPLEX, Obj(mat.shape[1]), Obj(mat.shape[0]), e)
+        mat = np.atleast_2d(np.array(mat, dtype=np.complex128))
+        return _wrap(Field.COMPLEX, Obj(mat.shape[1]), Obj(mat.shape[0]), mat)
 
     @classmethod
     def from_scalars(cls, field: Field, rows: Sequence[Sequence[Scalar]]) -> "Morphism":
@@ -100,7 +165,7 @@ class Morphism:
                 if s.field is not field:
                     raise FieldMismatchError("entry field differs from matrix field")
                 e[i, j] = s.components()
-        return cls(field, Obj(dom), Obj(cod), e)
+        return _wrap(field, Obj(dom), Obj(cod), _native(field, e))
 
     @classmethod
     def single(cls, s: Scalar) -> "Morphism":
@@ -113,37 +178,53 @@ class Morphism:
 
     # -- views ----------------------------------------------------------
 
+    @property
+    def entries(self) -> np.ndarray:
+        """Read-only (cod, dom, 4) array of quaternion components."""
+        e = np.zeros((self.cod.dim, self.dom.dim, 4))
+        if self.field is Field.REAL:
+            e[..., 0] = self._a
+        else:
+            s = _block(self.field)
+            top = self._a[::s]  # the first row of each block holds the entry
+            for k in range(s):
+                e[..., 2 * k] = top[:, k::s].real
+                e[..., 2 * k + 1] = top[:, k::s].imag
+        e.flags.writeable = False
+        return e
+
     def complex_view(self) -> np.ndarray:
-        """(cod, dom) complex matrix; valid for R and C entries."""
+        """Read-only (cod, dom) complex matrix; valid for R and C entries."""
         if self.field is Field.QUATERNION:
             raise FieldMismatchError("quaternion matrix has no complex view")
-        return self.entries[..., 0] + 1j * self.entries[..., 1]
+        view = self._a.astype(np.complex128, copy=False).view()
+        view.flags.writeable = False
+        return view
 
     def scalar(self) -> Scalar:
         """The single entry of a 1x1 morphism."""
-        if self.entries.shape[:2] != (1, 1):
+        if (self.cod.dim, self.dom.dim) != (1, 1):
             raise ShapeMismatchError("not a 1x1 morphism")
-        return Scalar(self.field, *self.entries[0, 0])
+        return self.entry(0, 0)
 
     def entry(self, i: int, j: int) -> Scalar:
-        return Scalar(self.field, *self.entries[i, j])
+        top = self._a[_block(self.field) * i, _span(self.field, j, 1)]
+        return Scalar(self.field, *(c for z in top for c in (z.real, z.imag)))
 
     def col(self, j: int) -> "Morphism":
         """j-th column as a morphism from the unit object."""
-        return Morphism(self.field, UNIT, self.cod, self.entries[:, j: j + 1, :])
+        return _wrap(self.field, UNIT, self.cod, self._a[:, _span(self.field, j, 1)])
 
     # -- algebra ----------------------------------------------------------
 
     def dagger(self) -> "Morphism":
-        e = np.swapaxes(self.entries, 0, 1).copy()
-        e[..., 1:] = -e[..., 1:]
-        return Morphism(self.field, self.cod, self.dom, e)
+        return _wrap(self.field, self.cod, self.dom, self._a.conj().T)
 
     def __matmul__(self, other: "Morphism") -> "Morphism":
         return compose(self, other)
 
     def norm(self) -> float:
-        return float(np.sqrt(np.sum(self.entries * self.entries)))
+        return math.sqrt(_sq_norm(self.field, self._a))
 
     def __repr__(self) -> str:
         return (
@@ -154,12 +235,13 @@ class Morphism:
 
     def to_json(self) -> dict:
         w = self.field.width
+        e = self.entries
         return {
             "field": self.field.value,
             "dom": self.dom.dim,
             "cod": self.cod.dim,
             "entries": [
-                [[float(c) for c in self.entries[i, j, :w]] for j in range(self.dom.dim)]
+                [[float(c) for c in e[i, j, :w]] for j in range(self.dom.dim)]
                 for i in range(self.cod.dim)
             ],
         }
@@ -180,26 +262,33 @@ class Morphism:
         return cls(field, dom, cod, e)
 
 
+def embed(
+    field: Field, dom: Obj, cod: Obj, parts: Iterable[tuple[int, int, Morphism]]
+) -> Morphism:
+    """The morphism dom -> cod that is zero outside the given blocks:
+    each part (row, col, m) places m with its top-left entry at
+    coordinate (row, col).  All block constructions (direct sums,
+    (co)pairings, biproduct injections) go through here."""
+    s = _block(field)
+    a = np.zeros((s * cod.dim, s * dom.dim), _dtype(field))
+    for row, col, m in parts:
+        if m.field is not field:
+            raise FieldMismatchError(f"{m.field.value} block in a {field.value} matrix")
+        if row + m.cod.dim > cod.dim or col + m.dom.dim > dom.dim:
+            raise ShapeMismatchError("block does not fit in the target matrix")
+        a[_span(field, row, m.cod.dim), _span(field, col, m.dom.dim)] = m._a
+    return _wrap(field, dom, cod, a)
+
+
 def compose(g: Morphism, f: Morphism) -> Morphism:
-    """g after f.  Real/complex products go through BLAS; quaternion
-    products go through the selected kernel."""
+    """g after f: one matrix product of the native arrays."""
     if g.field is not f.field:
         raise FieldMismatchError(f"{g.field.value} vs {f.field.value}")
     if f.cod != g.dom:
         raise ShapeMismatchError(
             f"cannot compose {g.dom.dim}->{g.cod.dim} after {f.dom.dim}->{f.cod.dim}"
         )
-    if g.field is Field.REAL:
-        e = np.zeros((g.cod.dim, f.dom.dim, 4))
-        e[..., 0] = g.entries[..., 0] @ f.entries[..., 0]
-    elif g.field is Field.COMPLEX:
-        prod = g.complex_view() @ f.complex_view()
-        e = np.zeros(prod.shape + (4,))
-        e[..., 0] = prod.real
-        e[..., 1] = prod.imag
-    else:
-        e = quat_matmul(g.entries, f.entries)
-    return Morphism(g.field, f.dom, g.cod, e)
+    return _wrap(g.field, f.dom, g.cod, g._a @ f._a)
 
 
 def frobenius_distance(f: Morphism, g: Morphism) -> float:
@@ -208,8 +297,7 @@ def frobenius_distance(f: Morphism, g: Morphism) -> float:
         raise FieldMismatchError(f"{f.field.value} vs {g.field.value}")
     if f.dom != g.dom or f.cod != g.cod:
         raise ShapeMismatchError("morphisms of different shape")
-    d = f.entries - g.entries
-    return float(np.sqrt(np.sum(d * d)))
+    return math.sqrt(_sq_norm(f.field, f._a - g._a))
 
 
 def approx_eq(f: Morphism, g: Morphism, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
@@ -239,9 +327,7 @@ def is_projection(p: Morphism, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
 
 def basis_column(field: Field, X: Obj, k: int) -> Morphism:
     """k-th canonical basis column as a morphism from the unit object."""
-    e = np.zeros((X.dim, 1, 4))
-    e[k, 0, 0] = 1.0
-    return Morphism(field, UNIT, X, e)
+    return embed(field, UNIT, X, [(k, 0, Morphism.identity(field, UNIT))])
 
 
 def is_dagger_simple(
@@ -269,7 +355,7 @@ def is_dagger_simple(
             all_unitary = False
     verdict = X.dim == 1
     if verdict != all_unitary:
-        raise AssertionError(
+        raise ContradictionError(
             "sampled isometries contradict the dimension verdict"
         )
     return verdict

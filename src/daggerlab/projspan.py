@@ -118,10 +118,10 @@ def real_span_rank(words: list[Morphism], eps: float = SPAN_RANK_EPS) -> int:
     vectors of stacked real and imaginary parts."""
     if not words:
         return 0
-    rows = [
-        np.concatenate([w.entries[..., 0].ravel(), w.entries[..., 1].ravel()])
-        for w in words
-    ]
+    rows = []
+    for w in words:
+        c = w.complex_view()
+        rows.append(np.concatenate([c.real.ravel(), c.imag.ravel()]))
     s = np.linalg.svd(np.array(rows), compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0

@@ -24,13 +24,14 @@ from .biproduct import (
     nfold_biproduct,
     orthonormal_columns,
 )
-from .errors import ResidualError, ShapeMismatchError
+from .errors import ContradictionError, ResidualError, ShapeMismatchError
 from .matcat import (
     Morphism,
     Obj,
     UNIT,
     approx_eq,
     basis_column,
+    embed,
     frobenius_distance,
 )
 from .reports import FAIL, INFEASIBLE, PASS, Report
@@ -174,9 +175,7 @@ def dagger_mono_between(field: Field, x: Obj, y: Obj) -> Morphism:
     """An isometry between any two objects, from the smaller into the
     larger: compare basis sizes and inject blockwise."""
     small, large = (x, y) if x.dim <= y.dim else (y, x)
-    e = np.zeros((large.dim, small.dim, 4))
-    e[: small.dim, :, 0] = np.eye(small.dim)
-    return Morphism(field, small, large, e)
+    return embed(field, small, large, [(0, 0, Morphism.identity(field, small))])
 
 
 class EndoField:
@@ -294,7 +293,8 @@ def center_sqrt_minus_one_test(field: Field) -> Report:
     if field is Field.COMPLEX:
         alpha = Scalar(field, 0.0, 1.0)
         sq = scalar_mul(alpha, alpha)
-        assert sq.w == -1.0 and sq.x == 0.0
+        if not (sq.w == -1.0 and sq.x == 0.0):
+            raise ContradictionError(f"i * i = {sq.components()}, expected -1")
         return Report(
             "center-sqrt-minus-one",
             field.value,

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .biproduct import orthonormal_columns
+from .biproduct import copairing, orthonormal_columns
 from .matcat import Morphism, Obj, compose
 from .scalars import Field, Scalar
 
@@ -40,8 +40,7 @@ def random_dagger_mono(
         m = random_morphism(field, dom, cod, rng)
         cols = orthonormal_columns([m.col(j) for j in range(dom.dim)])
         if len(cols) == dom.dim:  # Gaussian columns are a.s. independent
-            e = np.concatenate([c.entries for c in cols], axis=1)
-            return Morphism(field, dom, cod, e)
+            return copairing(cols)
 
 
 def random_unitary(field: Field, obj: Obj, rng: np.random.Generator) -> Morphism:

@@ -4,6 +4,10 @@ Every scalar is stored as four raw real components (w, x, y, z), read as
 w + xi + yj + zk.  Real and complex scalars are the sub-rings where the
 trailing components are exactly zero, so conjugation, multiplication and
 centrality checks are the quaternion formulas for all three fields.
+Matrices do not store scalars: `matcat` keeps one native array per field
+(a real or complex number per entry, or over H the 2x2 complex block
+[[w + xi, y + zi], [-y + zi, w - xi]]), and its `entry` and `scalar`
+read these four components back out.
 """
 
 from __future__ import annotations

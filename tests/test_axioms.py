@@ -23,7 +23,9 @@ from daggerlab.axioms import (
     subset_diagram,
 )
 from daggerlab.biproduct import Biproduct, derived_add, verify_biproduct
+from daggerlab import axioms
 from daggerlab.errors import (
+    ContradictionError,
     DomainError,
     NoMorphismError,
     NotNormalizableError,
@@ -343,6 +345,14 @@ def test_jointly_epic_fails_for_short_leg():
     g = Morphism.from_real(field, [[1, 0], [0, 0]])
     assert approx_eq(f @ leg, g @ leg)
     assert not approx_eq(f, g)
+
+
+def test_jointly_epic_contradiction_is_a_package_error(monkeypatch):
+    cocone = finite_directed_colimit(subset_diagram(["a", "b"], Field.COMPLEX))
+    # the legs span the apex, so a failing pair probe contradicts the rank
+    monkeypatch.setattr(axioms, "approx_eq", lambda *args, **kwargs: False)
+    with pytest.raises(ContradictionError):
+        jointly_epic_check(cocone, trials=2)
 
 
 def test_mediating_rejects_wrong_cocone():

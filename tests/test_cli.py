@@ -37,6 +37,22 @@ def test_bad_field_is_input_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flag, argv", [
+    ("--trials", ["lemmas", "--field", "H", "--dims", "1", "--trials", "0"]),
+    ("--trials", ["verify-axioms", "--trials", "-3"]),
+    ("--max-len", ["span", "--dims", "2", "--max-len", "0"]),
+    ("--tol-abs", ["verify-axioms", "--tol-abs", "nan"]),
+    ("--tol-abs", ["verify-axioms", "--tol-abs=-1e-9"]),
+    ("--tol-rel", ["lemmas", "--tol-rel", "inf"]),
+    ("--tol-rel", ["sqrt", "--tol-rel", "-0.5"]),
+])
+def test_bad_flag_values_are_input_errors(flag, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be" in capsys.readouterr().err
+
+
 def test_lemmas_deterministic_bytes(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     args = ["lemmas", "--field", "C", "--seed", "42", "--trials", "5",

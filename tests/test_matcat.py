@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from daggerlab.errors import FieldMismatchError, ShapeMismatchError
+from daggerlab import matcat
+from daggerlab.errors import ContradictionError, FieldMismatchError, ShapeMismatchError
 from daggerlab.matcat import (
     Morphism,
     Obj,
@@ -11,6 +14,7 @@ from daggerlab.matcat import (
     approx_eq,
     basis_column,
     compose,
+    embed,
     frobenius_distance,
     is_dagger_iso,
     is_dagger_mono,
@@ -18,7 +22,7 @@ from daggerlab.matcat import (
     is_projection,
 )
 from daggerlab.sampling import random_dagger_mono, random_morphism
-from daggerlab.scalars import ALL_FIELDS, Field, Scalar
+from daggerlab.scalars import ALL_FIELDS, Field, Scalar, mul
 
 RT2 = 2.0 ** -0.5
 
@@ -35,6 +39,44 @@ def test_compose_examples():
     j = Morphism.single(Scalar(Field.QUATERNION, 0, 0, 1, 0))
     k = Morphism.single(Scalar(Field.QUATERNION, 0, 0, 0, 1))
     assert frobenius_distance(i @ j, k) == 0.0
+
+
+def hamilton_oracle(a, b):
+    """Entry-by-entry Hamilton products, the independent oracle."""
+    m, k, n = a.shape[0], a.shape[1], b.shape[1]
+    out = np.zeros((m, n, 4))
+    for i in range(m):
+        for j in range(n):
+            acc = Scalar(Field.QUATERNION, 0)
+            for l in range(k):
+                p = mul(
+                    Scalar(Field.QUATERNION, *a[i, l]),
+                    Scalar(Field.QUATERNION, *b[l, j]),
+                )
+                acc = Scalar(
+                    Field.QUATERNION,
+                    acc.w + p.w, acc.x + p.x, acc.y + p.y, acc.z + p.z,
+                )
+            out[i, j] = acc.components()
+    return out
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (2, 3, 4), (5, 5, 5), (3, 0, 2)])
+def test_compose_matches_hamilton_oracle(shape):
+    m, k, n = shape
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(m, k, 4))
+    b = rng.normal(size=(k, n, 4))
+    g = Morphism(Field.QUATERNION, Obj(k), Obj(m), a)
+    f = Morphism(Field.QUATERNION, Obj(n), Obj(k), b)
+    np.testing.assert_allclose((g @ f).entries, hamilton_oracle(a, b), atol=1e-12)
+
+
+def test_compose_inner_dimension_mismatch():
+    g = Morphism.zero(Field.QUATERNION, Obj(3), Obj(2))
+    f = Morphism.zero(Field.QUATERNION, Obj(2), Obj(2))
+    with pytest.raises(ShapeMismatchError):
+        compose(g, f)
 
 
 def test_compose_errors():
@@ -94,6 +136,13 @@ def test_dagger_simple_is_dimension_one(field):
     # explicit witness: a unit column into dim 2 is an isometry, not unitary
     witness = basis_column(field, Obj(2), 0)
     assert is_dagger_mono(witness) and not is_dagger_iso(witness)
+
+
+def test_dagger_simple_contradiction_is_a_package_error(monkeypatch):
+    # a unit object whose isometries all test non-unitary contradicts dim 1
+    monkeypatch.setattr(matcat, "is_dagger_iso", lambda *args, **kwargs: False)
+    with pytest.raises(ContradictionError):
+        is_dagger_simple(Field.REAL, UNIT, trials=2)
 
 
 def test_frobenius_examples():
@@ -163,3 +212,50 @@ def test_morphism_is_immutable():
     f = Morphism.from_real(Field.REAL, [[1.0]])
     with pytest.raises(AttributeError):
         f.dom = Obj(2)
+
+
+def test_views_are_read_only():
+    f = Morphism.from_complex([[1.0 + 2.0j]])
+    for view in (f.entries, f.complex_view()):
+        with pytest.raises(ValueError):
+            view[0, 0] = 0.0
+    assert f.entry(0, 0) == Scalar(Field.COMPLEX, 1.0, 2.0)
+
+
+def test_embed_places_blocks_and_checks_them():
+    q = Scalar(Field.QUATERNION, 1.0, 2.0, 3.0, 4.0)
+    m = embed(Field.QUATERNION, Obj(2), Obj(3), [(2, 1, Morphism.single(q))])
+    assert m.entry(2, 1) == q
+    assert m.norm() == pytest.approx(30.0 ** 0.5, rel=1e-15)
+    with pytest.raises(ShapeMismatchError):
+        embed(Field.QUATERNION, Obj(2), Obj(3), [(3, 0, Morphism.single(q))])
+    with pytest.raises(FieldMismatchError):
+        embed(Field.REAL, Obj(1), Obj(1), [(0, 0, Morphism.single(q))])
+
+
+@st.composite
+def morphisms(draw, field, dom, cod):
+    comps = draw(arrays(np.float64, (cod, dom, field.width),
+                        elements=st.floats(-4.0, 4.0, width=64)))
+    e = np.zeros((cod, dom, 4))
+    e[..., : field.width] = comps
+    return Morphism(field, Obj(dom), Obj(cod), e), e
+
+
+@st.composite
+def composable_pairs(draw):
+    field = draw(st.sampled_from(ALL_FIELDS))
+    a, b, c = (draw(st.integers(0, 4)) for _ in range(3))
+    return draw(morphisms(field, a, b)), draw(morphisms(field, b, c))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(composable_pairs())
+def test_morphism_laws_hold_on_every_field(pair):
+    (f, ef), (g, eg) = pair
+    assert frobenius_distance(f.dagger().dagger(), f) == 0.0
+    assert approx_eq((g @ f).dagger(), f.dagger() @ g.dagger())
+    for m, e in ((f, ef), (g, eg)):
+        assert frobenius_distance(Morphism.from_json(m.to_json()), m) == 0.0
+        assert np.array_equal(m.entries, e)
+        assert m.norm() == pytest.approx(np.sqrt(np.sum(e * e)), rel=1e-12, abs=1e-300)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from daggerlab.biproduct import derived_add
-from daggerlab.errors import ResidualError, ShapeMismatchError
+from daggerlab import reconstruct
+from daggerlab.errors import ContradictionError, ResidualError, ShapeMismatchError
 from daggerlab.matcat import (
     Morphism,
     Obj,
@@ -245,6 +246,12 @@ def test_center_sqrt_minus_one():
 
     assert center_sqrt_minus_one_test(Field.REAL).status == "infeasible"
     assert center_sqrt_minus_one_test(Field.QUATERNION).status == "infeasible"
+
+
+def test_center_sqrt_contradiction_is_a_package_error(monkeypatch):
+    monkeypatch.setattr(reconstruct, "scalar_mul", lambda a, b: Scalar(a.field, 1.0))
+    with pytest.raises(ContradictionError):
+        center_sqrt_minus_one_test(Field.COMPLEX)
 
 
 @pytest.mark.parametrize("field", ALL_FIELDS)
