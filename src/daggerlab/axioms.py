@@ -44,7 +44,7 @@ from .matcat import (
     is_dagger_iso,
     is_dagger_mono,
 )
-from .reports import FAIL, INFEASIBLE, PASS, Report
+from .reports import FAIL, INFEASIBLE, PASS, Report, worse
 from .sampling import random_morphism, random_rank1_projection
 from .scalars import DEFAULT_TOL, Field, Scalar, TolerancePolicy, real_sqrt
 
@@ -63,7 +63,7 @@ def check_h1(field: Field, dims: Sequence[int], tol: TolerancePolicy = DEFAULT_T
     worst = 0.0
     for a, b in itertools.product(dims, dims):
         ok, residual = verify_biproduct(make_biproduct(field, Obj(a), Obj(b)), tol)
-        worst = max(worst, residual)
+        worst = worse(worst, residual)
         if not ok:
             return Report("H1", field.value, FAIL, residual, details={"pair": [a, b]})
     return Report("H1", field.value, PASS, worst, details={"pairs": len(dims) ** 2})
@@ -460,11 +460,11 @@ class DirectedDiagram:
             if k.dom != self.objects[a] or k.cod != self.objects[b]:
                 raise ShapeMismatchError("arrow endpoints disagree with objects")
             ident = Morphism.identity(self.field, k.dom)
-            worst = max(worst, frobenius_distance(k.dagger() @ k, ident))
+            worst = worse(worst, frobenius_distance(k.dagger() @ k, ident))
         for a, b in self.leq:
             for c in self.nodes:
                 if (b, c) in self.leq and (a, c) in self.leq:
-                    worst = max(
+                    worst = worse(
                         worst,
                         frobenius_distance(
                             self.arrow(b, c) @ self.arrow(a, b), self.arrow(a, c)
@@ -485,7 +485,7 @@ class ColimitCocone:
     def commutation_residual(self, diagram: DirectedDiagram) -> float:
         worst = 0.0
         for a, b in diagram.leq:
-            worst = max(
+            worst = worse(
                 worst,
                 frobenius_distance(self.legs[b] @ diagram.arrow(a, b), self.legs[a]),
             )

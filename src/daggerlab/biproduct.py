@@ -9,12 +9,17 @@ entrywise sum appears only inside test oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
 from typing import Sequence
 
 from .errors import ShapeMismatchError
-from .matcat import Morphism, Obj, embed, frobenius_distance
-from .scalars import DEFAULT_TOL, Field, Scalar, TolerancePolicy, real_sqrt
+from .matcat import Morphism, Obj, embed, frobenius_distance, project_to_field, read_only
+from .reports import worse
+from .scalars import ALL_FIELDS, DEFAULT_TOL, Field, Scalar, TolerancePolicy, real_sqrt
+
+# -1 as a 1x1 morphism: the Gram-Schmidt step subtracts Q . c as Q . (c . -1)
+_MINUS_ONE = {f: read_only(Morphism.single(Scalar(f, -1.0))) for f in ALL_FIELDS}
 
 
 def oplus_obj(a: Obj, b: Obj) -> Obj:
@@ -66,7 +71,7 @@ def verify_biproduct(bp: Biproduct, tol: TolerancePolicy = DEFAULT_TOL) -> tuple
             derived_add(f @ f.dagger(), g @ g.dagger()), id_total
         ),
     ]
-    worst = max(residuals)
+    worst = worse(*residuals)
     scale = max(1.0, id_total.norm())
     return worst <= tol.bound(scale, scale), worst
 
@@ -118,10 +123,13 @@ class DiagonalPair:
     codiagonal: Morphism
 
 
+@lru_cache(maxsize=256)
 def diagonal_pair(field: Field, x: Obj) -> DiagonalPair:
+    """Cached per (field, object): every derived addition asks for two.
+    The shared morphisms are read-only, so no caller can corrupt them."""
     ident = Morphism.identity(field, x)
-    diag = pairing([ident, ident])
-    return DiagonalPair(x, diag, diag.dagger())
+    diag = read_only(pairing([ident, ident]))
+    return DiagonalPair(x, diag, read_only(diag.dagger()))
 
 
 def derived_add(f: Morphism, g: Morphism) -> Morphism:
@@ -150,26 +158,37 @@ def orthonormal_columns(
     drop_eps: float = 1e-8,
     tol: TolerancePolicy = DEFAULT_TOL,
 ) -> list[Morphism]:
-    """Right Gram-Schmidt over the ambient field.
+    """Right Gram-Schmidt over the ambient field, in blocks (CGS2).
 
     Extends the (assumed orthonormal) `against` prefix by unit columns
     spanning `vectors`; candidates whose residual norm falls below
-    `drop_eps` are treated as dependent and dropped.  Coefficients are
-    1x1 compositions, subtraction goes through the derived addition and
-    normalisation divides on the right, so the quaternionic right-module
-    structure is respected throughout.
+    `drop_eps` are treated as dependent and dropped.  The basis so far
+    is one column block Q = [against..., accepted...].  Each candidate u
+    is projected out of it twice, each pass taking the coefficient
+    column c = Q-dagger . u in one composition and subtracting Q . c
+    through one derived addition; two passes keep the columns orthogonal
+    to rounding level ("twice is enough": Giraud, Langou & Rozloznik,
+    Comput. Math. Appl. 50, 2005).  The subtraction cancels most of u,
+    which over H magnifies the rounding drift between the halves of each
+    native 2x2 block, so each pass ends with `project_to_field`.  Q . c
+    composes the coefficients on the right and normalisation divides on
+    the right, so the quaternionic right-module structure is respected
+    throughout.
     """
+    q = copairing(against) if against else None
     accepted: list[Morphism] = []
     for v in vectors:
         u = v
-        for _ in range(2):  # re-orthogonalise once against rounding
-            for e in [*against, *accepted]:
-                coef = (e.dagger() @ u).scalar()
-                u = derived_add(u, e @ Morphism.single(-coef))
+        if q is not None:
+            q_dagger = q.dagger()
+            for _ in range(2):  # re-orthogonalise once against rounding
+                u = derived_add(u, q @ ((q_dagger @ u) @ _MINUS_ONE[u.field]))
+                u = project_to_field(u)
         n2 = (u.dagger() @ u).scalar().w
         length = real_sqrt(n2, tol)
         if length < drop_eps:
             continue
         unit = u @ Morphism.single(Scalar(u.field, 1.0 / length))
         accepted.append(unit)
+        q = unit if q is None else copairing([q, unit])
     return accepted

@@ -27,7 +27,7 @@ from .biproduct import (
     orthonormal_columns,
     verify_biproduct,
 )
-from .errors import NoMorphismError
+from .errors import DaggerLabError, NoMorphismError
 from .matcat import (
     Morphism,
     Obj,
@@ -37,7 +37,7 @@ from .matcat import (
     is_dagger_mono,
     is_dagger_simple,
 )
-from .reports import FAIL, INFEASIBLE, PASS, Report
+from .reports import ERROR, FAIL, INFEASIBLE, PASS, Report, worse
 from .sampling import (
     random_dagger_mono,
     random_morphism,
@@ -92,14 +92,14 @@ def check_conj_antiautomorphism(cfg: CampaignConfig) -> Report:
     for _ in range(cfg.count(1000)):
         a = random_scalar(cfg.field, rng)
         b = random_scalar(cfg.field, rng)
-        worst = max(
+        worst = worse(
             worst,
             scalars.distance(
                 scalars.conj(scalars.mul(a, b)),
                 scalars.mul(scalars.conj(b), scalars.conj(a)),
             ),
         )
-        worst = max(worst, scalars.distance(scalars.conj(scalars.conj(a)), a))
+        worst = worse(worst, scalars.distance(scalars.conj(scalars.conj(a)), a))
     return _verdict(cid, cfg, worst, 4.0)
 
 
@@ -122,8 +122,8 @@ def check_inverse_two_sided(cfg: CampaignConfig) -> Report:
         if scalars.norm(a) < 1e-3:
             continue
         b = scalars.inv(a, cfg.tol)
-        worst = max(worst, scalars.distance(scalars.mul(a, b), one))
-        worst = max(worst, scalars.distance(scalars.mul(b, a), one))
+        worst = worse(worst, scalars.distance(scalars.mul(a, b), one))
+        worst = worse(worst, scalars.distance(scalars.mul(b, a), one))
     return _verdict(cid, cfg, worst, 1e3)
 
 
@@ -144,10 +144,10 @@ def check_dagger_functor_laws(cfg: CampaignConfig) -> Report:
         a, b, c = (_random_shape(rng) for _ in range(3))
         f = random_morphism(cfg.field, a, b, rng)
         g = random_morphism(cfg.field, b, c, rng)
-        worst = max(worst, frobenius_distance((g @ f).dagger(), f.dagger() @ g.dagger()))
-        worst = max(worst, frobenius_distance(f.dagger().dagger(), f))
+        worst = worse(worst, frobenius_distance((g @ f).dagger(), f.dagger() @ g.dagger()))
+        worst = worse(worst, frobenius_distance(f.dagger().dagger(), f))
         ident = Morphism.identity(cfg.field, a)
-        worst = max(worst, frobenius_distance(ident.dagger(), ident))
+        worst = worse(worst, frobenius_distance(ident.dagger(), ident))
     return _verdict(cid, cfg, worst, 40.0)
 
 
@@ -162,7 +162,7 @@ def check_dagger_monos_are_monic(cfg: CampaignConfig) -> Report:
         w = _random_shape(rng, 1, 4)
         s = random_morphism(cfg.field, w, a, rng)
         # left-composition with the dagger recovers the factor
-        worst = max(worst, frobenius_distance(f.dagger() @ (f @ s), s))
+        worst = worse(worst, frobenius_distance(f.dagger() @ (f @ s), s))
     return _verdict(cid, cfg, worst, 40.0)
 
 
@@ -179,9 +179,11 @@ def check_small_objects_distinct(cfg: CampaignConfig) -> Report:
     for _ in range(cfg.count(100)):
         u = random_unit_column(cfg.field, UNIT, rng)
         v = random_unit_column(cfg.field, UNIT, rng)
-        min_overlap = min(min_overlap, (v.dagger() @ u).norm())
-    status = PASS if min_overlap > 0.5 else FAIL
-    return Report(cid, cfg.field.value, status, min_overlap)
+        overlap = (v.dagger() @ u).norm()
+        if not overlap > 0.5:  # also NaN, which min() would drop
+            return Report(cid, cfg.field.value, FAIL, overlap)
+        min_overlap = min(min_overlap, overlap)
+    return Report(cid, cfg.field.value, PASS, min_overlap)
 
 
 def check_dagger_simple_dimension(cfg: CampaignConfig) -> Report:
@@ -206,8 +208,8 @@ def check_unique_simple_object(cfg: CampaignConfig) -> Report:
             continue
         h = axioms.normalize_h4b(u, cfg.tol)
         iso = u @ Morphism.single(h)
-        worst = max(worst, frobenius_distance(iso.dagger() @ iso, Morphism.identity(cfg.field, UNIT)))
-        worst = max(worst, frobenius_distance(iso @ iso.dagger(), Morphism.identity(cfg.field, UNIT)))
+        worst = worse(worst, frobenius_distance(iso.dagger() @ iso, Morphism.identity(cfg.field, UNIT)))
+        worst = worse(worst, frobenius_distance(iso @ iso.dagger(), Morphism.identity(cfg.field, UNIT)))
     return _verdict(cid, cfg, worst)
 
 
@@ -238,7 +240,7 @@ def check_zero_leg_forces_unitary(cfg: CampaignConfig) -> Report:
         ok, residual = verify_biproduct(bp, cfg.tol)
         if not ok or not is_dagger_iso(g, cfg.tol):
             return Report(cid, cfg.field.value, FAIL, residual, witness=g)
-        worst = max(worst, residual)
+        worst = worse(worst, residual)
         # a short right leg cannot complete the zero leg to a biproduct
         short = random_dagger_mono(cfg.field, Obj(t.dim - 1), t, rng)
         ok_short, _ = verify_biproduct(Biproduct.from_injections(zero_leg, short), cfg.tol)
@@ -255,7 +257,7 @@ def check_dagger_distributes_over_oplus(cfg: CampaignConfig) -> Report:
     for _ in range(cfg.count(200)):
         f1 = random_morphism(cfg.field, _random_shape(rng, 0, 4), _random_shape(rng, 0, 4), rng)
         f2 = random_morphism(cfg.field, _random_shape(rng, 0, 4), _random_shape(rng, 0, 4), rng)
-        worst = max(
+        worst = worse(
             worst,
             frobenius_distance(oplus_mor(f1, f2).dagger(), oplus_mor(f1.dagger(), f2.dagger())),
         )
@@ -271,7 +273,7 @@ def check_range_projections_sum(cfg: CampaignConfig) -> Report:
         left = bp.inj_left @ bp.inj_left.dagger()
         right = bp.inj_right @ bp.inj_right.dagger()
         ident = Morphism.identity(cfg.field, bp.total)
-        worst = max(worst, frobenius_distance(derived_add(left, right), ident))
+        worst = worse(worst, frobenius_distance(derived_add(left, right), ident))
     return _verdict(cid, cfg, worst, 10.0, target=COMPLEMENT_RESIDUAL_TARGET)
 
 
@@ -283,7 +285,7 @@ def check_dagger_of_derived_sum(cfg: CampaignConfig) -> Report:
         x, y = _random_shape(rng, 0, 5), _random_shape(rng, 0, 5)
         f = random_morphism(cfg.field, x, y, rng)
         g = random_morphism(cfg.field, x, y, rng)
-        worst = max(
+        worst = worse(
             worst,
             frobenius_distance(derived_add(f, g).dagger(), derived_add(f.dagger(), g.dagger())),
         )
@@ -301,14 +303,14 @@ def check_semiadditive_laws(cfg: CampaignConfig) -> Report:
         h = random_morphism(cfg.field, x, y, rng)
         r = random_morphism(cfg.field, y, z, rng)
         zero_m = Morphism.zero(cfg.field, x, y)
-        worst = max(worst, frobenius_distance(
+        worst = worse(worst, frobenius_distance(
             derived_add(derived_add(f, g), h), derived_add(f, derived_add(g, h))))
-        worst = max(worst, frobenius_distance(derived_add(f, g), derived_add(g, f)))
-        worst = max(worst, frobenius_distance(derived_add(f, zero_m), f))
-        worst = max(worst, frobenius_distance(
+        worst = worse(worst, frobenius_distance(derived_add(f, g), derived_add(g, f)))
+        worst = worse(worst, frobenius_distance(derived_add(f, zero_m), f))
+        worst = worse(worst, frobenius_distance(
             r @ derived_add(f, g), derived_add(r @ f, r @ g)))
         s = random_morphism(cfg.field, z, x, rng)
-        worst = max(worst, frobenius_distance(
+        worst = worse(worst, frobenius_distance(
             derived_add(f, g) @ s, derived_add(f @ s, g @ s)))
     return _verdict(cid, cfg, worst, 100.0)
 
@@ -324,7 +326,7 @@ def check_derived_add_matches_entrywise(cfg: CampaignConfig) -> Report:
         f = random_morphism(cfg.field, x, y, rng)
         g = random_morphism(cfg.field, x, y, rng)
         oracle = Morphism(cfg.field, x, y, f.entries + g.entries)
-        worst = max(worst, frobenius_distance(derived_add(f, g), oracle))
+        worst = worse(worst, frobenius_distance(derived_add(f, g), oracle))
     return _verdict(cid, cfg, worst, target=RESIDUAL_TARGET)
 
 
@@ -346,9 +348,9 @@ def check_nfold_injections(cfg: CampaignConfig) -> Report:
             if not is_dagger_mono(inj, cfg.tol):
                 return Report(cid, cfg.field.value, FAIL, 0.0, witness=inj)
             for other in injections[k + 1:]:
-                worst = max(worst, (other.dagger() @ inj).norm())
+                worst = worse(worst, (other.dagger() @ inj).norm())
             acc = derived_add(acc, inj @ inj.dagger())
-        worst = max(worst, frobenius_distance(acc, total))
+        worst = worse(worst, frobenius_distance(acc, total))
     return _verdict(cid, cfg, worst, 10.0)
 
 
@@ -368,7 +370,7 @@ def check_h2_directed_colimits(cfg: CampaignConfig) -> Report:
     for _ in range(cfg.count(50)):
         diagram = axioms.random_directed_diagram(cfg.field, rng)
         cocone = axioms.finite_directed_colimit(diagram, cfg.tol)
-        worst = max(worst, cocone.commutation_residual(diagram))
+        worst = worse(worst, cocone.commutation_residual(diagram))
         if not axioms.jointly_epic_check(cocone, trials=4, rng=rng, tol=cfg.tol):
             return Report(cid, cfg.field.value, FAIL, worst,
                           details={"reason": "legs not jointly epic"})
@@ -377,8 +379,8 @@ def check_h2_directed_colimits(cfg: CampaignConfig) -> Report:
             m = random_dagger_mono(cfg.field, cocone.apex, Obj(cocone.apex.dim + extra), rng)
             competing = {n: m @ leg for n, leg in cocone.legs.items()}
             u = axioms.mediating_dagger_mono(cocone, competing, cfg.tol)
-            worst = max(worst, frobenius_distance(u, m))
-            worst = max(worst, _mediating_uniqueness_residual(cfg, cocone, competing, u, rng))
+            worst = worse(worst, frobenius_distance(u, m))
+            worst = worse(worst, _mediating_uniqueness_residual(cfg, cocone, competing, u, rng))
     return _verdict(cid, cfg, worst, target=COLIMIT_RESIDUAL_TARGET)
 
 
@@ -411,7 +413,7 @@ def _mediating_uniqueness_residual(
         )
         rhs = np.concatenate([competing[n].complex_view() for n in cocone.legs], axis=1)
         solved, *_ = np.linalg.lstsq(legs_mat.T, rhs.T, rcond=None)
-        residual = max(
+        residual = worse(
             residual, float(np.linalg.norm(solved.T - u.complex_view()))
         )
     return residual
@@ -430,7 +432,7 @@ def check_h3_complement(cfg: CampaignConfig) -> Report:
             return Report(cid, cfg.field.value, FAIL, 0.0, witness=g,
                           details={"reason": "wrong complement dimension"})
         ok, residual = verify_biproduct(Biproduct.from_injections(f, g), cfg.tol)
-        worst = max(worst, residual)
+        worst = worse(worst, residual)
         if not ok:
             return Report(cid, cfg.field.value, FAIL, residual, witness=g)
     return _verdict(cid, cfg, worst, target=COMPLEMENT_RESIDUAL_TARGET)
@@ -457,7 +459,7 @@ def check_h4_unit_and_normalisation(cfg: CampaignConfig) -> Report:
             continue
         h = axioms.normalize_h4b(u, cfg.tol)
         iso = u @ Morphism.single(h)
-        worst = max(
+        worst = worse(
             worst,
             frobenius_distance(iso.dagger() @ iso, Morphism.identity(cfg.field, UNIT)),
         )
@@ -476,14 +478,14 @@ def check_h5_strict_sqrt(cfg: CampaignConfig) -> Report:
         u = random_unitary(Field.COMPLEX, x, rng)
         cert = axioms.strict_sqrt_complex(u, cfg.tol)
         ident = Morphism.identity(Field.COMPLEX, x)
-        worst_sq = max(worst_sq, cert.residual)
-        worst_sq = max(worst_sq, frobenius_distance(cert.root.dagger() @ cert.root, ident))
+        worst_sq = worse(worst_sq, cert.residual)
+        worst_sq = worse(worst_sq, frobenius_distance(cert.root.dagger() @ cert.root, ident))
         if not axioms.is_strict_sqrt(u, cert.root, 50, rng, cfg.tol):
             return Report(cid, cfg.field.value, FAIL, cert.residual, witness=cert.root,
                           details={"reason": "strictness sampling failed"})
-        worst_fit = max(worst_fit, axioms.polynomial_fit_residual(u, cert.root))
+        worst_fit = worse(worst_fit, axioms.polynomial_fit_residual(u, cert.root))
     status = PASS if worst_sq <= SQRT_RESIDUAL_TARGET and worst_fit <= POLYFIT_RESIDUAL_TARGET else FAIL
-    return Report(cid, cfg.field.value, status, max(worst_sq, worst_fit),
+    return Report(cid, cfg.field.value, status, worse(worst_sq, worst_fit),
                   details={"square_residual": worst_sq, "poly_fit_residual": worst_fit})
 
 
@@ -494,7 +496,7 @@ def check_h5_refutation(cfg: CampaignConfig) -> Report:
     rng = cfg.rng(cid)
     dims = [d for d in cfg.dims if d >= 2] or [2, 3]
     reports = [axioms.refute_h5_scalar_case(cfg.field, d, rng, cfg.tol) for d in dims]
-    worst = max(r.residual for r in reports)
+    worst = worse(*(r.residual for r in reports))
     if all(r.status == INFEASIBLE for r in reports):
         return Report(cid, cfg.field.value, INFEASIBLE, worst,
                       witness=reports[0].witness,
@@ -530,16 +532,16 @@ def check_hermitian_form_laws(cfg: CampaignConfig) -> Report:
         # linear in the first slot for the reversed multiplication
         lhs = herm(reconstruct.scale(u, alpha), v)
         rhs = endo.mul(endo.lift(alpha), herm(u, v))
-        worst = max(worst, frobenius_distance(lhs, rhs))
+        worst = worse(worst, frobenius_distance(lhs, rhs))
         # conjugate-linear in the second slot
         lhs = herm(u, reconstruct.scale(v, alpha))
         rhs = endo.mul(herm(u, v), endo.star(endo.lift(alpha)))
-        worst = max(worst, frobenius_distance(lhs, rhs))
+        worst = worse(worst, frobenius_distance(lhs, rhs))
         # additive in both slots
-        worst = max(worst, frobenius_distance(
+        worst = worse(worst, frobenius_distance(
             herm(derived_add(u, w), v), endo.add(herm(u, v), herm(w, v))))
         # conjugate symmetry
-        worst = max(worst, frobenius_distance(herm(u, v), endo.star(herm(v, u))))
+        worst = worse(worst, frobenius_distance(herm(u, v), endo.star(herm(v, u))))
         # anisotropy: the squared length is real and positive for u != 0
         uu = reconstruct.inner_product(u, u)
         if u.norm() > 1e-3 and (uu.w <= 0 or abs(uu.x) + abs(uu.y) + abs(uu.z) > cfg.tol.abs_eps):
@@ -559,7 +561,7 @@ def check_uniformity(cfg: CampaignConfig) -> Report:
             continue
         h = axioms.normalize_h4b(u, cfg.tol)
         unit = reconstruct.scale(u, h)
-        worst = max(worst, abs(scalars.norm(reconstruct.inner_product(unit, unit)) - 1.0))
+        worst = worse(worst, abs(scalars.norm(reconstruct.inner_product(unit, unit)) - 1.0))
     return _verdict(cid, cfg, worst)
 
 
@@ -603,7 +605,7 @@ def check_onb_is_full_biproduct(cfg: CampaignConfig) -> Report:
         recon = Morphism.zero(cfg.field, UNIT, x)
         for e, c in zip(basis.onb, coeffs):
             recon = derived_add(recon, reconstruct.scale(e, c))
-        worst = max(worst, frobenius_distance(u, recon))
+        worst = worse(worst, frobenius_distance(u, recon))
     return _verdict(cid, cfg, worst, target=RESIDUAL_TARGET)
 
 
@@ -620,12 +622,12 @@ def check_isometry_image_splits(cfg: CampaignConfig) -> Report:
         bd = reconstruct.coordinate_basis(cfg.field, a)
         bx = reconstruct.coordinate_basis(cfg.field, x)
         vh = reconstruct.functor_v(h, bd, bx, cfg.tol)
-        worst = max(worst, frobenius_distance(
+        worst = worse(worst, frobenius_distance(
             vh.dagger() @ vh, Morphism.identity(cfg.field, a)))
         comp = axioms.complement_h3(h, cfg.tol)
-        worst = max(worst, (h.dagger() @ comp).norm())  # kernel(V(h*)) holds the complement
+        worst = worse(worst, (h.dagger() @ comp).norm())  # kernel(V(h*)) holds the complement
         ident = Morphism.identity(cfg.field, x)
-        worst = max(worst, frobenius_distance(
+        worst = worse(worst, frobenius_distance(
             derived_add(h @ h.dagger(), comp @ comp.dagger()), ident))
     return _verdict(cid, cfg, worst, target=COMPLEMENT_RESIDUAL_TARGET)
 
@@ -646,11 +648,11 @@ def check_orthomodularity(cfg: CampaignConfig) -> Report:
             return Report(cid, cfg.field.value, FAIL, 0.0,
                           details={"dims": [sub.dim, perp.dim, x.dim]})
         p, q = reconstruct.projection_of_subspace(sub), reconstruct.projection_of_subspace(perp)
-        worst = max(worst, frobenius_distance(derived_add(p, q), Morphism.identity(cfg.field, x)))
+        worst = worse(worst, frobenius_distance(derived_add(p, q), Morphism.identity(cfg.field, x)))
         for e in sub.onb:
-            worst = max(worst, frobenius_distance(p @ e, e))
+            worst = worse(worst, frobenius_distance(p @ e, e))
         for e in perp.onb:
-            worst = max(worst, (p @ e).norm())
+            worst = worse(worst, (p @ e).norm())
     return _verdict(cid, cfg, worst, target=COMPLEMENT_RESIDUAL_TARGET)
 
 
@@ -666,16 +668,16 @@ def check_endofield_matches_scalars(cfg: CampaignConfig) -> Report:
         b = random_scalar(cfg.field, rng)
         c = random_scalar(cfg.field, rng)
         la, lb, lc = endo.lift(a), endo.lift(b), endo.lift(c)
-        worst = max(worst, scalars.distance(endo.lower(endo.mul(la, lb)), scalars.mul(b, a)))
-        worst = max(worst, scalars.distance(endo.lower(endo.star(la)), scalars.conj(a)))
+        worst = worse(worst, scalars.distance(endo.lower(endo.mul(la, lb)), scalars.mul(b, a)))
+        worst = worse(worst, scalars.distance(endo.lower(endo.star(la)), scalars.conj(a)))
         if scalars.norm(a) > 1e-3:
-            worst = max(worst, frobenius_distance(endo.mul(la, endo.inv(la)), endo.one))
-            worst = max(worst, frobenius_distance(endo.mul(endo.inv(la), la), endo.one))
-        worst = max(worst, frobenius_distance(
+            worst = worse(worst, frobenius_distance(endo.mul(la, endo.inv(la)), endo.one))
+            worst = worse(worst, frobenius_distance(endo.mul(endo.inv(la), la), endo.one))
+        worst = worse(worst, frobenius_distance(
             endo.mul(endo.mul(la, lb), lc), endo.mul(la, endo.mul(lb, lc))))
-        worst = max(worst, frobenius_distance(
+        worst = worse(worst, frobenius_distance(
             endo.mul(la, endo.add(lb, lc)), endo.add(endo.mul(la, lb), endo.mul(la, lc))))
-        worst = max(worst, frobenius_distance(endo.add(la, endo.zero), la))
+        worst = worse(worst, frobenius_distance(endo.add(la, endo.zero), la))
     return _verdict(cid, cfg, worst, 1e3)
 
 
@@ -692,17 +694,17 @@ def check_functor_dagger_additive(cfg: CampaignConfig) -> Report:
         h = random_morphism(cfg.field, y, z, rng)
         bx, by, bz = (_random_onb(cfg, o, rng) for o in (x, y, z))
         vf = reconstruct.functor_v(f, bx, by, cfg.tol)
-        worst = max(worst, frobenius_distance(
+        worst = worse(worst, frobenius_distance(
             reconstruct.functor_v(f.dagger(), by, bx, cfg.tol), vf.dagger()))
-        worst = max(worst, frobenius_distance(
+        worst = worse(worst, frobenius_distance(
             reconstruct.functor_v(derived_add(f, g), bx, by, cfg.tol),
             derived_add(vf, reconstruct.functor_v(g, bx, by, cfg.tol))))
-        worst = max(worst, frobenius_distance(
+        worst = worse(worst, frobenius_distance(
             reconstruct.functor_v(h @ f, bx, bz, cfg.tol),
             reconstruct.functor_v(h, by, bz, cfg.tol) @ vf))
         coord_x = reconstruct.coordinate_basis(cfg.field, x)
         coord_y = reconstruct.coordinate_basis(cfg.field, y)
-        worst = max(worst, frobenius_distance(
+        worst = worse(worst, frobenius_distance(
             reconstruct.functor_v(f, coord_x, coord_y, cfg.tol), f))
     return _verdict(cid, cfg, worst, target=RESIDUAL_TARGET)
 
@@ -744,7 +746,7 @@ def check_rank_objects(cfg: CampaignConfig) -> Report:
         if x.dim != n or len(onb) != n:
             return Report(cid, cfg.field.value, FAIL, 0.0, details={"rank": n})
         sub = reconstruct.Subspace(cfg.field, x, tuple(onb))
-        worst = max(worst, sub.orthonormality_residual())
+        worst = worse(worst, sub.orthonormality_residual())
     return _verdict(cid, cfg, worst)
 
 
@@ -858,14 +860,8 @@ def axiom_checks(field: Field) -> list[tuple[str, CheckFn]]:
 
 
 def run_axiom_suite(cfg: CampaignConfig, stream=None) -> list[Report]:
-    reports = []
-    for label, fn in axiom_checks(cfg.field):
-        report = fn(cfg)
-        report.axiom = label
-        _stream_line(stream, report)
-        reports.append(report)
-    reports.sort(key=lambda r: r.axiom)
-    return reports
+    labels, checks = zip(*axiom_checks(cfg.field))
+    return _run(list(checks), cfg, stream, labels)
 
 
 RECONSTRUCTION_CHECKS: list[CheckFn] = [
@@ -897,12 +893,26 @@ def _stream_line(stream, report: Report) -> None:
         stream.flush()
 
 
-def _run(checks: list[CheckFn], cfg: CampaignConfig, stream=None) -> list[Report]:
+def _run(
+    checks: list[CheckFn], cfg: CampaignConfig, stream=None, labels=None
+) -> list[Report]:
     """Run checks, streaming a line as each completes; the returned list
-    is sorted by check id so report assembly is canonical."""
+    is sorted by check id so report assembly is canonical.  `labels`
+    renames the reports (the axiom suite reports H1..H5).
+
+    A check that raises a DaggerLabError reaches no verdict: it becomes
+    an ERROR report, neither a pass nor a violation, carrying the
+    exception text.  Its check id lives inside the function, so it is
+    labelled by the function name unless `labels` names it."""
     reports = []
-    for fn in checks:
-        report = fn(cfg)
+    for fn, label in zip(checks, labels or [None] * len(checks)):
+        try:
+            report = fn(cfg)
+        except DaggerLabError as exc:
+            report = Report(fn.__name__, cfg.field.value, ERROR,
+                            details={"error": f"{type(exc).__name__}: {exc}"})
+        if label is not None:
+            report.axiom = label
         _stream_line(stream, report)
         reports.append(report)
     reports.sort(key=lambda r: r.axiom)

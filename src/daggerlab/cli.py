@@ -10,7 +10,9 @@ text reports:
     daggerlab span --dims 2,3,4,5 --seed 1
 
 Exit codes: 0 all checks pass, 1 a genuine violation (expected for the
-real and quaternion fields on the square-root axiom), 2 input errors.
+real and quaternion fields on the square-root axiom), 2 input errors,
+3 a check raised instead of reaching a verdict (its report has status
+"error"; this wins over 1).
 """
 
 from __future__ import annotations
@@ -31,12 +33,13 @@ from .campaigns import (
 )
 from .errors import DaggerLabError
 from .matcat import Morphism
-from .reports import PASS
+from .reports import ERROR, PASS
 from .scalars import Field, TolerancePolicy
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
+EXIT_ERROR = 3
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:
@@ -155,8 +158,13 @@ def _suite_command(args: argparse.Namespace, runner) -> int:
         "reports": [r.to_json() for r in reports],
         "passed": all(r.status == PASS for r in reports),
     }
+    errors = sum(r.status == ERROR for r in reports)
+    if errors:
+        verdict = f"{errors} CHECK(S) RAISED"
+    else:
+        verdict = "OK" if payload["passed"] else "VIOLATIONS FOUND"
     summary = (
-        f"{'OK' if payload['passed'] else 'VIOLATIONS FOUND'}: "
+        f"{verdict}: "
         f"{sum(r.status == PASS for r in reports)}/{len(reports)} checks passed"
     )
     if live_to_stdout:
@@ -167,6 +175,8 @@ def _suite_command(args: argparse.Namespace, runner) -> int:
             for r in reports
         ]
         _emit(args, payload, lines + [summary])
+    if errors:
+        return EXIT_ERROR
     return EXIT_OK if payload["passed"] else EXIT_VIOLATION
 
 

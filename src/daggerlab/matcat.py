@@ -78,7 +78,11 @@ def _native(field: Field, e: np.ndarray) -> np.ndarray:
     a = _complex(e[..., 0], e[..., 1])
     if field is Field.COMPLEX:
         return a
-    b = _complex(e[..., 2], e[..., 3])
+    return _adjoint(a, _complex(e[..., 2], e[..., 3]))
+
+
+def _adjoint(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Complex adjoint array of the quaternion matrix a + b j."""
     out = np.empty((2 * a.shape[0], 2 * a.shape[1]), np.complex128)
     out[0::2, 0::2] = a
     out[0::2, 1::2] = b
@@ -298,6 +302,46 @@ def frobenius_distance(f: Morphism, g: Morphism) -> float:
     if f.dom != g.dom or f.cod != g.cod:
         raise ShapeMismatchError("morphisms of different shape")
     return math.sqrt(_sq_norm(f.field, f._a - g._a))
+
+
+def distances_to(fs: Sequence[Morphism], g: Morphism) -> np.ndarray:
+    """Frobenius distance from each of `fs` to `g`, all from one stacked
+    array; entry k equals frobenius_distance(fs[k], g) up to rounding."""
+    shape = g._a.shape  # over one field, equal native shapes mean equal dom and cod
+    for f in fs:
+        if f.field is not g.field:
+            raise FieldMismatchError(f"{f.field.value} vs {g.field.value}")
+        if f._a.shape != shape:
+            raise ShapeMismatchError("morphisms of different shape")
+    if not fs:
+        return np.zeros(0)
+    diff = np.array([f._a for f in fs]) - g._a
+    flat = diff.reshape(len(fs), g._a.size).view(np.float64)  # real and imaginary parts
+    return np.sqrt(np.einsum("ki,ki->k", flat, flat) / _block(g.field))
+
+
+def project_to_field(m: Morphism) -> Morphism:
+    """The morphism over m.field nearest to m's native array.
+
+    Over H each 2x2 block [[a, b], [-conj(b), conj(a)]] is computed by
+    rounded sums, so its halves drift apart by about eps times the
+    operands' size.  After a cancellation, as in Gram-Schmidt, that
+    drift is large relative to the result; averaging every block with
+    its conjugate mirror puts it back in the complex adjoint form.  R
+    and C arrays have no such constraint and are returned as they are.
+    """
+    if m.field is not Field.QUATERNION:
+        return m
+    x = m._a
+    a = (x[0::2, 0::2] + x[1::2, 1::2].conj()) / 2
+    b = (x[0::2, 1::2] - x[1::2, 0::2].conj()) / 2
+    return _wrap(m.field, m.dom, m.cod, _adjoint(a, b))
+
+
+def read_only(m: Morphism) -> Morphism:
+    """Mark m's native array read-only, for morphisms shared by a cache."""
+    m._a.flags.writeable = False
+    return m
 
 
 def approx_eq(f: Morphism, g: Morphism, tol: TolerancePolicy = DEFAULT_TOL) -> bool:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatchError, UnsupportedFieldError
-from .matcat import Morphism, Obj, basis_column, compose, frobenius_distance
+from .matcat import Morphism, Obj, basis_column, compose, distances_to
 from .sampling import random_rank1_projection
 from .scalars import DEFAULT_TOL, Field, TolerancePolicy
 
@@ -85,7 +85,9 @@ def word_closure(
     tol: TolerancePolicy = DEFAULT_TOL,
 ) -> list[Morphism]:
     """All products of generators of length <= max_len, deduplicated by
-    Frobenius distance."""
+    Frobenius distance: a candidate is dropped iff it lies within
+    tol.bound(|w|, |candidate|) of some kept word w.  The distances to
+    all kept words come from one stacked array per candidate."""
     if not gens:
         return []
     obj = gens[0].dom
@@ -93,12 +95,16 @@ def word_closure(
         raise ShapeMismatchError("generators must be endomorphisms of one object")
 
     words: list[Morphism] = []
+    norms: list[float] = []
 
     def add(candidate: Morphism) -> bool:
-        for w in words:
-            if frobenius_distance(w, candidate) <= tol.bound(w.norm(), candidate.norm()):
+        norm = candidate.norm()
+        if words:
+            bounds = tol.abs_eps + tol.rel_eps * np.maximum(norms, norm)
+            if np.any(distances_to(words, candidate) <= bounds):
                 return False
         words.append(candidate)
+        norms.append(norm)
         return True
 
     frontier = [g for g in gens if add(g)]

@@ -34,7 +34,7 @@ from .matcat import (
     embed,
     frobenius_distance,
 )
-from .reports import FAIL, INFEASIBLE, PASS, Report
+from .reports import FAIL, INFEASIBLE, PASS, Report, worse
 from .sampling import random_morphism
 from .scalars import DEFAULT_TOL, Field, Scalar, TolerancePolicy
 from .scalars import inv as scalar_inv
@@ -78,7 +78,7 @@ class Subspace:
             for j, f in enumerate(self.onb):
                 g = inner_product(e, f)
                 target = 1.0 if i == j else 0.0
-                worst = max(worst, abs(g.w - target), abs(g.x), abs(g.y), abs(g.z))
+                worst = worse(worst, abs(g.w - target), abs(g.x), abs(g.y), abs(g.z))
         return worst
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
@@ -10,6 +11,20 @@ from .matcat import Morphism
 PASS = "pass"
 FAIL = "fail"
 INFEASIBLE = "infeasible"
+ERROR = "error"  # the check raised instead of reaching a verdict
+
+
+def worse(*residuals: float) -> float:
+    """The largest residual, or NaN if any residual is NaN.
+
+    Plain max() drops a NaN that is not its first argument
+    (max(0.0, nan) == 0.0), which would let a NaN residual pass; every
+    verdict compares the result with `<=`, so NaN fails it.
+    """
+    for r in residuals:
+        if r != r:
+            return math.nan
+    return max(residuals)
 
 
 @dataclass

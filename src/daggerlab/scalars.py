@@ -29,7 +29,7 @@ class Field(enum.Enum):
     @property
     def width(self) -> int:
         """Number of real components a scalar of this field carries."""
-        return {Field.REAL: 1, Field.COMPLEX: 2, Field.QUATERNION: 4}[self]
+        return _WIDTHS[self]
 
     @classmethod
     def from_name(cls, name: str) -> "Field":
@@ -40,6 +40,7 @@ class Field(enum.Enum):
 
 
 ALL_FIELDS = (Field.REAL, Field.COMPLEX, Field.QUATERNION)
+_WIDTHS = {Field.REAL: 1, Field.COMPLEX: 2, Field.QUATERNION: 4}
 
 
 @dataclass(frozen=True)

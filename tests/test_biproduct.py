@@ -229,3 +229,132 @@ def test_orthonormal_columns_quaternion_right_action():
     (e,) = orthonormal_columns([v])
     ip = (e.dagger() @ e).scalar()
     assert abs(ip.w - 1.0) < 1e-12 and abs(ip.x) + abs(ip.y) + abs(ip.z) < 1e-12
+
+
+def _gram_schmidt_reference(vectors, against=(), drop_eps=1e-8):
+    """Column-by-column modified Gram-Schmidt with one re-orthogonalising
+    pass: 1x1 coefficients, one derived addition per basis column."""
+    accepted = []
+    for v in vectors:
+        u = v
+        for _ in range(2):
+            for e in [*against, *accepted]:
+                coef = (e.dagger() @ u).scalar()
+                u = derived_add(u, e @ Morphism.single(-coef))
+        length = np.sqrt((u.dagger() @ u).scalar().w)
+        if length < drop_eps:
+            continue
+        accepted.append(u @ Morphism.single(Scalar(u.field, 1.0 / length)))
+    return accepted
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS)
+def test_orthonormal_columns_match_the_column_by_column_reference(field):
+    """Gram-Schmidt output is unique for a given order, so the block
+    passes must reproduce the loop up to rounding."""
+    rng = np.random.default_rng(23)
+    x = Obj(7)
+    u = random_unitary(field, x, rng)
+    for against in ([], [u.col(0), u.col(1), u.col(2)]):
+        vectors = [random_morphism(field, UNIT, x, rng) for _ in range(7 - len(against))]
+        vectors.insert(2, derived_add(vectors[0], vectors[1]))  # dropped by both
+        got = orthonormal_columns(vectors, against=against)
+        want = _gram_schmidt_reference(vectors, against=against)
+        assert len(got) == len(want) == len(vectors) - 1
+        for g, w in zip(got, want):
+            assert frobenius_distance(g, w) < 1e-12
+
+
+def _nearly_dependent_columns(field, x, count, rng):
+    """One Gaussian column and `count - 1` copies of it, each moved by
+    a 1e-6 Gaussian perturbation: independent, but barely."""
+    base = random_morphism(field, UNIT, x, rng)
+    cols = [base]
+    for _ in range(count - 1):
+        noise = random_morphism(field, UNIT, x, rng) @ Morphism.single(Scalar(field, 1e-6))
+        cols.append(derived_add(base, noise))
+    return cols
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS)
+def test_orthonormal_columns_stay_orthonormal_on_nearly_dependent_input(field):
+    rng = np.random.default_rng(17)
+    x = Obj(10)
+    cols = orthonormal_columns(_nearly_dependent_columns(field, x, 8, rng))
+    assert len(cols) == 8
+    q = copairing(cols)
+    # one classical pass would lose orthogonality to about eps * cond^2 ~ 1e-4
+    assert frobenius_distance(q.dagger() @ q, Morphism.identity(field, Obj(8))) <= 1e-12
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS)
+def test_orthonormal_columns_drop_dependents_against_a_prefix(field):
+    rng = np.random.default_rng(5)
+    x = Obj(4)
+    u = random_unitary(field, x, rng)
+    against = [u.col(0), u.col(1)]
+    alpha = Morphism.single(Scalar(field, 0.3))
+    in_prefix = derived_add(against[0] @ alpha, against[1])
+    fresh = random_morphism(field, UNIT, x, rng)
+    in_both = derived_add(fresh, against[1] @ alpha)
+    cols = orthonormal_columns([in_prefix, fresh, fresh, in_both], against=against)
+    assert len(cols) == 1
+    (e,) = cols
+    assert abs(e.norm() - 1.0) < 1e-12
+    assert all((a.dagger() @ e).norm() < 1e-12 for a in against)
+    # every dropped candidate lies in the span of the prefix and e
+    block = copairing([*against, e])
+    for v in (in_prefix, fresh, in_both):
+        assert frobenius_distance(block @ (block.dagger() @ v), v) < 1e-12
+
+
+def test_orthonormal_columns_quaternion_right_action_against_a_prefix():
+    h = Field.QUATERNION
+    i = Scalar(h, 0, 1, 0, 0)
+    j = Scalar(h, 0, 0, 1, 0)
+    k = Scalar(h, 0, 0, 0, 1)
+    half = Scalar(h, 0.5)
+    a = Morphism.column(h, [i, j]) @ Morphism.single(Scalar(h, 2 ** -0.5))
+    v = Morphism.column(h, [k, half])
+    (e,) = orthonormal_columns([v], against=[a])
+    assert (a.dagger() @ e).norm() < 1e-12
+    ip = (e.dagger() @ e).scalar()
+    assert abs(ip.w - 1.0) < 1e-12 and abs(ip.x) + abs(ip.y) + abs(ip.z) < 1e-12
+    # v expands with coefficients acting on the right: v = a.(a*v) + e.(e*v)
+    expansion = derived_add(a @ (a.dagger() @ v), e @ (e.dagger() @ v))
+    assert frobenius_distance(expansion, v) < 1e-12
+
+
+@pytest.mark.parametrize("against_count", [0, 2])
+def test_orthonormal_columns_subtract_through_two_derived_additions(monkeypatch, against_count):
+    from daggerlab import biproduct
+
+    calls = []
+
+    def counting_add(f, g):
+        calls.append(1)
+        return derived_add(f, g)
+
+    monkeypatch.setattr(biproduct, "derived_add", counting_add)
+    rng = np.random.default_rng(3)
+    x = Obj(6)
+    u = random_unitary(Field.COMPLEX, x, rng)
+    against = [u.col(j) for j in range(against_count)]
+    vectors = [random_morphism(Field.COMPLEX, UNIT, x, rng) for _ in range(3)]
+    calls.clear()  # sampling the unitary orthonormalised too
+    cols = orthonormal_columns(vectors, against=against)
+    assert len(cols) == 3
+    # one block subtraction per pass and two passes per vector with a
+    # non-empty basis; the first vector of an empty basis has nothing to subtract
+    projected = 3 if against_count else 2
+    assert len(calls) == 2 * projected
+
+
+def test_diagonal_pair_is_cached_and_read_only():
+    for field in ALL_FIELDS:
+        dp = diagonal_pair(field, Obj(3))
+        assert diagonal_pair(field, Obj(3)) is dp
+        for m in (dp.diagonal, dp.codiagonal):
+            assert not m._a.flags.writeable
+            with pytest.raises(ValueError):
+                m._a[0, 0] = 7.0

@@ -1,0 +1,103 @@
+"""Campaign scaffolding: NaN residuals fail, and a check that raises is
+reported as an error next to the others instead of ending the run."""
+
+import math
+
+import numpy as np
+import pytest
+
+from daggerlab import axioms, biproduct, campaigns
+from daggerlab.biproduct import make_biproduct, verify_biproduct
+from daggerlab.campaigns import CampaignConfig
+from daggerlab.errors import DomainError
+from daggerlab.matcat import Obj
+from daggerlab.reports import ERROR, FAIL, PASS, worse
+from daggerlab.scalars import Field
+
+
+def _nan_after_first(fn):
+    """fn, except that every call after the first returns NaN."""
+    calls = []
+
+    def patched(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs) if len(calls) == 1 else math.nan
+
+    return patched
+
+
+def test_worse_propagates_nan_in_any_position():
+    assert worse(1.0, 2.0) == 2.0
+    assert worse(3.0) == 3.0
+    assert math.isnan(worse(0.0, math.nan))
+    assert math.isnan(worse(math.nan, 0.0))
+    assert math.isnan(worse(0.0, 1.0, math.nan, 2.0))
+    assert max(0.0, math.nan) == 0.0  # the trap worse() avoids
+
+
+def test_nan_residual_after_a_finite_one_fails_the_check(monkeypatch):
+    monkeypatch.setattr(campaigns, "frobenius_distance",
+                        _nan_after_first(campaigns.frobenius_distance))
+    cfg = CampaignConfig(field=Field.COMPLEX, seed=3, trials=3)
+    report = campaigns.check_dagger_monos_are_monic(cfg)
+    assert report.status == FAIL
+    assert math.isnan(report.residual)
+
+
+def test_nan_residual_fails_the_biproduct_laws(monkeypatch):
+    monkeypatch.setattr(biproduct, "frobenius_distance",
+                        _nan_after_first(biproduct.frobenius_distance))
+    ok, worst = verify_biproduct(make_biproduct(Field.REAL, Obj(2), Obj(1)))
+    assert not ok and math.isnan(worst)
+
+
+def test_nan_residual_fails_the_colimit_commutation(monkeypatch):
+    diagram = axioms.random_directed_diagram(Field.REAL, np.random.default_rng(0))
+    assert len(diagram.leq) >= 2
+    cocone = axioms.finite_directed_colimit(diagram)
+    monkeypatch.setattr(axioms, "frobenius_distance",
+                        _nan_after_first(axioms.frobenius_distance))
+    assert math.isnan(cocone.commutation_residual(diagram))
+
+
+def _raising_check(cfg):
+    raise DomainError("no sample could be drawn")
+
+
+def test_raising_check_is_an_error_next_to_passing_checks(monkeypatch):
+    monkeypatch.setattr(campaigns, "lemma_checks",
+                        lambda field: [_raising_check, campaigns.check_noncommutativity_witness])
+    lines = []
+
+    class Stream:
+        def write(self, text):
+            lines.append(text)
+
+        def flush(self):
+            pass
+
+    reports = campaigns.run_lemma_suite(CampaignConfig(field=Field.QUATERNION), Stream())
+    by_id = {r.axiom: r for r in reports}
+    assert by_id["_raising_check"].status == ERROR
+    assert by_id["_raising_check"].details == {"error": "DomainError: no sample could be drawn"}
+    assert by_id["scalars.noncommutativity-witness"].status == PASS
+    assert any(line.startswith("[ERROR] _raising_check ") for line in lines)
+
+
+def test_raising_axiom_keeps_its_label(monkeypatch):
+    monkeypatch.setattr(campaigns, "check_h2_directed_colimits", _raising_check)
+    cfg = CampaignConfig(field=Field.COMPLEX, dims=(1, 2), seed=1, trials=2)
+    reports = campaigns.run_axiom_suite(cfg)
+    assert [r.axiom for r in reports] == ["H1", "H2", "H3", "H4", "H5"]
+    statuses = {r.axiom: r.status for r in reports}
+    assert statuses.pop("H2") == ERROR
+    assert set(statuses.values()) == {PASS}
+
+
+def test_other_exceptions_still_propagate(monkeypatch):
+    def broken(cfg):
+        raise ZeroDivisionError("a bug, not a check outcome")
+
+    monkeypatch.setattr(campaigns, "lemma_checks", lambda field: [broken])
+    with pytest.raises(ZeroDivisionError):
+        campaigns.run_lemma_suite(CampaignConfig())

@@ -126,3 +126,20 @@ def test_text_format_streams_lines(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "rank=8/8" in out
+
+
+def test_crashing_check_exits_3_without_traceback(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    argv = ["verify-axioms", "--field", "C", "--dims", "1,2", "--trials", "2",
+            "--tol-abs", "0", "--tol-rel", "0", "--seed", "42"]
+    assert main(argv + ["--format", "json", "--out", str(out)]) == 3
+    payload = json.loads(out.read_text())
+    assert payload["passed"] is False
+    errors = [r for r in payload["reports"] if r["status"] == "error"]
+    assert errors and all(r["details"]["error"].startswith("DomainError: ") for r in errors)
+    assert [r["axiom"] for r in payload["reports"]] == ["H1", "H2", "H3", "H4", "H5"]
+    assert "Traceback" not in capsys.readouterr().err
+
+    assert main(argv) == 3
+    text = capsys.readouterr().out
+    assert "[ERROR] H2 " in text and "RAISED" in text.splitlines()[-1]

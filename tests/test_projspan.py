@@ -4,15 +4,15 @@ independent row-reduction rank oracle."""
 import numpy as np
 import pytest
 
-from daggerlab.errors import UnsupportedFieldError
-from daggerlab.matcat import Morphism, Obj, frobenius_distance, is_projection
+from daggerlab.errors import FieldMismatchError, ShapeMismatchError, UnsupportedFieldError
+from daggerlab.matcat import Morphism, Obj, distances_to, frobenius_distance, is_projection
 from daggerlab.projspan import (
     projection_generators,
     real_span_rank,
     saturation_check,
     word_closure,
 )
-from daggerlab.scalars import Field
+from daggerlab.scalars import DEFAULT_TOL, Field
 
 
 def row_reduction_rank(rows, pivot_eps=1e-6):
@@ -124,3 +124,65 @@ def test_rank_monotone_in_length_and_generators():
         assert by_len == sorted(by_len)
         by_count = [saturation_check(dim, seed=0, count=c).rank for c in (0, 1, 2)]
         assert by_count == sorted(by_count)
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX, Field.QUATERNION])
+def test_distances_to_matches_frobenius_distance(field):
+    from daggerlab.sampling import random_morphism
+
+    rng = np.random.default_rng(11)
+    fs = [random_morphism(field, Obj(3), Obj(2), rng) for _ in range(5)]
+    g = random_morphism(field, Obj(3), Obj(2), rng)
+    got = distances_to(fs + [g], g)
+    want = [frobenius_distance(f, g) for f in fs] + [0.0]
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+    assert distances_to([], g).shape == (0,)
+
+
+def test_distances_to_rejects_mixed_fields_and_shapes():
+    p = Morphism.from_real(Field.COMPLEX, [[1, 0], [0, 0]])
+    with pytest.raises(FieldMismatchError):
+        distances_to([p, Morphism.from_real(Field.REAL, [[1, 0], [0, 0]])], p)
+    with pytest.raises(ShapeMismatchError):
+        distances_to([p, Morphism.from_real(Field.COMPLEX, [[1, 0, 0], [0, 0, 0]])], p)
+    # an H matrix has the native shape of a C matrix twice its size
+    with pytest.raises(FieldMismatchError):
+        distances_to([Morphism.identity(Field.QUATERNION, Obj(1))],
+                     Morphism.identity(Field.COMPLEX, Obj(2)))
+
+
+def _word_closure_reference(gens, max_len, tol=DEFAULT_TOL):
+    """Word-by-word scan: one frobenius_distance per kept word."""
+    words = []
+
+    def add(candidate):
+        for w in words:
+            if frobenius_distance(w, candidate) <= tol.bound(w.norm(), candidate.norm()):
+                return False
+        words.append(candidate)
+        return True
+
+    frontier = [g for g in gens if add(g)]
+    for _ in range(max_len - 1):
+        candidates = [w @ g for w in frontier for g in gens]
+        frontier = [c for c in candidates if add(c)]
+    return words
+
+
+@pytest.mark.parametrize("dim, seed, max_len", [(2, 0, 4), (3, 5, 3), (4, 42, 3)])
+def test_word_closure_matches_the_word_by_word_reference(dim, seed, max_len):
+    gens = projection_generators(dim, seed)
+    got = word_closure(gens, max_len)
+    want = _word_closure_reference(gens, max_len)
+    assert len(got) == len(want)
+    assert all(frobenius_distance(g, w) == 0.0 for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("seed, max_len, counts", [
+    (42, 3, {2: 41, 3: 64, 4: 91, 5: 122, 6: 157, 7: 196}),
+    (1, 4, {2: 107, 3: 192, 4: 301, 5: 434}),
+])
+def test_word_closure_keeps_its_word_counts(seed, max_len, counts):
+    """The one-shot dedup applies the same rule as a word-by-word scan."""
+    got = {dim: saturation_check(dim, seed, max_len).words for dim in counts}
+    assert got == counts
