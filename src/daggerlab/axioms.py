@@ -39,6 +39,7 @@ from .matcat import (
     UNIT,
     approx_eq,
     basis_column,
+    commutator_matrix,
     compose,
     frobenius_distance,
     is_dagger_iso,
@@ -323,28 +324,18 @@ def _commutant_of_projections(
     projections: Sequence[Morphism],
 ) -> tuple[int, np.ndarray]:
     """Nullity and null-space basis of M -> (p M - M p) over all sampled
-    projections, as a real-linear map on endomorphism space."""
-    w = field.width
-    size = dim * dim * w
-    basis = []
-    for i in range(dim):
-        for j in range(dim):
-            for c in range(w):
-                e = np.zeros((dim, dim, 4))
-                e[i, j, c] = 1.0
-                basis.append(Morphism(field, Obj(dim), Obj(dim), e))
-    blocks = []
-    for p in projections:
-        cols = [
-            ((p @ m).entries - (m @ p).entries)[..., :w].ravel() for m in basis
-        ]
-        blocks.append(np.array(cols).T)
-    big = np.concatenate(blocks, axis=0)
+    projections, as a real-linear map on endomorphism space.
+
+    `commutator_matrix` builds the map's real matrix in coordinates
+    (i, j, c), one row block per projection, each from one batched
+    product on either side of p; its entries are exact, so the rank
+    decision rests on the SVD alone."""
+    big = commutator_matrix(field, dim, projections)
     _, s, vh = np.linalg.svd(big, full_matrices=False)
     smax = s[0] if s.size else 0.0
     rank = int(np.count_nonzero(s > SVD_RANK_EPS * max(smax, 1.0)))
     null_basis = vh[rank:].conj().T
-    return size - rank, null_basis
+    return big.shape[1] - rank, null_basis
 
 
 def refute_h5_scalar_case(

@@ -74,7 +74,15 @@ class CampaignConfig:
         return tuple(d for d in self.dims if d >= 1) or (1, 2, 3)
 
 
-def _verdict(check_id: str, cfg: CampaignConfig, worst: float, scale: float = 1.0, target: float | None = None, **details) -> Report:
+NO_SAMPLE = "no sample drawn"
+
+
+def _verdict(check_id: str, cfg: CampaignConfig, worst: float, scale: float = 1.0, target: float | None = None, samples: int | None = None, **details) -> Report:
+    """PASS iff `worst` is within the bound.  A check that may skip
+    samples passes `samples`, the number that reached the residual; with
+    none, there is nothing to judge and the report is an ERROR."""
+    if samples == 0:
+        return Report(check_id, cfg.field.value, ERROR, details={"error": NO_SAMPLE})
     bound = target if target is not None else cfg.tol.bound(scale, scale)
     status = PASS if worst <= bound else FAIL
     return Report(check_id, cfg.field.value, status, worst, details=dict(details))
@@ -116,15 +124,16 @@ def check_inverse_two_sided(cfg: CampaignConfig) -> Report:
     cid = "scalars.inverse-two-sided"
     rng = cfg.rng(cid)
     one = scalars.one(cfg.field)
-    worst = 0.0
+    worst, drawn = 0.0, 0
     for _ in range(cfg.count(500)):
         a = random_scalar(cfg.field, rng)
         if scalars.norm(a) < 1e-3:
             continue
+        drawn += 1
         b = scalars.inv(a, cfg.tol)
         worst = worse(worst, scalars.distance(scalars.mul(a, b), one))
         worst = worse(worst, scalars.distance(scalars.mul(b, a), one))
-    return _verdict(cid, cfg, worst, 1e3)
+    return _verdict(cid, cfg, worst, 1e3, samples=drawn)
 
 
 # ---------------------------------------------------------------------------
@@ -201,16 +210,17 @@ def check_dagger_simple_dimension(cfg: CampaignConfig) -> Report:
 def check_unique_simple_object(cfg: CampaignConfig) -> Report:
     cid = "axioms.unique-simple-object"
     rng = cfg.rng(cid)
-    worst = 0.0
+    worst, drawn = 0.0, 0
     for _ in range(cfg.count(100)):
         u = random_morphism(cfg.field, UNIT, UNIT, rng)
         if u.norm() < 1e-3:
             continue
+        drawn += 1
         h = axioms.normalize_h4b(u, cfg.tol)
         iso = u @ Morphism.single(h)
         worst = worse(worst, frobenius_distance(iso.dagger() @ iso, Morphism.identity(cfg.field, UNIT)))
         worst = worse(worst, frobenius_distance(iso @ iso.dagger(), Morphism.identity(cfg.field, UNIT)))
-    return _verdict(cid, cfg, worst)
+    return _verdict(cid, cfg, worst, samples=drawn)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +343,7 @@ def check_derived_add_matches_entrywise(cfg: CampaignConfig) -> Report:
 def check_nfold_injections(cfg: CampaignConfig) -> Report:
     cid = "biproduct.nfold-injections-orthonormal"
     rng = cfg.rng(cid)
-    worst = 0.0
+    worst, drawn = 0.0, 0
     for _ in range(cfg.count(50)):
         x = _random_shape(rng, 0, 3)
         n = int(rng.integers(0, 4))
@@ -342,6 +352,7 @@ def check_nfold_injections(cfg: CampaignConfig) -> Report:
             if injections:
                 return Report(cid, cfg.field.value, FAIL, 0.0)
             continue
+        drawn += 1
         total = Morphism.identity(cfg.field, Obj(n * x.dim))
         acc = Morphism.zero(cfg.field, total.dom, total.cod)
         for k, inj in enumerate(injections):
@@ -351,7 +362,7 @@ def check_nfold_injections(cfg: CampaignConfig) -> Report:
                 worst = worse(worst, (other.dagger() @ inj).norm())
             acc = derived_add(acc, inj @ inj.dagger())
         worst = worse(worst, frobenius_distance(acc, total))
-    return _verdict(cid, cfg, worst, 10.0)
+    return _verdict(cid, cfg, worst, 10.0, samples=drawn)
 
 
 # ---------------------------------------------------------------------------
@@ -452,18 +463,20 @@ def check_h4_unit_and_normalisation(cfg: CampaignConfig) -> Report:
         u = axioms.construct_h4a(cfg.field, Obj(dim))
         if u.norm() <= cfg.tol.abs_eps:
             return Report(cid, cfg.field.value, FAIL, 0.0, witness=u)
+    drawn = 0
     for _ in range(cfg.count(200)):
         x = _random_shape(rng, 1, 6)
         u = random_morphism(cfg.field, UNIT, x, rng)
         if u.norm() < 1e-3:
             continue
+        drawn += 1
         h = axioms.normalize_h4b(u, cfg.tol)
         iso = u @ Morphism.single(h)
         worst = worse(
             worst,
             frobenius_distance(iso.dagger() @ iso, Morphism.identity(cfg.field, UNIT)),
         )
-    return _verdict(cid, cfg, worst)
+    return _verdict(cid, cfg, worst, samples=drawn)
 
 
 def check_h5_strict_sqrt(cfg: CampaignConfig) -> Report:
@@ -553,16 +566,17 @@ def check_hermitian_form_laws(cfg: CampaignConfig) -> Report:
 def check_uniformity(cfg: CampaignConfig) -> Report:
     cid = "reconstruct.uniformity"
     rng = cfg.rng(cid)
-    worst = 0.0
+    worst, drawn = 0.0, 0
     for _ in range(cfg.count(200)):
         x = _random_shape(rng, 1, 6)
         u = random_morphism(cfg.field, UNIT, x, rng)
         if u.norm() < 1e-3:
             continue
+        drawn += 1
         h = axioms.normalize_h4b(u, cfg.tol)
         unit = reconstruct.scale(u, h)
         worst = worse(worst, abs(scalars.norm(reconstruct.inner_product(unit, unit)) - 1.0))
-    return _verdict(cid, cfg, worst)
+    return _verdict(cid, cfg, worst, samples=drawn)
 
 
 def check_copairing_biconditional(cfg: CampaignConfig) -> Report:

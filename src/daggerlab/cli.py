@@ -11,8 +11,8 @@ text reports:
 
 Exit codes: 0 all checks pass, 1 a genuine violation (expected for the
 real and quaternion fields on the square-root axiom), 2 input errors,
-3 a check raised instead of reaching a verdict (its report has status
-"error"; this wins over 1).
+3 a check reached no verdict, because it raised or drew no sample (its
+report has status "error"; this wins over 1).
 """
 
 from __future__ import annotations
@@ -160,7 +160,7 @@ def _suite_command(args: argparse.Namespace, runner) -> int:
     }
     errors = sum(r.status == ERROR for r in reports)
     if errors:
-        verdict = f"{errors} CHECK(S) RAISED"
+        verdict = f"{errors} CHECK(S) RAISED OR DREW NO SAMPLE"
     else:
         verdict = "OK" if payload["passed"] else "VIOLATIONS FOUND"
     summary = (

@@ -82,13 +82,29 @@ def _native(field: Field, e: np.ndarray) -> np.ndarray:
 
 
 def _adjoint(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Complex adjoint array of the quaternion matrix a + b j."""
-    out = np.empty((2 * a.shape[0], 2 * a.shape[1]), np.complex128)
-    out[0::2, 0::2] = a
-    out[0::2, 1::2] = b
-    out[1::2, 0::2] = -b.conj()
-    out[1::2, 1::2] = a.conj()
+    """Complex adjoint array of the quaternion matrix a + b j (over the
+    last two axes)."""
+    out = np.empty(a.shape[:-2] + (2 * a.shape[-2], 2 * a.shape[-1]), np.complex128)
+    out[..., 0::2, 0::2] = a
+    out[..., 0::2, 1::2] = b
+    out[..., 1::2, 0::2] = -b.conj()
+    out[..., 1::2, 1::2] = a.conj()
     return out
+
+
+def _components(field: Field, a: np.ndarray) -> np.ndarray:
+    """(..., cod, dom, 4) quaternion components of a native array, or of
+    a stack of them along leading axes."""
+    s = _block(field)
+    e = np.zeros(a.shape[:-2] + (a.shape[-2] // s, a.shape[-1] // s, 4))
+    if field is Field.REAL:
+        e[..., 0] = a
+    else:
+        top = a[..., ::s, :]  # the first row of each block holds the entry
+        for k in range(s):
+            e[..., 2 * k] = top[..., k::s].real
+            e[..., 2 * k + 1] = top[..., k::s].imag
+    return e
 
 
 def _sq_norm(field: Field, a: np.ndarray) -> float:
@@ -185,15 +201,7 @@ class Morphism:
     @property
     def entries(self) -> np.ndarray:
         """Read-only (cod, dom, 4) array of quaternion components."""
-        e = np.zeros((self.cod.dim, self.dom.dim, 4))
-        if self.field is Field.REAL:
-            e[..., 0] = self._a
-        else:
-            s = _block(self.field)
-            top = self._a[::s]  # the first row of each block holds the entry
-            for k in range(s):
-                e[..., 2 * k] = top[:, k::s].real
-                e[..., 2 * k + 1] = top[:, k::s].imag
+        e = _components(self.field, self._a)
         e.flags.writeable = False
         return e
 
@@ -318,6 +326,36 @@ def distances_to(fs: Sequence[Morphism], g: Morphism) -> np.ndarray:
     diff = np.array([f._a for f in fs]) - g._a
     flat = diff.reshape(len(fs), g._a.size).view(np.float64)  # real and imaginary parts
     return np.sqrt(np.einsum("ki,ki->k", flat, flat) / _block(g.field))
+
+
+def commutator_matrix(field: Field, dim: int, projections: Sequence[Morphism]) -> np.ndarray:
+    """Real matrix of M -> p M - M p on the endomorphisms of Obj(dim),
+    one n x n block per projection p, stacked by rows (n = dim^2 * width).
+
+    Coordinate k = (i * dim + j) * width + c is component c of entry
+    (i, j): column k is the image of the unit endomorphism with that
+    component 1, and row k of a block reads that component of the image.
+    The n unit endomorphisms are one stacked native array, so a block
+    costs one batched product on each side of p.  Each product
+    multiplies by a unit entry and adds exact zeros, so every block
+    entry is exact.
+    """
+    x = Obj(dim)
+    for p in projections:
+        if p.field is not field:
+            raise FieldMismatchError(f"{p.field.value} projection over {field.value}")
+        if p.dom != x or p.cod != x:
+            raise ShapeMismatchError(f"projection is not an endomorphism of dimension {dim}")
+    w = field.width
+    n = dim * dim * w
+    units = np.zeros((n, dim, dim, 4))
+    units[..., :w] = np.eye(n).reshape(n, dim, dim, w)
+    stack = _native(field, units)
+    out = np.empty((len(projections) * n, n))
+    for k, p in enumerate(projections):
+        image = _components(field, p._a @ stack - stack @ p._a)[..., :w]
+        out[k * n:(k + 1) * n] = image.reshape(n, n).T
+    return out
 
 
 def project_to_field(m: Morphism) -> Morphism:

@@ -11,7 +11,7 @@ from .matcat import Morphism
 PASS = "pass"
 FAIL = "fail"
 INFEASIBLE = "infeasible"
-ERROR = "error"  # the check raised instead of reaching a verdict
+ERROR = "error"  # the check raised, or drew no sample, instead of reaching a verdict
 
 
 def worse(*residuals: float) -> float:

@@ -1,6 +1,8 @@
 """Axiom verifiers: biproduct laws, complements, normalisation, strict
 square roots and their refutation, finite directed colimits."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ from daggerlab.axioms import (
     subset_diagram,
 )
 from daggerlab.biproduct import Biproduct, derived_add, verify_biproduct
-from daggerlab import axioms
+from daggerlab import axioms, matcat
 from daggerlab.errors import (
     ContradictionError,
     DomainError,
@@ -41,7 +43,12 @@ from daggerlab.matcat import (
     is_dagger_mono,
 )
 from daggerlab.reconstruct import inner_product
-from daggerlab.sampling import random_dagger_mono, random_morphism, random_unitary
+from daggerlab.sampling import (
+    random_dagger_mono,
+    random_morphism,
+    random_rank1_projection,
+    random_unitary,
+)
 from daggerlab.scalars import ALL_FIELDS, Field, Scalar
 
 RT2 = 2.0 ** -0.5
@@ -254,6 +261,91 @@ def test_refutation_infeasible(field, dim):
 def test_refutation_rejects_complex():
     with pytest.raises(UnsupportedFieldError):
         refute_h5_scalar_case(Field.COMPLEX, 2)
+
+
+def _per_basis_commutator_matrix(field, dim, projections):
+    """M -> pM - Mp built one unit endomorphism and two compositions at
+    a time: the reference for the batched matcat.commutator_matrix."""
+    w = field.width
+    basis = []
+    for i in range(dim):
+        for j in range(dim):
+            for c in range(w):
+                e = np.zeros((dim, dim, 4))
+                e[i, j, c] = 1.0
+                basis.append(Morphism(field, Obj(dim), Obj(dim), e))
+    blocks = []
+    for p in projections:
+        cols = [((p @ m).entries - (m @ p).entries)[..., :w].ravel() for m in basis]
+        blocks.append(np.array(cols).T)
+    return np.concatenate(blocks, axis=0)
+
+
+def _coordinate_projections(field, dim):
+    x = Obj(dim)
+    return [basis_column(field, x, k) @ basis_column(field, x, k).dagger() for k in range(dim)]
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS)
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_commutator_matrix_is_byte_identical_to_the_per_basis_map(field, dim):
+    rng = np.random.default_rng(dim)
+    projections = _coordinate_projections(field, dim)
+    projections += [random_rank1_projection(field, Obj(dim), rng) for _ in range(dim + 3)]
+    batched = matcat.commutator_matrix(field, dim, projections)
+    reference = _per_basis_commutator_matrix(field, dim, projections)
+    assert batched.shape == reference.shape
+    assert batched.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("field,dim", [
+    *((Field.REAL, d) for d in range(2, 7)),
+    *((Field.QUATERNION, d) for d in range(2, 5)),
+])
+def test_refutation_report_does_not_depend_on_how_the_map_is_built(monkeypatch, field, dim):
+    batched = refute_h5_scalar_case(field, dim, np.random.default_rng(7)).to_json()
+    monkeypatch.setattr(axioms, "commutator_matrix", _per_basis_commutator_matrix)
+    reference = refute_h5_scalar_case(field, dim, np.random.default_rng(7)).to_json()
+    assert json.dumps(batched) == json.dumps(reference)
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS)
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_commutant_of_coordinate_projections_is_the_diagonal(field, dim):
+    nullity, null_basis = axioms._commutant_of_projections(
+        field, dim, _coordinate_projections(field, dim))
+    assert nullity == dim * field.width
+    # every null vector is a diagonal matrix
+    off_diagonal = ~np.eye(dim, dtype=bool)
+    for vec in null_basis.T:
+        assert np.abs(vec.reshape(dim, dim, field.width)[off_diagonal]).max(initial=0.0) < 1e-12
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.QUATERNION])
+def test_commutant_makes_no_compositions_or_morphisms(monkeypatch, field):
+    dim, rng = 4, np.random.default_rng(3)
+    projections = _coordinate_projections(field, dim)
+    projections += [random_rank1_projection(field, Obj(dim), rng) for _ in range(dim + 3)]
+    calls = {"compose": 0, "Morphism": 0}
+    compose, init = matcat.compose, Morphism.__init__
+
+    def counting_compose(g, f):
+        calls["compose"] += 1
+        return compose(g, f)
+
+    def counting_init(self, *args, **kwargs):
+        calls["Morphism"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(matcat, "compose", counting_compose)
+    monkeypatch.setattr(axioms, "compose", counting_compose)
+    monkeypatch.setattr(Morphism, "__init__", counting_init)
+    Morphism.from_json(projections[0].to_json()) @ projections[0]
+    assert calls == {"compose": 1, "Morphism": 1}  # the counters see both paths
+    calls.update(compose=0, Morphism=0)
+    nullity, _ = axioms._commutant_of_projections(field, dim, projections)
+    assert nullity == 1
+    assert calls == {"compose": 0, "Morphism": 0}
 
 
 # -- H2 ----------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Campaign scaffolding: NaN residuals fail, and a check that raises is
-reported as an error next to the others instead of ending the run."""
+"""Campaign scaffolding: NaN residuals fail, and a check that raises or
+draws no sample is reported as an error next to the others instead of
+ending the run or passing."""
 
 import math
 
@@ -10,9 +11,9 @@ from daggerlab import axioms, biproduct, campaigns
 from daggerlab.biproduct import make_biproduct, verify_biproduct
 from daggerlab.campaigns import CampaignConfig
 from daggerlab.errors import DomainError
-from daggerlab.matcat import Obj
+from daggerlab.matcat import Morphism, Obj
 from daggerlab.reports import ERROR, FAIL, PASS, worse
-from daggerlab.scalars import Field
+from daggerlab.scalars import Field, Scalar
 
 
 def _nan_after_first(fn):
@@ -101,3 +102,30 @@ def test_other_exceptions_still_propagate(monkeypatch):
     monkeypatch.setattr(campaigns, "lemma_checks", lambda field: [broken])
     with pytest.raises(ZeroDivisionError):
         campaigns.run_lemma_suite(CampaignConfig())
+
+
+def _zero_morphism(field, dom, cod, rng):
+    return Morphism.zero(field, dom, cod)
+
+
+@pytest.mark.parametrize("check, cid", [
+    (campaigns.check_unique_simple_object, "axioms.unique-simple-object"),
+    (campaigns.check_h4_unit_and_normalisation, "axioms.h4-unit-normalisation"),
+    (campaigns.check_uniformity, "reconstruct.uniformity"),
+])
+def test_check_with_every_sample_skipped_is_an_error(monkeypatch, check, cid):
+    cfg = CampaignConfig(field=Field.COMPLEX, seed=5, trials=4)
+    assert check(cfg).status == PASS
+    monkeypatch.setattr(campaigns, "random_morphism", _zero_morphism)
+    report = check(cfg)
+    assert (report.axiom, report.status) == (cid, ERROR)
+    assert report.details == {"error": campaigns.NO_SAMPLE}
+
+
+def test_inverse_check_with_only_zero_scalars_is_an_error(monkeypatch):
+    cfg = CampaignConfig(field=Field.QUATERNION, seed=5, trials=4)
+    assert campaigns.check_inverse_two_sided(cfg).status == PASS
+    monkeypatch.setattr(campaigns, "random_scalar", lambda field, rng: Scalar(field, 0.0))
+    report = campaigns.check_inverse_two_sided(cfg)
+    assert (report.axiom, report.status) == ("scalars.inverse-two-sided", ERROR)
+    assert report.details == {"error": "no sample drawn"}

@@ -143,3 +143,23 @@ def test_crashing_check_exits_3_without_traceback(tmp_path, capsys):
     assert main(argv) == 3
     text = capsys.readouterr().out
     assert "[ERROR] H2 " in text and "RAISED" in text.splitlines()[-1]
+
+
+def test_check_that_draws_no_sample_exits_3(tmp_path, capsys):
+    # At this seed the one trial of biproduct.nfold-injections-orthonormal
+    # draws n = 0 copies, which has no residual to measure.
+    out = tmp_path / "r.json"
+    argv = ["lemmas", "--field", "C", "--trials", "1", "--seed", "12"]
+    assert main(argv + ["--format", "json", "--out", str(out)]) == 3
+    payload = json.loads(out.read_text())
+    assert payload["passed"] is False
+    errors = [r for r in payload["reports"] if r["status"] == "error"]
+    assert errors == [{
+        "axiom": "biproduct.nfold-injections-orthonormal",
+        "field": "C",
+        "status": "error",
+        "residual": 0.0,
+        "witness": None,
+        "details": {"error": "no sample drawn"},
+    }]
+    assert {r["status"] for r in payload["reports"]} == {"pass", "error"}

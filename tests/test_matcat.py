@@ -259,3 +259,31 @@ def test_morphism_laws_hold_on_every_field(pair):
         assert frobenius_distance(Morphism.from_json(m.to_json()), m) == 0.0
         assert np.array_equal(m.entries, e)
         assert m.norm() == pytest.approx(np.sqrt(np.sum(e * e)), rel=1e-12, abs=1e-300)
+
+
+@st.composite
+def stacks(draw):
+    field = draw(st.sampled_from(ALL_FIELDS))
+    dom, cod, count = draw(st.integers(0, 4)), draw(st.integers(0, 4)), draw(st.integers(1, 3))
+    return [draw(morphisms(field, dom, cod)) for _ in range(count)]
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(stacks())
+def test_components_of_a_stack_are_the_entries_of_each_morphism(stack):
+    field = stack[0][0].field
+    comps = matcat._components(field, np.array([m._a for m, _ in stack]))
+    assert comps.shape == (len(stack), *stack[0][1].shape)
+    for k, (m, e) in enumerate(stack):
+        assert np.array_equal(comps[k], m.entries)
+        assert np.array_equal(comps[k], e)
+
+
+def test_commutator_matrix_checks_its_projections():
+    p = Morphism.identity(Field.REAL, Obj(2))
+    assert matcat.commutator_matrix(Field.REAL, 2, [p, p]).shape == (8, 4)
+    assert not matcat.commutator_matrix(Field.REAL, 2, [p]).any()
+    with pytest.raises(FieldMismatchError):
+        matcat.commutator_matrix(Field.COMPLEX, 2, [p])
+    with pytest.raises(ShapeMismatchError):
+        matcat.commutator_matrix(Field.REAL, 3, [p])
