@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .biproduct import (
     copairing,
@@ -235,16 +234,32 @@ def spectral_projections(
     u: Morphism, cluster_eps: float = EIGENVALUE_CLUSTER_EPS
 ) -> list[Morphism]:
     """Orthogonal projections onto the clustered eigenspaces of a complex
-    unitary; each commutes with u by construction."""
+    unitary.
+
+    The eigenvectors of u are grouped by `_cluster_indices` and made
+    orthonormal by one QR factorisation, cluster after cluster; each
+    cluster's block Q of columns gives the projection Q Q-dagger.  The
+    first columns of a cluster span its eigenvectors together with those
+    of the clusters before it, an invariant subspace of the normal u, so
+    each block spans an eigenspace.  One QR over all clusters, rather
+    than one per cluster, keeps the blocks orthogonal to rounding level
+    when two clusters lie close: computed eigenvectors of distinct
+    eigenvalues are orthogonal only to about eps / gap.  The projections
+    sum to the identity and commute with u.
+    """
     if u.field is not Field.COMPLEX:
         raise UnsupportedFieldError("spectral projections are implemented over C only")
     if u.dom.dim == 0:
         return []
-    t, q = scipy.linalg.schur(u.complex_view(), output="complex")
+    eigs, vecs = np.linalg.eig(u.complex_view())
+    clusters = _cluster_indices(eigs, cluster_eps)
+    q, _ = np.linalg.qr(vecs[:, [i for idx in clusters for i in idx]])
     out = []
-    for idx in _cluster_indices(np.diag(t), cluster_eps):
-        block = q[:, idx]
+    start = 0
+    for idx in clusters:
+        block = q[:, start:start + len(idx)]
         out.append(Morphism.from_complex(block @ block.conj().T))
+        start += len(idx)
     return out
 
 

@@ -14,7 +14,16 @@ from itertools import accumulate
 from typing import Sequence
 
 from .errors import ShapeMismatchError
-from .matcat import Morphism, Obj, embed, frobenius_distance, project_to_field, read_only
+from .matcat import (
+    Morphism,
+    Obj,
+    column_sq_norm,
+    embed,
+    frobenius_distance,
+    project_to_field,
+    read_only,
+    scaled,
+)
 from .reports import worse
 from .scalars import ALL_FIELDS, DEFAULT_TOL, Field, Scalar, TolerancePolicy, real_sqrt
 
@@ -184,11 +193,10 @@ def orthonormal_columns(
             for _ in range(2):  # re-orthogonalise once against rounding
                 u = derived_add(u, q @ ((q_dagger @ u) @ _MINUS_ONE[u.field]))
                 u = project_to_field(u)
-        n2 = (u.dagger() @ u).scalar().w
-        length = real_sqrt(n2, tol)
+        length = real_sqrt(column_sq_norm(u), tol)
         if length < drop_eps:
             continue
-        unit = u @ Morphism.single(Scalar(u.field, 1.0 / length))
+        unit = scaled(u, 1.0 / length)
         accepted.append(unit)
         q = unit if q is None else copairing([q, unit])
     return accepted

@@ -52,14 +52,21 @@ def _parse_dims(text: str) -> tuple[int, ...]:
     return dims
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad integer {text!r}") from exc
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"bad integer {text!r}") from exc
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_seed = _int_at_least(0)  # numpy seeds its generators from natural numbers only
 
 
 def _tolerance(text: str) -> float:
@@ -82,8 +89,10 @@ def _add_common(parser: argparse.ArgumentParser, default_dims: str) -> None:
     parser.add_argument("--dims", type=_parse_dims, default=_parse_dims(default_dims))
     parser.add_argument(
         "--seed",
-        type=int,
-        default=int(os.environ.get("DAGGERLAB_SEED", "0")),
+        type=_seed,
+        # a string default goes through `type` at parse time, so a bad
+        # DAGGERLAB_SEED is an input error (exit 2), reported by argparse
+        default=os.environ.get("DAGGERLAB_SEED", "0"),
         help="campaign seed (falls back to DAGGERLAB_SEED, then 0)",
     )
     parser.add_argument("--trials", type=_positive_int, default=None,
@@ -182,10 +191,13 @@ def _suite_command(args: argparse.Namespace, runner) -> int:
 
 def _span_command(args: argparse.Namespace) -> int:
     cfg = _config(args)
+    dims = [dim for dim in cfg.dims if dim >= 1]
+    if not dims:
+        print("span needs at least one dimension of 1 or more", file=sys.stderr)
+        return EXIT_INPUT
     reports = [
         projspan.saturation_check(dim, cfg.seed, args.max_len, tol=cfg.tol)
-        for dim in cfg.dims
-        if dim >= 1
+        for dim in dims
     ]
     payload = {
         "command": "span",

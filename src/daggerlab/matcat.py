@@ -358,6 +358,19 @@ def commutator_matrix(field: Field, dim: int, projections: Sequence[Morphism]) -
     return out
 
 
+def column_sq_norm(u: Morphism) -> float:
+    """Squared length of a column: the real part of entry [0, 0] of the
+    native product u-dagger u.  Over every field that is the real
+    component of the 1x1 entry, read without building a Scalar."""
+    return float((u._a.conj().T @ u._a)[0, 0].real)
+
+
+def scaled(m: Morphism, r: float) -> Morphism:
+    """m times the real number r, on the native array.  A real scalar is
+    central, so this is m composed with r on either side."""
+    return _wrap(m.field, m.dom, m.cod, m._a * r)
+
+
 def project_to_field(m: Morphism) -> Morphism:
     """The morphism over m.field nearest to m's native array.
 

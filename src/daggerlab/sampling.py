@@ -7,6 +7,7 @@ caller, so a campaign seed fully determines every draw.
 from __future__ import annotations
 
 import numpy as np
+import numpy.random  # loaded here, not lazily by the first draw
 
 from .biproduct import copairing, orthonormal_columns
 from .matcat import Morphism, Obj, compose

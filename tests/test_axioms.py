@@ -241,6 +241,47 @@ def test_spectral_projections_commute():
     assert approx_eq(total, Morphism.identity(Field.COMPLEX, Obj(4)))
 
 
+def _spectrum(kind: str, n: int, rng: np.random.Generator) -> tuple[np.ndarray, list[int]]:
+    """Eigenvalue angles of one kind and the cluster sizes they must give."""
+    if kind == "random":  # well separated, in random order
+        return rng.permutation(np.linspace(-3.0, 3.0, n) + rng.uniform(-0.1, 0.1, n)), [1] * n
+    if kind == "repeated":
+        angles = rng.choice([0.3, 1.7, -2.2], n)
+        return angles, [int(c) for c in np.unique(angles, return_counts=True)[1]]
+    if kind == "minus-identity":
+        return np.full(n, np.pi), [n]
+    if kind == "identity":
+        return np.zeros(n), [n]
+    if kind == "merged":  # 1e-9 apart: one cluster
+        return 0.9 + 1e-9 * np.arange(n), [n]
+    if kind == "close":  # 2e-7 apart: separate clusters whose eigenvectors are
+        return 0.9 + 2e-7 * np.arange(n), [1] * n  # orthogonal only to eps / gap
+    raise ValueError(kind)
+
+
+@pytest.mark.parametrize("kind", ["random", "repeated", "minus-identity", "identity",
+                                  "merged", "close"])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_spectral_projections_on_degenerate_spectra(kind, n):
+    rng = np.random.default_rng(100 * n + len(kind))
+    angles, sizes = _spectrum(kind, n, rng)
+    q = random_unitary(Field.COMPLEX, Obj(n), rng).complex_view()
+    uc = (q * np.exp(1j * angles)) @ q.conj().T
+    projections = spectral_projections(Morphism.from_complex(uc))
+    clusters = axioms._cluster_indices(np.linalg.eig(uc)[0], axioms.EIGENVALUE_CLUSTER_EPS)
+    assert sorted(len(c) for c in clusters) == sorted(sizes)
+    assert len(projections) == len(clusters)
+    total = np.zeros((n, n), complex)
+    for p, cluster in zip(projections, clusters):
+        a = p.complex_view()
+        assert np.linalg.matrix_rank(a, tol=0.5) == len(cluster)
+        assert np.linalg.norm(a - a.conj().T) <= 1e-12
+        assert np.linalg.norm(a @ a - a) <= 1e-12
+        assert np.linalg.norm(a @ uc - uc @ a) <= 1e-12
+        total += a
+    assert np.linalg.norm(total - np.eye(n)) <= 1e-12
+
+
 # -- H5 refutation -----------------------------------------------------
 
 

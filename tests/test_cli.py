@@ -1,10 +1,14 @@
 """CLI contracts: exit codes, JSON determinism, morphism file I/O."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import daggerlab
 from daggerlab.cli import main
 from daggerlab.matcat import Morphism
 
@@ -45,6 +49,8 @@ def test_bad_field_is_input_error(capsys):
     ("--tol-abs", ["verify-axioms", "--tol-abs=-1e-9"]),
     ("--tol-rel", ["lemmas", "--tol-rel", "inf"]),
     ("--tol-rel", ["sqrt", "--tol-rel", "-0.5"]),
+    ("--seed", ["lemmas", "--seed", "-1"]),
+    ("--seed", ["span", "--dims", "2", "--seed=-7"]),
 ])
 def test_bad_flag_values_are_input_errors(flag, argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -119,6 +125,47 @@ def test_seed_env_fallback(tmp_path, monkeypatch):
     assert main(["lemmas", "--field", "C", "--seed", "42", "--trials", "5",
                  "--format", "json", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_bad_seed_env_is_input_error(monkeypatch, capsys):
+    monkeypatch.setenv("DAGGERLAB_SEED", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["lemmas", "--field", "C", "--trials", "1"])
+    assert exc.value.code == 2
+    assert "argument --seed: bad integer 'abc'" in capsys.readouterr().err
+
+    monkeypatch.setenv("DAGGERLAB_SEED", "-3")
+    with pytest.raises(SystemExit) as exc:
+        main(["span", "--dims", "2"])
+    assert exc.value.code == 2
+    assert "argument --seed: must be at least 0, got -3" in capsys.readouterr().err
+
+
+def test_bad_seed_env_leaves_sqrt_alone(tmp_path, monkeypatch):
+    monkeypatch.setenv("DAGGERLAB_SEED", "abc")
+    src = tmp_path / "u.json"
+    src.write_text(json.dumps(Morphism.from_complex([[1j]]).to_json()))
+    assert main(["sqrt", "--input", str(src), "--out", str(tmp_path / "cert.json")]) == 0
+
+
+@pytest.mark.parametrize("dims", ["0", "0,0"])
+def test_span_without_positive_dimension_is_input_error(dims, capsys):
+    assert main(["span", "--dims", dims, "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "at least one dimension of 1 or more" in captured.err
+
+
+def test_cli_import_loads_no_scipy():
+    src = Path(daggerlab.__file__).resolve().parent.parent
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import daggerlab.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+        "print('numpy.random' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code, str(src)], capture_output=True,
+                         text=True, check=True).stdout.split("\n")
+    assert out[:2] == ["[]", "True"]
 
 
 def test_text_format_streams_lines(capsys):

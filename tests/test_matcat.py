@@ -287,3 +287,21 @@ def test_commutator_matrix_checks_its_projections():
         matcat.commutator_matrix(Field.COMPLEX, 2, [p])
     with pytest.raises(ShapeMismatchError):
         matcat.commutator_matrix(Field.REAL, 3, [p])
+
+
+@st.composite
+def columns_and_reals(draw):
+    field = draw(st.sampled_from(ALL_FIELDS))
+    u, _ = draw(morphisms(field, 1, draw(st.integers(1, 5))))
+    return u, draw(st.floats(-4.0, 4.0, width=64))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(columns_and_reals())
+def test_column_helpers_match_the_scalar_path(pair):
+    # the Scalar round trip that orthonormal_columns used before the helpers
+    u, r = pair
+    assert matcat.column_sq_norm(u) == (u.dagger() @ u).scalar().w
+    assert np.array_equal(matcat.scaled(u, r).entries,
+                          (u @ Morphism.single(Scalar(u.field, r))).entries)
+    assert (matcat.scaled(u, r).dom, matcat.scaled(u, r).cod) == (u.dom, u.cod)
