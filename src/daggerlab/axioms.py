@@ -342,15 +342,37 @@ def _commutant_of_projections(
     projections, as a real-linear map on endomorphism space.
 
     `commutator_matrix` builds the map's real matrix in coordinates
-    (i, j, c), one row block per projection, each from one batched
-    product on either side of p; its entries are exact, so the rank
-    decision rests on the SVD alone."""
+    (i, j, c), one n x n row block per projection (n = dim^2 * width);
+    its entries are exact.  Call a block exact when each of its rows
+    has at most one nonzero entry.  A coordinate projection E_kk gives
+    one: row (i, j, c) of its block reads (delta_ik - delta_jk) M_ijc,
+    and so does every 0/1 diagonal projection.  Such a row says that a
+    nonzero number times one coordinate is 0, so every null vector is
+    exactly zero on each column that holds a nonzero of an exact block.
+    Those columns are forced; the rest are free.  The split is read off
+    the exact entries, with no rounding decision, and after the d
+    coordinate projections the free columns are the d * width diagonal
+    coordinates.  The SVD rank rule then runs on the other blocks
+    restricted to the free columns, and the null vectors are embedded
+    back with exact zeros on the forced columns.  With no exact block
+    this is the SVD of the whole map; with only exact blocks the free
+    coordinates are the null space."""
     big = commutator_matrix(field, dim, projections)
-    _, s, vh = np.linalg.svd(big, full_matrices=False)
-    smax = s[0] if s.size else 0.0
-    rank = int(np.count_nonzero(s > SVD_RANK_EPS * max(smax, 1.0)))
-    null_basis = vh[rank:].conj().T
-    return big.shape[1] - rank, null_basis
+    n = big.shape[1]
+    blocks = big.reshape(len(projections), n, n)
+    nonzero = blocks != 0
+    exact = nonzero.sum(axis=2).max(axis=1, initial=0) <= 1
+    free = np.flatnonzero(~nonzero[exact].any(axis=(0, 1)))
+    rest = blocks[:, :, free][~exact].reshape(-1, free.size)
+    if rest.size:
+        _, s, vh = np.linalg.svd(rest, full_matrices=False)
+        rank = int(np.count_nonzero(s > SVD_RANK_EPS * max(s[0], 1.0)))
+        free_basis = vh[rank:].T
+    else:
+        free_basis = np.eye(free.size)
+    null_basis = np.zeros((n, free_basis.shape[1]))
+    null_basis[free] = free_basis
+    return free_basis.shape[1], null_basis
 
 
 def refute_h5_scalar_case(
@@ -362,9 +384,12 @@ def refute_h5_scalar_case(
     """Infeasibility of a strict square root of -id over R or H.
 
     -id commutes with every projection, so a strict root must commute
-    with all of them too; a rank computation on sampled rank-1
-    projections shows that commutant is exactly the real multiples of
-    the identity, and no real scalar squares to -1.
+    with all of them too; a rank computation on the coordinate and
+    sampled rank-1 projections shows that commutant is exactly the real
+    multiples of the identity, and no real scalar squares to -1.  The
+    verdict is INFEASIBLE only when the commutant has nullity 1 and its
+    null vector is the identity to within `tol` (a NaN is not); else it
+    is FAIL.  The witness is that vector, normalised, with positive trace.
     """
     if field is Field.COMPLEX:
         raise UnsupportedFieldError("over C the root i*id exists; nothing to refute")
@@ -388,12 +413,21 @@ def refute_h5_scalar_case(
         )
     # The 1-dimensional commutant: confirm it is spanned by the identity.
     w = field.width
-    vec = null_basis[:, 0]
-    mat = vec.reshape(dim, dim, w)
+    mat = null_basis[:, 0].reshape(dim, dim, w)
+    if np.trace(mat[..., 0]) < 0:
+        mat = 0.0 - mat  # the SVD's sign is arbitrary; -mat would write -0.0
     ident = np.zeros((dim, dim, w))
     ident[..., 0] = np.eye(dim)
     scale = mat.ravel() @ ident.ravel() / dim
     residual = float(np.linalg.norm(mat - scale * ident))
+    if not (np.isfinite(residual) and residual <= tol.bound(1.0, 1.0)):
+        return Report(
+            "H5",
+            field.value,
+            FAIL,
+            residual,
+            details={"reason": "commutant is not spanned by the identity", "commutant_nullity": 1},
+        )
     witness_entries = np.zeros((dim, dim, 4))
     witness_entries[..., :w] = mat / np.linalg.norm(mat)
     witness = Morphism(field, x, x, witness_entries)

@@ -45,6 +45,7 @@ from daggerlab.matcat import (
 from daggerlab.reconstruct import inner_product
 from daggerlab.sampling import (
     random_dagger_mono,
+    random_coordinate_projection,
     random_morphism,
     random_rank1_projection,
     random_unitary,
@@ -387,6 +388,125 @@ def test_commutant_makes_no_compositions_or_morphisms(monkeypatch, field):
     nullity, _ = axioms._commutant_of_projections(field, dim, projections)
     assert nullity == 1
     assert calls == {"compose": 0, "Morphism": 0}
+
+
+def _full_svd_commutant(field, dim, projections):
+    """Nullity and null basis from one SVD of the whole commutator map:
+    the reference for the forced/free split in _commutant_of_projections."""
+    big = matcat.commutator_matrix(field, dim, projections)
+    _, s, vh = np.linalg.svd(big, full_matrices=False)
+    smax = s[0] if s.size else 0.0
+    rank = int(np.count_nonzero(s > axioms.SVD_RANK_EPS * max(smax, 1.0)))
+    return big.shape[1] - rank, vh[rank:].conj().T
+
+
+def _projection_set(kind, field, dim, rng):
+    x = Obj(dim)
+    rank1 = lambda: [random_rank1_projection(field, x, rng) for _ in range(dim + 3)]
+    if kind == "coordinate+rank1":
+        return _coordinate_projections(field, dim) + rank1()
+    if kind == "rank1":
+        return rank1()
+    if kind == "coordinate":
+        return _coordinate_projections(field, dim)
+    masks = [random_coordinate_projection(field, x, rng) for _ in range(dim)]
+    return masks + rank1()
+
+
+def _recording_svd(monkeypatch):
+    """Patch numpy's SVD, as axioms calls it, to record each input."""
+    inputs, svd = [], np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        inputs.append(np.array(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(axioms.np.linalg, "svd", recording)
+    return inputs
+
+
+@pytest.mark.parametrize("kind", ["coordinate+rank1", "rank1", "coordinate", "masks+rank1"])
+@pytest.mark.parametrize("field", ALL_FIELDS)
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
+def test_commutant_split_matches_the_full_svd(monkeypatch, kind, field, dim):
+    projections = _projection_set(kind, field, dim, np.random.default_rng(100 + dim))
+    inputs = _recording_svd(monkeypatch)
+    ref_nullity, ref_basis = _full_svd_commutant(field, dim, projections)
+    nullity, null_basis = axioms._commutant_of_projections(field, dim, projections)
+    assert nullity == ref_nullity
+    assert null_basis.shape == ref_basis.shape
+    gap = np.abs(null_basis @ null_basis.T - ref_basis @ ref_basis.T).max(initial=0.0)
+    assert gap <= 1e-12
+    if kind == "rank1" and dim >= 2:
+        # no exact block: the same SVD input and the same bytes out
+        assert len(inputs) == 2
+        assert inputs[1].tobytes() == inputs[0].tobytes()
+        assert null_basis.tobytes() == ref_basis.tobytes()
+    if kind == "coordinate":
+        assert nullity == dim * field.width
+        assert len(inputs) == 1  # only the reference ran an SVD
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS)
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+def test_commutant_svd_sees_only_the_free_columns(monkeypatch, field, dim):
+    projections = _projection_set("coordinate+rank1", field, dim, np.random.default_rng(dim))
+    n, free = dim * dim * field.width, dim * field.width
+    inputs = _recording_svd(monkeypatch)
+    _full_svd_commutant(field, dim, projections)
+    assert [a.shape for a in inputs] == [((2 * dim + 3) * n, n)]  # the recorder sees it
+    inputs.clear()
+    nullity, _ = axioms._commutant_of_projections(field, dim, projections)
+    assert nullity == (2 if field is Field.COMPLEX else 1)
+    assert [a.shape for a in inputs] == [((dim + 3) * n, free)]
+    if field is not Field.COMPLEX:
+        inputs.clear()
+        refute_h5_scalar_case(field, dim, np.random.default_rng(7))
+        assert inputs and all(a.shape[1] <= free for a in inputs)
+
+
+@pytest.mark.parametrize("field,dim", [
+    *((Field.REAL, d) for d in range(2, 9)),
+    *((Field.QUATERNION, d) for d in range(2, 6)),
+])
+def test_refutation_witness_is_the_positive_normalised_identity(field, dim):
+    for seed in range(3):
+        report = refute_h5_scalar_case(field, dim, np.random.default_rng(seed))
+        assert report.status == "infeasible"
+        entries = report.witness.entries
+        ident = Morphism.identity(field, Obj(dim)).entries
+        overlap = float(np.sum(entries * ident)) / np.sqrt(dim)
+        assert abs(overlap - 1.0) <= 1e-12
+        assert np.abs(entries - ident / np.sqrt(dim)).max() <= 1e-12
+        off_diagonal = entries[~np.eye(dim, dtype=bool)]
+        assert np.all(off_diagonal == 0.0) and not np.signbit(off_diagonal).any()
+
+
+def _commutant_returning(vec):
+    return lambda field, dim, projections: (1, vec.reshape(-1, 1))
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.QUATERNION])
+def test_refutation_fails_when_the_commutant_is_not_the_identity(monkeypatch, field):
+    dim, w = 3, field.width
+    e_01 = np.zeros(dim * dim * w)
+    e_01[(0 * dim + 1) * w] = 1.0
+    monkeypatch.setattr(axioms, "_commutant_of_projections", _commutant_returning(e_01))
+    report = refute_h5_scalar_case(field, dim, np.random.default_rng(0))
+    assert report.status == "fail"
+    assert report.residual == 1.0
+    assert report.details["reason"] == "commutant is not spanned by the identity"
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.QUATERNION])
+def test_refutation_fails_on_a_nan_commutant(monkeypatch, field):
+    dim = 3
+    nan = np.full(dim * dim * field.width, np.nan)
+    monkeypatch.setattr(axioms, "_commutant_of_projections", _commutant_returning(nan))
+    report = refute_h5_scalar_case(field, dim, np.random.default_rng(0))
+    assert report.status == "fail"
+    assert np.isnan(report.residual)
+    assert report.details["reason"] == "commutant is not spanned by the identity"
 
 
 # -- H2 ----------------------------------------------------------------

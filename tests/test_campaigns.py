@@ -12,7 +12,8 @@ from daggerlab.biproduct import make_biproduct, verify_biproduct
 from daggerlab.campaigns import CampaignConfig
 from daggerlab.errors import DomainError
 from daggerlab.matcat import Morphism, Obj
-from daggerlab.reports import ERROR, FAIL, PASS, worse
+from daggerlab.reports import ERROR, FAIL, INFEASIBLE, PASS, worse
+from daggerlab.sampling import random_coordinate_projection
 from daggerlab.scalars import Field, Scalar
 
 
@@ -129,3 +130,17 @@ def test_inverse_check_with_only_zero_scalars_is_an_error(monkeypatch):
     report = campaigns.check_inverse_two_sided(cfg)
     assert (report.axiom, report.status) == ("scalars.inverse-two-sided", ERROR)
     assert report.details == {"error": "no sample drawn"}
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.QUATERNION])
+def test_h5_refutation_fails_when_only_coordinate_projections_are_sampled(monkeypatch, field):
+    cfg = CampaignConfig(field=field, dims=(2, 3, 4), seed=5)
+    assert campaigns.check_h5_refutation(cfg).status == INFEASIBLE
+    monkeypatch.setattr(axioms, "random_rank1_projection", random_coordinate_projection)
+    report = campaigns.check_h5_refutation(cfg)
+    assert report.status == FAIL
+    # the commutant of diagonal projections is the diagonal: nullity d * width
+    assert report.residual == 4 * field.width
+    for dim in cfg.dims:
+        single = axioms.refute_h5_scalar_case(field, dim, cfg.rng("h5"), cfg.tol)
+        assert (single.status, single.residual) == (FAIL, dim * field.width)
