@@ -6,10 +6,25 @@ runs the H1-H5 verifiers; the reconstruction suite runs the scalar-field
 and Hermitian-space checks.  A campaign seed plus a check id determines
 the random stream of that check, so identical configurations reproduce
 identical reports check by check, independent of sharding.
+
+Each check is declared once, with one of two decorators that own its id:
+
+- `@law(check_id, trials, scale, target)` declares a sampled law by its
+  sample body `sample(cfg, rng)`.  The body returns its residuals, None
+  for a sample it cannot use, or a FAIL Report that ends the check.  The
+  decorator runs the body `cfg.count(trials)` times on the check's
+  stream, keeps the NaN-safe worst residual and judges it; with no
+  sample reaching a residual, the report is an ERROR.
+- `@check(check_id)` declares a whole check `fn(cfg, rng)` that draws
+  from the check's stream and reaches its own verdict.
+
+Both stamp the check id on the report and leave a function of `cfg`
+alone, with the declared name, docstring and a `check_id` attribute.
 """
 
 from __future__ import annotations
 
+import functools
 import zlib
 from dataclasses import dataclass, field as dc_field
 from typing import Callable
@@ -27,7 +42,7 @@ from .biproduct import (
     orthonormal_columns,
     verify_biproduct,
 )
-from .errors import DaggerLabError, NoMorphismError
+from .errors import DaggerLabError, DomainError, NoMorphismError
 from .matcat import (
     Morphism,
     Obj,
@@ -64,6 +79,11 @@ class CampaignConfig:
     trials: int | None = None  # None: every check uses its own default count
     tol: TolerancePolicy = dc_field(default_factory=TolerancePolicy)
 
+    def __post_init__(self) -> None:
+        # with no trial, every sampled check would pass on no evidence
+        if self.trials is not None and self.trials < 1:
+            raise DomainError(f"trials must be at least 1, got {self.trials}")
+
     def count(self, default: int) -> int:
         return default if self.trials is None else self.trials
 
@@ -76,16 +96,64 @@ class CampaignConfig:
 
 NO_SAMPLE = "no sample drawn"
 
+CheckFn = Callable[[CampaignConfig], Report]
 
-def _verdict(check_id: str, cfg: CampaignConfig, worst: float, scale: float = 1.0, target: float | None = None, samples: int | None = None, **details) -> Report:
-    """PASS iff `worst` is within the bound.  A check that may skip
-    samples passes `samples`, the number that reached the residual; with
-    none, there is nothing to judge and the report is an ERROR."""
-    if samples == 0:
-        return Report(check_id, cfg.field.value, ERROR, details={"error": NO_SAMPLE})
+
+def _report(cfg: CampaignConfig, status: str, residual: float = 0.0,
+            witness: Morphism | None = None, details: dict | None = None) -> Report:
+    """A report of the running check; its decorator stamps the check id."""
+    return Report("", cfg.field.value, status, residual, witness, details or {})
+
+
+def _verdict(cfg: CampaignConfig, worst: float, scale: float = 1.0, target: float | None = None) -> Report:
+    """PASS iff `worst` is within `target`, or else the tolerance bound at `scale`."""
     bound = target if target is not None else cfg.tol.bound(scale, scale)
-    status = PASS if worst <= bound else FAIL
-    return Report(check_id, cfg.field.value, status, worst, details=dict(details))
+    return _report(cfg, PASS if worst <= bound else FAIL, worst)
+
+
+def _sampled(cfg: CampaignConfig, rng: np.random.Generator, trials: int, sample: Callable,
+             scale: float = 1.0, target: float | None = None) -> Report:
+    """Run `sample` `cfg.count(trials)` times and judge the worst residual;
+    with no sample reaching a residual there is nothing to judge."""
+    worst, reached = 0.0, 0
+    for _ in range(cfg.count(trials)):
+        residuals = sample(cfg, rng)
+        if isinstance(residuals, Report):
+            return residuals
+        if residuals is not None:
+            reached += 1
+            worst = worse(worst, *residuals)
+    if not reached:
+        return _report(cfg, ERROR, details={"error": NO_SAMPLE})
+    return _verdict(cfg, worst, scale, target)
+
+
+def check(check_id: str) -> Callable[[Callable], CheckFn]:
+    """Declare the whole check `fn(cfg, rng)` under `check_id`."""
+    def declare(fn: Callable) -> CheckFn:
+        @functools.wraps(fn)
+        def run(cfg: CampaignConfig) -> Report:
+            report = fn(cfg, cfg.rng(check_id))
+            report.axiom = check_id
+            return report
+
+        run.check_id = check_id
+        return run
+
+    return declare
+
+
+def law(check_id: str, trials: int, scale: float = 1.0,
+        target: float | None = None) -> Callable[[Callable], CheckFn]:
+    """Declare the sampled law `sample(cfg, rng)` under `check_id`."""
+    def declare(sample: Callable) -> CheckFn:
+        @functools.wraps(sample)
+        def run(cfg: CampaignConfig, rng: np.random.Generator) -> Report:
+            return _sampled(cfg, rng, trials, sample, scale, target)
+
+        return check(check_id)(run)
+
+    return declare
 
 
 # ---------------------------------------------------------------------------
@@ -93,47 +161,36 @@ def _verdict(check_id: str, cfg: CampaignConfig, worst: float, scale: float = 1.
 # ---------------------------------------------------------------------------
 
 
-def check_conj_antiautomorphism(cfg: CampaignConfig) -> Report:
-    cid = "scalars.conj-antiautomorphism"
-    rng = cfg.rng(cid)
-    worst = 0.0
-    for _ in range(cfg.count(1000)):
-        a = random_scalar(cfg.field, rng)
-        b = random_scalar(cfg.field, rng)
-        worst = worse(
-            worst,
-            scalars.distance(
-                scalars.conj(scalars.mul(a, b)),
-                scalars.mul(scalars.conj(b), scalars.conj(a)),
-            ),
-        )
-        worst = worse(worst, scalars.distance(scalars.conj(scalars.conj(a)), a))
-    return _verdict(cid, cfg, worst, 4.0)
+@law("scalars.conj-antiautomorphism", 1000, 4.0)
+def check_conj_antiautomorphism(cfg: CampaignConfig, rng: np.random.Generator):
+    a = random_scalar(cfg.field, rng)
+    b = random_scalar(cfg.field, rng)
+    return (
+        scalars.distance(
+            scalars.conj(scalars.mul(a, b)),
+            scalars.mul(scalars.conj(b), scalars.conj(a)),
+        ),
+        scalars.distance(scalars.conj(scalars.conj(a)), a),
+    )
 
 
-def check_noncommutativity_witness(cfg: CampaignConfig) -> Report:
-    cid = "scalars.noncommutativity-witness"
+@check("scalars.noncommutativity-witness")
+def check_noncommutativity_witness(cfg: CampaignConfig, rng: np.random.Generator) -> Report:
     i = Scalar(Field.QUATERNION, 0, 1, 0, 0)
     j = Scalar(Field.QUATERNION, 0, 0, 1, 0)
     gap = scalars.distance(scalars.mul(i, j), scalars.mul(j, i))
     status = PASS if gap > 1.0 else FAIL
-    return Report(cid, cfg.field.value, status, gap, details={"witness": "i*j != j*i"})
+    return _report(cfg, status, gap, details={"witness": "i*j != j*i"})
 
 
-def check_inverse_two_sided(cfg: CampaignConfig) -> Report:
-    cid = "scalars.inverse-two-sided"
-    rng = cfg.rng(cid)
+@law("scalars.inverse-two-sided", 500, 1e3)
+def check_inverse_two_sided(cfg: CampaignConfig, rng: np.random.Generator):
+    a = random_scalar(cfg.field, rng)
+    if scalars.norm(a) < 1e-3:
+        return None
     one = scalars.one(cfg.field)
-    worst, drawn = 0.0, 0
-    for _ in range(cfg.count(500)):
-        a = random_scalar(cfg.field, rng)
-        if scalars.norm(a) < 1e-3:
-            continue
-        drawn += 1
-        b = scalars.inv(a, cfg.tol)
-        worst = worse(worst, scalars.distance(scalars.mul(a, b), one))
-        worst = worse(worst, scalars.distance(scalars.mul(b, a), one))
-    return _verdict(cid, cfg, worst, 1e3, samples=drawn)
+    b = scalars.inv(a, cfg.tol)
+    return scalars.distance(scalars.mul(a, b), one), scalars.distance(scalars.mul(b, a), one)
 
 
 # ---------------------------------------------------------------------------
@@ -145,43 +202,36 @@ def _random_shape(rng: np.random.Generator, lo: int = 1, hi: int = 6) -> Obj:
     return Obj(int(rng.integers(lo, hi + 1)))
 
 
-def check_dagger_functor_laws(cfg: CampaignConfig) -> Report:
-    cid = "matcat.dagger-functor-laws"
-    rng = cfg.rng(cid)
-    worst = 0.0
-    for _ in range(cfg.count(500)):
-        a, b, c = (_random_shape(rng) for _ in range(3))
-        f = random_morphism(cfg.field, a, b, rng)
-        g = random_morphism(cfg.field, b, c, rng)
-        worst = worse(worst, frobenius_distance((g @ f).dagger(), f.dagger() @ g.dagger()))
-        worst = worse(worst, frobenius_distance(f.dagger().dagger(), f))
-        ident = Morphism.identity(cfg.field, a)
-        worst = worse(worst, frobenius_distance(ident.dagger(), ident))
-    return _verdict(cid, cfg, worst, 40.0)
+@law("matcat.dagger-functor-laws", 500, 40.0)
+def check_dagger_functor_laws(cfg: CampaignConfig, rng: np.random.Generator):
+    a, b, c = (_random_shape(rng) for _ in range(3))
+    f = random_morphism(cfg.field, a, b, rng)
+    g = random_morphism(cfg.field, b, c, rng)
+    ident = Morphism.identity(cfg.field, a)
+    return (
+        frobenius_distance((g @ f).dagger(), f.dagger() @ g.dagger()),
+        frobenius_distance(f.dagger().dagger(), f),
+        frobenius_distance(ident.dagger(), ident),
+    )
 
 
-def check_dagger_monos_are_monic(cfg: CampaignConfig) -> Report:
-    cid = "matcat.dagger-monos-are-monic"
-    rng = cfg.rng(cid)
-    worst = 0.0
-    for _ in range(cfg.count(200)):
-        a = _random_shape(rng, 1, 5)
-        x = Obj(a.dim + int(rng.integers(0, 3)))
-        f = random_dagger_mono(cfg.field, a, x, rng)
-        w = _random_shape(rng, 1, 4)
-        s = random_morphism(cfg.field, w, a, rng)
-        # left-composition with the dagger recovers the factor
-        worst = worse(worst, frobenius_distance(f.dagger() @ (f @ s), s))
-    return _verdict(cid, cfg, worst, 40.0)
+@law("matcat.dagger-monos-are-monic", 200, 40.0)
+def check_dagger_monos_are_monic(cfg: CampaignConfig, rng: np.random.Generator):
+    a = _random_shape(rng, 1, 5)
+    x = Obj(a.dim + int(rng.integers(0, 3)))
+    f = random_dagger_mono(cfg.field, a, x, rng)
+    w = _random_shape(rng, 1, 4)
+    s = random_morphism(cfg.field, w, a, rng)
+    # left-composition with the dagger recovers the factor
+    return (frobenius_distance(f.dagger() @ (f @ s), s),)
 
 
-def check_small_objects_distinct(cfg: CampaignConfig) -> Report:
-    cid = "matcat.small-objects-pairwise-distinct"
-    rng = cfg.rng(cid)
+@check("matcat.small-objects-pairwise-distinct")
+def check_small_objects_distinct(cfg: CampaignConfig, rng: np.random.Generator) -> Report:
     for a, b in [(0, 1), (0, 2), (1, 2)]:
         f = random_morphism(cfg.field, Obj(a), Obj(b), rng)
         if is_dagger_iso(f, cfg.tol) or is_dagger_iso(f.dagger(), cfg.tol):
-            return Report(cid, cfg.field.value, FAIL, 0.0, witness=f)
+            return _report(cfg, FAIL, 0.0, f)
     # two unit endomorphisms of the unit object can never have orthogonal
     # ranges, so no (unit <- unit -> unit) biproduct exists
     min_overlap = float("inf")
@@ -190,37 +240,33 @@ def check_small_objects_distinct(cfg: CampaignConfig) -> Report:
         v = random_unit_column(cfg.field, UNIT, rng)
         overlap = (v.dagger() @ u).norm()
         if not overlap > 0.5:  # also NaN, which min() would drop
-            return Report(cid, cfg.field.value, FAIL, overlap)
+            return _report(cfg, FAIL, overlap)
         min_overlap = min(min_overlap, overlap)
-    return Report(cid, cfg.field.value, PASS, min_overlap)
+    return _report(cfg, PASS, min_overlap)
 
 
-def check_dagger_simple_dimension(cfg: CampaignConfig) -> Report:
-    cid = "matcat.dagger-simple-is-dimension-one"
-    rng = cfg.rng(cid)
+@check("matcat.dagger-simple-is-dimension-one")
+def check_dagger_simple_dimension(cfg: CampaignConfig, rng: np.random.Generator) -> Report:
     ok = (
         is_dagger_simple(cfg.field, UNIT, trials=8, rng=rng, tol=cfg.tol)
         and not is_dagger_simple(cfg.field, Obj(0), trials=4, rng=rng, tol=cfg.tol)
         and not is_dagger_simple(cfg.field, Obj(2), trials=8, rng=rng, tol=cfg.tol)
         and not is_dagger_simple(cfg.field, Obj(3), trials=8, rng=rng, tol=cfg.tol)
     )
-    return Report(cid, cfg.field.value, PASS if ok else FAIL, 0.0)
+    return _report(cfg, PASS if ok else FAIL, 0.0)
 
 
-def check_unique_simple_object(cfg: CampaignConfig) -> Report:
-    cid = "axioms.unique-simple-object"
-    rng = cfg.rng(cid)
-    worst, drawn = 0.0, 0
-    for _ in range(cfg.count(100)):
-        u = random_morphism(cfg.field, UNIT, UNIT, rng)
-        if u.norm() < 1e-3:
-            continue
-        drawn += 1
-        h = axioms.normalize_h4b(u, cfg.tol)
-        iso = u @ Morphism.single(h)
-        worst = worse(worst, frobenius_distance(iso.dagger() @ iso, Morphism.identity(cfg.field, UNIT)))
-        worst = worse(worst, frobenius_distance(iso @ iso.dagger(), Morphism.identity(cfg.field, UNIT)))
-    return _verdict(cid, cfg, worst, samples=drawn)
+@law("axioms.unique-simple-object", 100)
+def check_unique_simple_object(cfg: CampaignConfig, rng: np.random.Generator):
+    u = random_morphism(cfg.field, UNIT, UNIT, rng)
+    if u.norm() < 1e-3:
+        return None
+    h = axioms.normalize_h4b(u, cfg.tol)
+    iso = u @ Morphism.single(h)
+    return (
+        frobenius_distance(iso.dagger() @ iso, Morphism.identity(cfg.field, UNIT)),
+        frobenius_distance(iso @ iso.dagger(), Morphism.identity(cfg.field, UNIT)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -238,131 +284,94 @@ def _random_rotated_biproduct(
     return Biproduct.from_injections(u @ bp.inj_left, u @ bp.inj_right)
 
 
-def check_zero_leg_forces_unitary(cfg: CampaignConfig) -> Report:
-    cid = "biproduct.zero-leg-forces-unitary"
-    rng = cfg.rng(cid)
-    worst = 0.0
-    for _ in range(cfg.count(200)):
-        t = _random_shape(rng, 1, 6)
-        g = random_unitary(cfg.field, t, rng)
-        zero_leg = Morphism.zero(cfg.field, Obj(0), t)
-        bp = Biproduct.from_injections(zero_leg, g)
-        ok, residual = verify_biproduct(bp, cfg.tol)
-        if not ok or not is_dagger_iso(g, cfg.tol):
-            return Report(cid, cfg.field.value, FAIL, residual, witness=g)
-        worst = worse(worst, residual)
-        # a short right leg cannot complete the zero leg to a biproduct
-        short = random_dagger_mono(cfg.field, Obj(t.dim - 1), t, rng)
-        ok_short, _ = verify_biproduct(Biproduct.from_injections(zero_leg, short), cfg.tol)
-        if ok_short and t.dim >= 1:
-            return Report(cid, cfg.field.value, FAIL, 0.0, witness=short,
-                          details={"reason": "non-spanning leg accepted"})
-    return _verdict(cid, cfg, worst, 10.0)
+@law("biproduct.zero-leg-forces-unitary", 200, 10.0)
+def check_zero_leg_forces_unitary(cfg: CampaignConfig, rng: np.random.Generator):
+    t = _random_shape(rng, 1, 6)
+    g = random_unitary(cfg.field, t, rng)
+    zero_leg = Morphism.zero(cfg.field, Obj(0), t)
+    bp = Biproduct.from_injections(zero_leg, g)
+    ok, residual = verify_biproduct(bp, cfg.tol)
+    if not ok or not is_dagger_iso(g, cfg.tol):
+        return _report(cfg, FAIL, residual, g)
+    # a short right leg cannot complete the zero leg to a biproduct
+    short = random_dagger_mono(cfg.field, Obj(t.dim - 1), t, rng)
+    ok_short, _ = verify_biproduct(Biproduct.from_injections(zero_leg, short), cfg.tol)
+    if ok_short and t.dim >= 1:
+        return _report(cfg, FAIL, 0.0, short, {"reason": "non-spanning leg accepted"})
+    return (residual,)
 
 
-def check_dagger_distributes_over_oplus(cfg: CampaignConfig) -> Report:
-    cid = "biproduct.dagger-distributes-over-oplus"
-    rng = cfg.rng(cid)
-    worst = 0.0
-    for _ in range(cfg.count(200)):
-        f1 = random_morphism(cfg.field, _random_shape(rng, 0, 4), _random_shape(rng, 0, 4), rng)
-        f2 = random_morphism(cfg.field, _random_shape(rng, 0, 4), _random_shape(rng, 0, 4), rng)
-        worst = worse(
-            worst,
-            frobenius_distance(oplus_mor(f1, f2).dagger(), oplus_mor(f1.dagger(), f2.dagger())),
-        )
-    return _verdict(cid, cfg, worst, 20.0)
+@law("biproduct.dagger-distributes-over-oplus", 200, 20.0)
+def check_dagger_distributes_over_oplus(cfg: CampaignConfig, rng: np.random.Generator):
+    f1 = random_morphism(cfg.field, _random_shape(rng, 0, 4), _random_shape(rng, 0, 4), rng)
+    f2 = random_morphism(cfg.field, _random_shape(rng, 0, 4), _random_shape(rng, 0, 4), rng)
+    return (frobenius_distance(oplus_mor(f1, f2).dagger(), oplus_mor(f1.dagger(), f2.dagger())),)
 
 
-def check_range_projections_sum(cfg: CampaignConfig) -> Report:
-    cid = "biproduct.range-projections-sum-to-identity"
-    rng = cfg.rng(cid)
-    worst = 0.0
-    for _ in range(cfg.count(200)):
-        bp = _random_rotated_biproduct(cfg, rng)
-        left = bp.inj_left @ bp.inj_left.dagger()
-        right = bp.inj_right @ bp.inj_right.dagger()
-        ident = Morphism.identity(cfg.field, bp.total)
-        worst = worse(worst, frobenius_distance(derived_add(left, right), ident))
-    return _verdict(cid, cfg, worst, 10.0, target=COMPLEMENT_RESIDUAL_TARGET)
+@law("biproduct.range-projections-sum-to-identity", 200, target=COMPLEMENT_RESIDUAL_TARGET)
+def check_range_projections_sum(cfg: CampaignConfig, rng: np.random.Generator):
+    bp = _random_rotated_biproduct(cfg, rng)
+    left = bp.inj_left @ bp.inj_left.dagger()
+    right = bp.inj_right @ bp.inj_right.dagger()
+    ident = Morphism.identity(cfg.field, bp.total)
+    return (frobenius_distance(derived_add(left, right), ident),)
 
 
-def check_dagger_of_derived_sum(cfg: CampaignConfig) -> Report:
-    cid = "biproduct.dagger-of-derived-sum"
-    rng = cfg.rng(cid)
-    worst = 0.0
-    for _ in range(cfg.count(200)):
-        x, y = _random_shape(rng, 0, 5), _random_shape(rng, 0, 5)
-        f = random_morphism(cfg.field, x, y, rng)
-        g = random_morphism(cfg.field, x, y, rng)
-        worst = worse(
-            worst,
-            frobenius_distance(derived_add(f, g).dagger(), derived_add(f.dagger(), g.dagger())),
-        )
-    return _verdict(cid, cfg, worst, 20.0)
+@law("biproduct.dagger-of-derived-sum", 200, 20.0)
+def check_dagger_of_derived_sum(cfg: CampaignConfig, rng: np.random.Generator):
+    x, y = _random_shape(rng, 0, 5), _random_shape(rng, 0, 5)
+    f = random_morphism(cfg.field, x, y, rng)
+    g = random_morphism(cfg.field, x, y, rng)
+    return (frobenius_distance(derived_add(f, g).dagger(), derived_add(f.dagger(), g.dagger())),)
 
 
-def check_semiadditive_laws(cfg: CampaignConfig) -> Report:
-    cid = "biproduct.semiadditive-laws"
-    rng = cfg.rng(cid)
-    worst = 0.0
-    for _ in range(cfg.count(200)):
-        x, y, z = (_random_shape(rng, 1, 5) for _ in range(3))
-        f = random_morphism(cfg.field, x, y, rng)
-        g = random_morphism(cfg.field, x, y, rng)
-        h = random_morphism(cfg.field, x, y, rng)
-        r = random_morphism(cfg.field, y, z, rng)
-        zero_m = Morphism.zero(cfg.field, x, y)
-        worst = worse(worst, frobenius_distance(
-            derived_add(derived_add(f, g), h), derived_add(f, derived_add(g, h))))
-        worst = worse(worst, frobenius_distance(derived_add(f, g), derived_add(g, f)))
-        worst = worse(worst, frobenius_distance(derived_add(f, zero_m), f))
-        worst = worse(worst, frobenius_distance(
-            r @ derived_add(f, g), derived_add(r @ f, r @ g)))
-        s = random_morphism(cfg.field, z, x, rng)
-        worst = worse(worst, frobenius_distance(
-            derived_add(f, g) @ s, derived_add(f @ s, g @ s)))
-    return _verdict(cid, cfg, worst, 100.0)
+@law("biproduct.semiadditive-laws", 200, 100.0)
+def check_semiadditive_laws(cfg: CampaignConfig, rng: np.random.Generator):
+    x, y, z = (_random_shape(rng, 1, 5) for _ in range(3))
+    f = random_morphism(cfg.field, x, y, rng)
+    g = random_morphism(cfg.field, x, y, rng)
+    h = random_morphism(cfg.field, x, y, rng)
+    r = random_morphism(cfg.field, y, z, rng)
+    zero_m = Morphism.zero(cfg.field, x, y)
+    residuals = [
+        frobenius_distance(derived_add(derived_add(f, g), h), derived_add(f, derived_add(g, h))),
+        frobenius_distance(derived_add(f, g), derived_add(g, f)),
+        frobenius_distance(derived_add(f, zero_m), f),
+        frobenius_distance(r @ derived_add(f, g), derived_add(r @ f, r @ g)),
+    ]
+    s = random_morphism(cfg.field, z, x, rng)
+    residuals.append(frobenius_distance(derived_add(f, g) @ s, derived_add(f @ s, g @ s)))
+    return residuals
 
 
-def check_derived_add_matches_entrywise(cfg: CampaignConfig) -> Report:
+@law("biproduct.derived-add-matches-entrywise", 200, target=RESIDUAL_TARGET)
+def check_derived_add_matches_entrywise(cfg: CampaignConfig, rng: np.random.Generator):
     """Oracle equivalence: the block-construction sum against the plain
     entrywise sum (the latter exists only here and in the test suite)."""
-    cid = "biproduct.derived-add-matches-entrywise"
-    rng = cfg.rng(cid)
-    worst = 0.0
-    for _ in range(cfg.count(200)):
-        x, y = _random_shape(rng, 0, 8), _random_shape(rng, 0, 8)
-        f = random_morphism(cfg.field, x, y, rng)
-        g = random_morphism(cfg.field, x, y, rng)
-        oracle = Morphism(cfg.field, x, y, f.entries + g.entries)
-        worst = worse(worst, frobenius_distance(derived_add(f, g), oracle))
-    return _verdict(cid, cfg, worst, target=RESIDUAL_TARGET)
+    x, y = _random_shape(rng, 0, 8), _random_shape(rng, 0, 8)
+    f = random_morphism(cfg.field, x, y, rng)
+    g = random_morphism(cfg.field, x, y, rng)
+    oracle = Morphism(cfg.field, x, y, f.entries + g.entries)
+    return (frobenius_distance(derived_add(f, g), oracle),)
 
 
-def check_nfold_injections(cfg: CampaignConfig) -> Report:
-    cid = "biproduct.nfold-injections-orthonormal"
-    rng = cfg.rng(cid)
-    worst, drawn = 0.0, 0
-    for _ in range(cfg.count(50)):
-        x = _random_shape(rng, 0, 3)
-        n = int(rng.integers(0, 4))
-        injections = nfold_biproduct(x, n, cfg.field)
-        if n == 0:
-            if injections:
-                return Report(cid, cfg.field.value, FAIL, 0.0)
-            continue
-        drawn += 1
-        total = Morphism.identity(cfg.field, Obj(n * x.dim))
-        acc = Morphism.zero(cfg.field, total.dom, total.cod)
-        for k, inj in enumerate(injections):
-            if not is_dagger_mono(inj, cfg.tol):
-                return Report(cid, cfg.field.value, FAIL, 0.0, witness=inj)
-            for other in injections[k + 1:]:
-                worst = worse(worst, (other.dagger() @ inj).norm())
-            acc = derived_add(acc, inj @ inj.dagger())
-        worst = worse(worst, frobenius_distance(acc, total))
-    return _verdict(cid, cfg, worst, 10.0, samples=drawn)
+@law("biproduct.nfold-injections-orthonormal", 50, 10.0)
+def check_nfold_injections(cfg: CampaignConfig, rng: np.random.Generator):
+    x = _random_shape(rng, 0, 3)
+    n = int(rng.integers(0, 4))
+    injections = nfold_biproduct(x, n, cfg.field)
+    if n == 0:
+        return _report(cfg, FAIL, 0.0) if injections else None
+    total = Morphism.identity(cfg.field, Obj(n * x.dim))
+    acc = Morphism.zero(cfg.field, total.dom, total.cod)
+    residuals = []
+    for k, inj in enumerate(injections):
+        if not is_dagger_mono(inj, cfg.tol):
+            return _report(cfg, FAIL, 0.0, inj)
+        residuals += [(other.dagger() @ inj).norm() for other in injections[k + 1:]]
+        acc = derived_add(acc, inj @ inj.dagger())
+    residuals.append(frobenius_distance(acc, total))
+    return residuals
 
 
 # ---------------------------------------------------------------------------
@@ -374,17 +383,15 @@ def check_h1(cfg: CampaignConfig) -> Report:
     return axioms.check_h1(cfg.field, cfg.dims, cfg.tol)
 
 
-def check_h2_directed_colimits(cfg: CampaignConfig) -> Report:
-    cid = "axioms.h2-directed-colimits"
-    rng = cfg.rng(cid)
+@check("axioms.h2-directed-colimits")
+def check_h2_directed_colimits(cfg: CampaignConfig, rng: np.random.Generator) -> Report:
     worst = 0.0
     for _ in range(cfg.count(50)):
         diagram = axioms.random_directed_diagram(cfg.field, rng)
         cocone = axioms.finite_directed_colimit(diagram, cfg.tol)
         worst = worse(worst, cocone.commutation_residual(diagram))
         if not axioms.jointly_epic_check(cocone, trials=4, rng=rng, tol=cfg.tol):
-            return Report(cid, cfg.field.value, FAIL, worst,
-                          details={"reason": "legs not jointly epic"})
+            return _report(cfg, FAIL, worst, details={"reason": "legs not jointly epic"})
         for _ in range(2):  # two competing cocones per diagram
             extra = int(rng.integers(0, 3))
             m = random_dagger_mono(cfg.field, cocone.apex, Obj(cocone.apex.dim + extra), rng)
@@ -392,7 +399,7 @@ def check_h2_directed_colimits(cfg: CampaignConfig) -> Report:
             u = axioms.mediating_dagger_mono(cocone, competing, cfg.tol)
             worst = worse(worst, frobenius_distance(u, m))
             worst = worse(worst, _mediating_uniqueness_residual(cfg, cocone, competing, u, rng))
-    return _verdict(cid, cfg, worst, target=COLIMIT_RESIDUAL_TARGET)
+    return _verdict(cfg, worst, target=COLIMIT_RESIDUAL_TARGET)
 
 
 def _mediating_uniqueness_residual(
@@ -430,60 +437,49 @@ def _mediating_uniqueness_residual(
     return residual
 
 
-def check_h3_complement(cfg: CampaignConfig) -> Report:
-    cid = "axioms.h3-complement-invariants"
-    rng = cfg.rng(cid)
-    worst = 0.0
-    for _ in range(cfg.count(300)):
-        x = _random_shape(rng, 1, 8)
-        a = Obj(int(rng.integers(0, x.dim + 1)))
-        f = random_dagger_mono(cfg.field, a, x, rng)
-        g = axioms.complement_h3(f, cfg.tol)
-        if g.dom.dim != x.dim - a.dim:
-            return Report(cid, cfg.field.value, FAIL, 0.0, witness=g,
-                          details={"reason": "wrong complement dimension"})
-        ok, residual = verify_biproduct(Biproduct.from_injections(f, g), cfg.tol)
-        worst = worse(worst, residual)
-        if not ok:
-            return Report(cid, cfg.field.value, FAIL, residual, witness=g)
-    return _verdict(cid, cfg, worst, target=COMPLEMENT_RESIDUAL_TARGET)
+@law("axioms.h3-complement-invariants", 300, target=COMPLEMENT_RESIDUAL_TARGET)
+def check_h3_complement(cfg: CampaignConfig, rng: np.random.Generator):
+    x = _random_shape(rng, 1, 8)
+    a = Obj(int(rng.integers(0, x.dim + 1)))
+    f = random_dagger_mono(cfg.field, a, x, rng)
+    g = axioms.complement_h3(f, cfg.tol)
+    if g.dom.dim != x.dim - a.dim:
+        return _report(cfg, FAIL, 0.0, g, {"reason": "wrong complement dimension"})
+    ok, residual = verify_biproduct(Biproduct.from_injections(f, g), cfg.tol)
+    if not ok:
+        return _report(cfg, FAIL, residual, g)
+    return (residual,)
 
 
-def check_h4_unit_and_normalisation(cfg: CampaignConfig) -> Report:
-    cid = "axioms.h4-unit-normalisation"
-    rng = cfg.rng(cid)
-    worst = 0.0
+def _normalisation_sample(cfg: CampaignConfig, rng: np.random.Generator):
+    """H4b on a random nonzero column: the normalised column is an isometry."""
+    x = _random_shape(rng, 1, 6)
+    u = random_morphism(cfg.field, UNIT, x, rng)
+    if u.norm() < 1e-3:
+        return None
+    h = axioms.normalize_h4b(u, cfg.tol)
+    iso = u @ Morphism.single(h)
+    return (frobenius_distance(iso.dagger() @ iso, Morphism.identity(cfg.field, UNIT)),)
+
+
+@check("axioms.h4-unit-normalisation")
+def check_h4_unit_and_normalisation(cfg: CampaignConfig, rng: np.random.Generator) -> Report:
     try:
         axioms.construct_h4a(cfg.field, Obj(0))
-        return Report(cid, cfg.field.value, FAIL, 0.0,
-                      details={"reason": "zero object admitted a column"})
+        return _report(cfg, FAIL, 0.0, details={"reason": "zero object admitted a column"})
     except NoMorphismError:
         pass
     for dim in cfg.positive_dims():
         u = axioms.construct_h4a(cfg.field, Obj(dim))
         if u.norm() <= cfg.tol.abs_eps:
-            return Report(cid, cfg.field.value, FAIL, 0.0, witness=u)
-    drawn = 0
-    for _ in range(cfg.count(200)):
-        x = _random_shape(rng, 1, 6)
-        u = random_morphism(cfg.field, UNIT, x, rng)
-        if u.norm() < 1e-3:
-            continue
-        drawn += 1
-        h = axioms.normalize_h4b(u, cfg.tol)
-        iso = u @ Morphism.single(h)
-        worst = worse(
-            worst,
-            frobenius_distance(iso.dagger() @ iso, Morphism.identity(cfg.field, UNIT)),
-        )
-    return _verdict(cid, cfg, worst, samples=drawn)
+            return _report(cfg, FAIL, 0.0, u)
+    return _sampled(cfg, rng, 200, _normalisation_sample)
 
 
-def check_h5_strict_sqrt(cfg: CampaignConfig) -> Report:
+@check("axioms.h5-strict-sqrt")
+def check_h5_strict_sqrt(cfg: CampaignConfig, rng: np.random.Generator) -> Report:
     """Complex field: synthesise roots for random unitaries and verify
     the square, unitarity, strictness sampling and the polynomial fit."""
-    cid = "axioms.h5-strict-sqrt"
-    rng = cfg.rng(cid)
     worst_sq = 0.0
     worst_fit = 0.0
     for _ in range(cfg.count(100)):
@@ -494,29 +490,32 @@ def check_h5_strict_sqrt(cfg: CampaignConfig) -> Report:
         worst_sq = worse(worst_sq, cert.residual)
         worst_sq = worse(worst_sq, frobenius_distance(cert.root.dagger() @ cert.root, ident))
         if not axioms.is_strict_sqrt(u, cert.root, 50, rng, cfg.tol):
-            return Report(cid, cfg.field.value, FAIL, cert.residual, witness=cert.root,
-                          details={"reason": "strictness sampling failed"})
+            return _report(cfg, FAIL, cert.residual, cert.root,
+                           {"reason": "strictness sampling failed"})
         worst_fit = worse(worst_fit, axioms.polynomial_fit_residual(u, cert.root))
     status = PASS if worst_sq <= SQRT_RESIDUAL_TARGET and worst_fit <= POLYFIT_RESIDUAL_TARGET else FAIL
-    return Report(cid, cfg.field.value, status, worse(worst_sq, worst_fit),
-                  details={"square_residual": worst_sq, "poly_fit_residual": worst_fit})
+    return _report(cfg, status, worse(worst_sq, worst_fit),
+                   details={"square_residual": worst_sq, "poly_fit_residual": worst_fit})
 
 
-def check_h5_refutation(cfg: CampaignConfig) -> Report:
+@check("axioms.h5-scalar-refutation")
+def check_h5_refutation(cfg: CampaignConfig, rng: np.random.Generator) -> Report:
     """Real/quaternion field: the scalar-forcing obstruction, reported
     as an infeasibility with its commutant witness."""
-    cid = "axioms.h5-scalar-refutation"
-    rng = cfg.rng(cid)
     dims = [d for d in cfg.dims if d >= 2] or [2, 3]
     reports = [axioms.refute_h5_scalar_case(cfg.field, d, rng, cfg.tol) for d in dims]
     worst = worse(*(r.residual for r in reports))
     if all(r.status == INFEASIBLE for r in reports):
-        return Report(cid, cfg.field.value, INFEASIBLE, worst,
-                      witness=reports[0].witness,
-                      details={"dims": dims, "expected_failure": True,
-                               "obstruction": reports[0].details.get("obstruction", "")})
-    return Report(cid, cfg.field.value, FAIL, worst,
-                  details={"reason": "commutant computation did not force a scalar"})
+        return _report(cfg, INFEASIBLE, worst, reports[0].witness,
+                       {"dims": dims, "expected_failure": True,
+                        "obstruction": reports[0].details.get("obstruction", "")})
+    failing = [
+        {"dim": d, "status": r.status, "residual": r.residual, "reason": r.details["reason"]}
+        for d, r in zip(dims, reports)
+        if r.status != INFEASIBLE
+    ]
+    return _report(cfg, FAIL, worst, details={
+        "reason": "commutant computation did not force a scalar", "failing": failing})
 
 
 # ---------------------------------------------------------------------------
@@ -529,61 +528,50 @@ def _random_onb(cfg: CampaignConfig, x: Obj, rng: np.random.Generator) -> recons
     return reconstruct.Subspace(cfg.field, x, tuple(u.col(j) for j in range(x.dim)))
 
 
-def check_hermitian_form_laws(cfg: CampaignConfig) -> Report:
-    cid = "reconstruct.hermitian-form-laws"
-    rng = cfg.rng(cid)
+@law("reconstruct.hermitian-form-laws", 300, 100.0)
+def check_hermitian_form_laws(cfg: CampaignConfig, rng: np.random.Generator):
     endo = reconstruct.EndoField(cfg.field)
-    worst = 0.0
-    for _ in range(cfg.count(300)):
-        x = _random_shape(rng, 1, 6)
-        u = random_morphism(cfg.field, UNIT, x, rng)
-        v = random_morphism(cfg.field, UNIT, x, rng)
-        w = random_morphism(cfg.field, UNIT, x, rng)
-        alpha = random_scalar(cfg.field, rng)
+    x = _random_shape(rng, 1, 6)
+    u = random_morphism(cfg.field, UNIT, x, rng)
+    v = random_morphism(cfg.field, UNIT, x, rng)
+    w = random_morphism(cfg.field, UNIT, x, rng)
+    alpha = random_scalar(cfg.field, rng)
 
-        herm = lambda p, q: Morphism.single(reconstruct.inner_product(p, q))
+    herm = lambda p, q: Morphism.single(reconstruct.inner_product(p, q))
+    residuals = (
         # linear in the first slot for the reversed multiplication
-        lhs = herm(reconstruct.scale(u, alpha), v)
-        rhs = endo.mul(endo.lift(alpha), herm(u, v))
-        worst = worse(worst, frobenius_distance(lhs, rhs))
+        frobenius_distance(herm(reconstruct.scale(u, alpha), v),
+                           endo.mul(endo.lift(alpha), herm(u, v))),
         # conjugate-linear in the second slot
-        lhs = herm(u, reconstruct.scale(v, alpha))
-        rhs = endo.mul(herm(u, v), endo.star(endo.lift(alpha)))
-        worst = worse(worst, frobenius_distance(lhs, rhs))
+        frobenius_distance(herm(u, reconstruct.scale(v, alpha)),
+                           endo.mul(herm(u, v), endo.star(endo.lift(alpha)))),
         # additive in both slots
-        worst = worse(worst, frobenius_distance(
-            herm(derived_add(u, w), v), endo.add(herm(u, v), herm(w, v))))
+        frobenius_distance(herm(derived_add(u, w), v), endo.add(herm(u, v), herm(w, v))),
         # conjugate symmetry
-        worst = worse(worst, frobenius_distance(herm(u, v), endo.star(herm(v, u))))
-        # anisotropy: the squared length is real and positive for u != 0
-        uu = reconstruct.inner_product(u, u)
-        if u.norm() > 1e-3 and (uu.w <= 0 or abs(uu.x) + abs(uu.y) + abs(uu.z) > cfg.tol.abs_eps):
-            return Report(cid, cfg.field.value, FAIL, 0.0, witness=u,
-                          details={"reason": "squared length not positive real"})
-    return _verdict(cid, cfg, worst, 100.0)
+        frobenius_distance(herm(u, v), endo.star(herm(v, u))),
+    )
+    # anisotropy: the squared length is real and positive for u != 0
+    uu = reconstruct.inner_product(u, u)
+    if u.norm() > 1e-3 and (uu.w <= 0 or abs(uu.x) + abs(uu.y) + abs(uu.z) > cfg.tol.abs_eps):
+        return _report(cfg, FAIL, 0.0, u, {"reason": "squared length not positive real"})
+    return residuals
 
 
-def check_uniformity(cfg: CampaignConfig) -> Report:
-    cid = "reconstruct.uniformity"
-    rng = cfg.rng(cid)
-    worst, drawn = 0.0, 0
-    for _ in range(cfg.count(200)):
-        x = _random_shape(rng, 1, 6)
-        u = random_morphism(cfg.field, UNIT, x, rng)
-        if u.norm() < 1e-3:
-            continue
-        drawn += 1
-        h = axioms.normalize_h4b(u, cfg.tol)
-        unit = reconstruct.scale(u, h)
-        worst = worse(worst, abs(scalars.norm(reconstruct.inner_product(unit, unit)) - 1.0))
-    return _verdict(cid, cfg, worst, samples=drawn)
+@law("reconstruct.uniformity", 200)
+def check_uniformity(cfg: CampaignConfig, rng: np.random.Generator):
+    x = _random_shape(rng, 1, 6)
+    u = random_morphism(cfg.field, UNIT, x, rng)
+    if u.norm() < 1e-3:
+        return None
+    h = axioms.normalize_h4b(u, cfg.tol)
+    unit = reconstruct.scale(u, h)
+    return (abs(scalars.norm(reconstruct.inner_product(unit, unit)) - 1.0),)
 
 
-def check_copairing_biconditional(cfg: CampaignConfig) -> Report:
+@check("reconstruct.copairing-isometry-biconditional")
+def check_copairing_biconditional(cfg: CampaignConfig, rng: np.random.Generator) -> Report:
     """Orthonormal lists and isometric copairings coincide, in both
     directions."""
-    cid = "reconstruct.copairing-isometry-biconditional"
-    rng = cfg.rng(cid)
     for trial in range(cfg.count(200)):
         x = _random_shape(rng, 1, 6)
         n = int(rng.integers(1, x.dim + 1))
@@ -596,172 +584,155 @@ def check_copairing_biconditional(cfg: CampaignConfig) -> Report:
         orthonormal = sub.orthonormality_residual() <= 1e-6
         isometric = is_dagger_mono(copairing(list(cols)), cfg.tol)
         if orthonormal != isometric:
-            return Report(cid, cfg.field.value, FAIL, sub.orthonormality_residual(),
-                          details={"orthonormal": orthonormal, "isometric": isometric})
-    return Report(cid, cfg.field.value, PASS, 0.0)
+            return _report(cfg, FAIL, sub.orthonormality_residual(),
+                           details={"orthonormal": orthonormal, "isometric": isometric})
+    return _report(cfg, PASS, 0.0)
 
 
-def check_onb_is_full_biproduct(cfg: CampaignConfig) -> Report:
+@law("reconstruct.onb-is-full-biproduct", 200, target=RESIDUAL_TARGET)
+def check_onb_is_full_biproduct(cfg: CampaignConfig, rng: np.random.Generator):
     """An orthonormal basis of a rank-n object assembles to a unitary
     from the n-fold unit biproduct, and expansion in it reconstructs
     every vector."""
-    cid = "reconstruct.onb-is-full-biproduct"
-    rng = cfg.rng(cid)
-    worst = 0.0
-    for _ in range(cfg.count(200)):
-        x = _random_shape(rng, 1, 6)
-        basis = _random_onb(cfg, x, rng)
-        cop = copairing(list(basis.onb))
-        if not is_dagger_iso(cop, cfg.tol):
-            return Report(cid, cfg.field.value, FAIL, 0.0, witness=cop)
-        u = random_morphism(cfg.field, UNIT, x, rng)
-        coeffs = reconstruct.onb_expand(u, basis, cfg.tol)
-        recon = Morphism.zero(cfg.field, UNIT, x)
-        for e, c in zip(basis.onb, coeffs):
-            recon = derived_add(recon, reconstruct.scale(e, c))
-        worst = worse(worst, frobenius_distance(u, recon))
-    return _verdict(cid, cfg, worst, target=RESIDUAL_TARGET)
+    x = _random_shape(rng, 1, 6)
+    basis = _random_onb(cfg, x, rng)
+    cop = copairing(list(basis.onb))
+    if not is_dagger_iso(cop, cfg.tol):
+        return _report(cfg, FAIL, 0.0, cop)
+    u = random_morphism(cfg.field, UNIT, x, rng)
+    coeffs = reconstruct.onb_expand(u, basis, cfg.tol)
+    recon = Morphism.zero(cfg.field, UNIT, x)
+    for e, c in zip(basis.onb, coeffs):
+        recon = derived_add(recon, reconstruct.scale(e, c))
+    return (frobenius_distance(u, recon),)
 
 
-def check_isometry_image_splits(cfg: CampaignConfig) -> Report:
+@law("reconstruct.isometry-image-splits", 200, target=COMPLEMENT_RESIDUAL_TARGET)
+def check_isometry_image_splits(cfg: CampaignConfig, rng: np.random.Generator):
     """A dagger mono h embeds isometrically and the ambient splits as
     image plus kernel of the adjoint action."""
-    cid = "reconstruct.isometry-image-splits"
-    rng = cfg.rng(cid)
-    worst = 0.0
-    for _ in range(cfg.count(200)):
-        x = _random_shape(rng, 1, 6)
-        a = Obj(int(rng.integers(0, x.dim + 1)))
-        h = random_dagger_mono(cfg.field, a, x, rng)
-        bd = reconstruct.coordinate_basis(cfg.field, a)
-        bx = reconstruct.coordinate_basis(cfg.field, x)
-        vh = reconstruct.functor_v(h, bd, bx, cfg.tol)
-        worst = worse(worst, frobenius_distance(
-            vh.dagger() @ vh, Morphism.identity(cfg.field, a)))
-        comp = axioms.complement_h3(h, cfg.tol)
-        worst = worse(worst, (h.dagger() @ comp).norm())  # kernel(V(h*)) holds the complement
-        ident = Morphism.identity(cfg.field, x)
-        worst = worse(worst, frobenius_distance(
-            derived_add(h @ h.dagger(), comp @ comp.dagger()), ident))
-    return _verdict(cid, cfg, worst, target=COMPLEMENT_RESIDUAL_TARGET)
+    x = _random_shape(rng, 1, 6)
+    a = Obj(int(rng.integers(0, x.dim + 1)))
+    h = random_dagger_mono(cfg.field, a, x, rng)
+    bd = reconstruct.coordinate_basis(cfg.field, a)
+    bx = reconstruct.coordinate_basis(cfg.field, x)
+    vh = reconstruct.functor_v(h, bd, bx, cfg.tol)
+    comp = axioms.complement_h3(h, cfg.tol)
+    ident = Morphism.identity(cfg.field, x)
+    return (
+        frobenius_distance(vh.dagger() @ vh, Morphism.identity(cfg.field, a)),
+        (h.dagger() @ comp).norm(),  # kernel(V(h*)) holds the complement
+        frobenius_distance(derived_add(h @ h.dagger(), comp @ comp.dagger()), ident),
+    )
 
 
-def check_orthomodularity(cfg: CampaignConfig) -> Report:
+@law("reconstruct.orthomodularity", 200, target=COMPLEMENT_RESIDUAL_TARGET)
+def check_orthomodularity(cfg: CampaignConfig, rng: np.random.Generator):
     """Random subspaces split the ambient object: complementary
     dimensions and projections summing to the identity."""
-    cid = "reconstruct.orthomodularity"
-    rng = cfg.rng(cid)
-    worst = 0.0
-    for _ in range(cfg.count(200)):
-        x = _random_shape(rng, 1, 6)
-        k = int(rng.integers(0, x.dim + 1))
-        vs = [random_morphism(cfg.field, UNIT, x, rng) for _ in range(k)]
-        sub = reconstruct.gram_schmidt(vs, field=cfg.field, ambient=x, tol=cfg.tol)
-        perp = reconstruct.orthocomplement(sub, cfg.tol)
-        if sub.dim + perp.dim != x.dim:
-            return Report(cid, cfg.field.value, FAIL, 0.0,
-                          details={"dims": [sub.dim, perp.dim, x.dim]})
-        p, q = reconstruct.projection_of_subspace(sub), reconstruct.projection_of_subspace(perp)
-        worst = worse(worst, frobenius_distance(derived_add(p, q), Morphism.identity(cfg.field, x)))
-        for e in sub.onb:
-            worst = worse(worst, frobenius_distance(p @ e, e))
-        for e in perp.onb:
-            worst = worse(worst, (p @ e).norm())
-    return _verdict(cid, cfg, worst, target=COMPLEMENT_RESIDUAL_TARGET)
+    x = _random_shape(rng, 1, 6)
+    k = int(rng.integers(0, x.dim + 1))
+    vs = [random_morphism(cfg.field, UNIT, x, rng) for _ in range(k)]
+    sub = reconstruct.gram_schmidt(vs, field=cfg.field, ambient=x, tol=cfg.tol)
+    perp = reconstruct.orthocomplement(sub, cfg.tol)
+    if sub.dim + perp.dim != x.dim:
+        return _report(cfg, FAIL, 0.0, details={"dims": [sub.dim, perp.dim, x.dim]})
+    p, q = reconstruct.projection_of_subspace(sub), reconstruct.projection_of_subspace(perp)
+    return (
+        [frobenius_distance(derived_add(p, q), Morphism.identity(cfg.field, x))]
+        + [frobenius_distance(p @ e, e) for e in sub.onb]
+        + [(p @ e).norm() for e in perp.onb]
+    )
 
 
-def check_endofield_matches_scalars(cfg: CampaignConfig) -> Report:
+@law("reconstruct.endofield-matches-scalars", 200, 1e3)
+def check_endofield_matches_scalars(cfg: CampaignConfig, rng: np.random.Generator):
     """The endomorphism field of the unit object is the ambient scalars
     with multiplication reversed (composition order of 1x1 matrices)."""
-    cid = "reconstruct.endofield-matches-scalars"
-    rng = cfg.rng(cid)
     endo = reconstruct.EndoField(cfg.field)
-    worst = 0.0
-    for _ in range(cfg.count(200)):
-        a = random_scalar(cfg.field, rng)
-        b = random_scalar(cfg.field, rng)
-        c = random_scalar(cfg.field, rng)
-        la, lb, lc = endo.lift(a), endo.lift(b), endo.lift(c)
-        worst = worse(worst, scalars.distance(endo.lower(endo.mul(la, lb)), scalars.mul(b, a)))
-        worst = worse(worst, scalars.distance(endo.lower(endo.star(la)), scalars.conj(a)))
-        if scalars.norm(a) > 1e-3:
-            worst = worse(worst, frobenius_distance(endo.mul(la, endo.inv(la)), endo.one))
-            worst = worse(worst, frobenius_distance(endo.mul(endo.inv(la), la), endo.one))
-        worst = worse(worst, frobenius_distance(
-            endo.mul(endo.mul(la, lb), lc), endo.mul(la, endo.mul(lb, lc))))
-        worst = worse(worst, frobenius_distance(
-            endo.mul(la, endo.add(lb, lc)), endo.add(endo.mul(la, lb), endo.mul(la, lc))))
-        worst = worse(worst, frobenius_distance(endo.add(la, endo.zero), la))
-    return _verdict(cid, cfg, worst, 1e3)
+    a = random_scalar(cfg.field, rng)
+    b = random_scalar(cfg.field, rng)
+    c = random_scalar(cfg.field, rng)
+    la, lb, lc = endo.lift(a), endo.lift(b), endo.lift(c)
+    residuals = [
+        scalars.distance(endo.lower(endo.mul(la, lb)), scalars.mul(b, a)),
+        scalars.distance(endo.lower(endo.star(la)), scalars.conj(a)),
+    ]
+    if scalars.norm(a) > 1e-3:
+        residuals += [
+            frobenius_distance(endo.mul(la, endo.inv(la)), endo.one),
+            frobenius_distance(endo.mul(endo.inv(la), la), endo.one),
+        ]
+    return residuals + [
+        frobenius_distance(endo.mul(endo.mul(la, lb), lc), endo.mul(la, endo.mul(lb, lc))),
+        frobenius_distance(endo.mul(la, endo.add(lb, lc)),
+                           endo.add(endo.mul(la, lb), endo.mul(la, lc))),
+        frobenius_distance(endo.add(la, endo.zero), la),
+    ]
 
 
-def check_functor_dagger_additive(cfg: CampaignConfig) -> Report:
+@law("reconstruct.functor-dagger-additive", 200, target=RESIDUAL_TARGET)
+def check_functor_dagger_additive(cfg: CampaignConfig, rng: np.random.Generator):
     """The column-action functor preserves dagger, addition and
     composition; in coordinate bases it is the identity representation."""
-    cid = "reconstruct.functor-dagger-additive"
-    rng = cfg.rng(cid)
-    worst = 0.0
-    for _ in range(cfg.count(200)):
-        x, y, z = (_random_shape(rng, 1, 5) for _ in range(3))
-        f = random_morphism(cfg.field, x, y, rng)
-        g = random_morphism(cfg.field, x, y, rng)
-        h = random_morphism(cfg.field, y, z, rng)
-        bx, by, bz = (_random_onb(cfg, o, rng) for o in (x, y, z))
-        vf = reconstruct.functor_v(f, bx, by, cfg.tol)
-        worst = worse(worst, frobenius_distance(
-            reconstruct.functor_v(f.dagger(), by, bx, cfg.tol), vf.dagger()))
-        worst = worse(worst, frobenius_distance(
-            reconstruct.functor_v(derived_add(f, g), bx, by, cfg.tol),
-            derived_add(vf, reconstruct.functor_v(g, bx, by, cfg.tol))))
-        worst = worse(worst, frobenius_distance(
-            reconstruct.functor_v(h @ f, bx, bz, cfg.tol),
-            reconstruct.functor_v(h, by, bz, cfg.tol) @ vf))
-        coord_x = reconstruct.coordinate_basis(cfg.field, x)
-        coord_y = reconstruct.coordinate_basis(cfg.field, y)
-        worst = worse(worst, frobenius_distance(
-            reconstruct.functor_v(f, coord_x, coord_y, cfg.tol), f))
-    return _verdict(cid, cfg, worst, target=RESIDUAL_TARGET)
-
-
-def check_functor_faithful(cfg: CampaignConfig) -> Report:
-    cid = "reconstruct.functor-faithful"
-    inner = reconstruct.faithfulness_check(
-        cfg.field, cfg.count(200), cfg.positive_dims(), cfg.rng(cid), cfg.tol
+    x, y, z = (_random_shape(rng, 1, 5) for _ in range(3))
+    f = random_morphism(cfg.field, x, y, rng)
+    g = random_morphism(cfg.field, x, y, rng)
+    h = random_morphism(cfg.field, y, z, rng)
+    bx, by, bz = (_random_onb(cfg, o, rng) for o in (x, y, z))
+    vf = reconstruct.functor_v(f, bx, by, cfg.tol)
+    coord_x = reconstruct.coordinate_basis(cfg.field, x)
+    coord_y = reconstruct.coordinate_basis(cfg.field, y)
+    return (
+        frobenius_distance(reconstruct.functor_v(f.dagger(), by, bx, cfg.tol), vf.dagger()),
+        frobenius_distance(reconstruct.functor_v(derived_add(f, g), bx, by, cfg.tol),
+                           derived_add(vf, reconstruct.functor_v(g, bx, by, cfg.tol))),
+        frobenius_distance(reconstruct.functor_v(h @ f, bx, bz, cfg.tol),
+                           reconstruct.functor_v(h, by, bz, cfg.tol) @ vf),
+        frobenius_distance(reconstruct.functor_v(f, coord_x, coord_y, cfg.tol), f),
     )
-    inner.axiom = cid
+
+
+@check("reconstruct.functor-faithful")
+def check_functor_faithful(cfg: CampaignConfig, rng: np.random.Generator) -> Report:
+    inner = reconstruct.faithfulness_check(
+        cfg.field, cfg.count(200), cfg.positive_dims(), rng, cfg.tol
+    )
+    if inner.status == PASS and not inner.details["separated"]:
+        return _report(cfg, ERROR, details={"error": NO_SAMPLE})
     return inner
 
 
-def check_scalar_witness(cfg: CampaignConfig) -> Report:
-    cid = "reconstruct.scalar-witness"
+@check("reconstruct.scalar-witness")
+def check_scalar_witness(cfg: CampaignConfig, rng: np.random.Generator) -> Report:
     k1, k2 = reconstruct.scalar_field_witness(cfg.field, cfg.tol)
     endo = reconstruct.EndoField(cfg.field)
     cancel = endo.add(endo.lift(k1), endo.lift(k2)).norm()
     magnitude = min(scalars.norm(k1), scalars.norm(k2))
     ok = magnitude >= 0.1 and cancel <= RESIDUAL_TARGET
-    return Report(cid, cfg.field.value, PASS if ok else FAIL, cancel,
-                  details={"k1": k1.to_json(), "k2": k2.to_json(), "min_magnitude": magnitude})
+    return _report(cfg, PASS if ok else FAIL, cancel,
+                   details={"k1": k1.to_json(), "k2": k2.to_json(), "min_magnitude": magnitude})
 
 
-def check_center_classification(cfg: CampaignConfig) -> Report:
-    cid = "reconstruct.center-sqrt-minus-one"
+@check("reconstruct.center-sqrt-minus-one")
+def check_center_classification(cfg: CampaignConfig, rng: np.random.Generator) -> Report:
     inner = reconstruct.center_sqrt_minus_one_test(cfg.field)
     expected = PASS if cfg.field is Field.COMPLEX else INFEASIBLE
     status = PASS if inner.status == expected else FAIL
-    return Report(cid, cfg.field.value, status, inner.residual,
-                  witness=inner.witness, details={"classified": inner.status, **inner.details})
+    return _report(cfg, status, inner.residual, inner.witness,
+                   {"classified": inner.status, **inner.details})
 
 
-def check_rank_objects(cfg: CampaignConfig) -> Report:
-    cid = "reconstruct.rank-objects-constructible"
+@check("reconstruct.rank-objects-constructible")
+def check_rank_objects(cfg: CampaignConfig, rng: np.random.Generator) -> Report:
     worst = 0.0
     for n in range(17):
         x, onb = reconstruct.rank_object(cfg.field, n)
         if x.dim != n or len(onb) != n:
-            return Report(cid, cfg.field.value, FAIL, 0.0, details={"rank": n})
+            return _report(cfg, FAIL, 0.0, details={"rank": n})
         sub = reconstruct.Subspace(cfg.field, x, tuple(onb))
         worst = worse(worst, sub.orthonormality_residual())
-    return _verdict(cid, cfg, worst)
+    return _verdict(cfg, worst)
 
 
 # ---------------------------------------------------------------------------
@@ -769,8 +740,8 @@ def check_rank_objects(cfg: CampaignConfig) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def check_projection_saturation(cfg: CampaignConfig) -> Report:
-    cid = "projspan.saturation"
+@check("projspan.saturation")
+def check_projection_saturation(cfg: CampaignConfig, rng: np.random.Generator) -> Report:
     dims = [d for d in cfg.dims if 2 <= d <= 5] or [2, 3, 4, 5]
     runs = []
     for dim in dims:
@@ -778,17 +749,16 @@ def check_projection_saturation(cfg: CampaignConfig) -> Report:
             rep = projspan.saturation_check(dim, seed, tol=cfg.tol)
             runs.append(rep.to_json())
             if rep.status != PASS:
-                return Report(cid, cfg.field.value, FAIL, 0.0,
-                              details={"failing": rep.to_json()})
+                return _report(cfg, FAIL, 0.0, details={"failing": rep.to_json()})
     low = projspan.saturation_check(1, cfg.seed, tol=cfg.tol)
     runs.append(low.to_json())
     if low.status != "below-threshold (expected)":
-        return Report(cid, cfg.field.value, FAIL, 0.0, details={"failing": low.to_json()})
-    return Report(cid, cfg.field.value, PASS, 0.0, details={"runs": runs})
+        return _report(cfg, FAIL, 0.0, details={"failing": low.to_json()})
+    return _report(cfg, PASS, 0.0, details={"runs": runs})
 
 
-def check_saturation_monotonicity(cfg: CampaignConfig) -> Report:
-    cid = "projspan.saturation-monotonicity"
+@check("projspan.saturation-monotonicity")
+def check_saturation_monotonicity(cfg: CampaignConfig, rng: np.random.Generator) -> Report:
     for dim in (2, 3):
         ranks_by_len = [
             projspan.saturation_check(dim, cfg.seed, max_len=l, tol=cfg.tol).rank
@@ -799,16 +769,14 @@ def check_saturation_monotonicity(cfg: CampaignConfig) -> Report:
             for c in (0, 1, 2)
         ]
         if ranks_by_len != sorted(ranks_by_len) or ranks_by_count != sorted(ranks_by_count):
-            return Report(cid, cfg.field.value, FAIL, 0.0,
-                          details={"dim": dim, "by_len": ranks_by_len, "by_count": ranks_by_count})
-    return Report(cid, cfg.field.value, PASS, 0.0)
+            return _report(cfg, FAIL, 0.0,
+                           details={"dim": dim, "by_len": ranks_by_len, "by_count": ranks_by_count})
+    return _report(cfg, PASS, 0.0)
 
 
 # ---------------------------------------------------------------------------
 # suites
 # ---------------------------------------------------------------------------
-
-CheckFn = Callable[[CampaignConfig], Report]
 
 _COMMON_LEMMA_CHECKS: list[CheckFn] = [
     check_conj_antiautomorphism,
@@ -878,24 +846,10 @@ def run_axiom_suite(cfg: CampaignConfig, stream=None) -> list[Report]:
     return _run(list(checks), cfg, stream, labels)
 
 
-RECONSTRUCTION_CHECKS: list[CheckFn] = [
-    check_hermitian_form_laws,
-    check_uniformity,
-    check_copairing_biconditional,
-    check_onb_is_full_biproduct,
-    check_isometry_image_splits,
-    check_orthomodularity,
-    check_endofield_matches_scalars,
-    check_functor_dagger_additive,
-    check_functor_faithful,
-    check_scalar_witness,
-    check_center_classification,
-    check_rank_objects,
-]
-
-
 def run_reconstruction_suite(cfg: CampaignConfig, stream=None) -> list[Report]:
-    return _run(RECONSTRUCTION_CHECKS, cfg, stream)
+    """The `reconstruct.` checks of the lemma suite, in lemma order."""
+    checks = [fn for fn in lemma_checks(cfg.field) if fn.check_id.startswith("reconstruct.")]
+    return _run(checks, cfg, stream)
 
 
 def _stream_line(stream, report: Report) -> None:
@@ -916,14 +870,14 @@ def _run(
 
     A check that raises a DaggerLabError reaches no verdict: it becomes
     an ERROR report, neither a pass nor a violation, carrying the
-    exception text.  Its check id lives inside the function, so it is
-    labelled by the function name unless `labels` names it."""
+    exception text and labelled by the check id (a plain function
+    without one, by its name) unless `labels` names it."""
     reports = []
     for fn, label in zip(checks, labels or [None] * len(checks)):
         try:
             report = fn(cfg)
         except DaggerLabError as exc:
-            report = Report(fn.__name__, cfg.field.value, ERROR,
+            report = Report(getattr(fn, "check_id", fn.__name__), cfg.field.value, ERROR,
                             details={"error": f"{type(exc).__name__}: {exc}"})
         if label is not None:
             report.axiom = label

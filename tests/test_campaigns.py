@@ -2,12 +2,13 @@
 draws no sample is reported as an error next to the others instead of
 ending the run or passing."""
 
+import io
 import math
 
 import numpy as np
 import pytest
 
-from daggerlab import axioms, biproduct, campaigns
+from daggerlab import axioms, biproduct, campaigns, reconstruct
 from daggerlab.biproduct import make_biproduct, verify_biproduct
 from daggerlab.campaigns import CampaignConfig
 from daggerlab.errors import DomainError
@@ -86,6 +87,19 @@ def test_raising_check_is_an_error_next_to_passing_checks(monkeypatch):
     assert any(line.startswith("[ERROR] _raising_check ") for line in lines)
 
 
+def test_raising_check_is_labelled_by_its_check_id(monkeypatch):
+    def refuse(f, tol=None):
+        raise DomainError("no complement")
+
+    monkeypatch.setattr(campaigns.axioms, "complement_h3", refuse)
+    reports = campaigns.run_lemma_suite(CampaignConfig(field=Field.REAL, trials=2))
+    assert {r.axiom for r in reports if r.status == ERROR} == {
+        "axioms.h2-directed-colimits",
+        "axioms.h3-complement-invariants",
+        "reconstruct.isometry-image-splits",
+    }
+
+
 def test_raising_axiom_keeps_its_label(monkeypatch):
     monkeypatch.setattr(campaigns, "check_h2_directed_colimits", _raising_check)
     cfg = CampaignConfig(field=Field.COMPLEX, dims=(1, 2), seed=1, trials=2)
@@ -113,11 +127,13 @@ def _zero_morphism(field, dom, cod, rng):
     (campaigns.check_unique_simple_object, "axioms.unique-simple-object"),
     (campaigns.check_h4_unit_and_normalisation, "axioms.h4-unit-normalisation"),
     (campaigns.check_uniformity, "reconstruct.uniformity"),
+    (campaigns.check_functor_faithful, "reconstruct.functor-faithful"),
 ])
 def test_check_with_every_sample_skipped_is_an_error(monkeypatch, check, cid):
     cfg = CampaignConfig(field=Field.COMPLEX, seed=5, trials=4)
     assert check(cfg).status == PASS
     monkeypatch.setattr(campaigns, "random_morphism", _zero_morphism)
+    monkeypatch.setattr(reconstruct, "random_morphism", _zero_morphism)
     report = check(cfg)
     assert (report.axiom, report.status) == (cid, ERROR)
     assert report.details == {"error": campaigns.NO_SAMPLE}
@@ -141,6 +157,38 @@ def test_h5_refutation_fails_when_only_coordinate_projections_are_sampled(monkey
     assert report.status == FAIL
     # the commutant of diagonal projections is the diagonal: nullity d * width
     assert report.residual == 4 * field.width
+    assert report.details["failing"] == [
+        {"dim": dim, "status": FAIL, "residual": dim * field.width,
+         "reason": "commutant is larger than the central scalars"}
+        for dim in cfg.dims
+    ]
     for dim in cfg.dims:
         single = axioms.refute_h5_scalar_case(field, dim, cfg.rng("h5"), cfg.tol)
         assert (single.status, single.residual) == (FAIL, dim * field.width)
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_config_rejects_fewer_than_one_trial(trials):
+    with pytest.raises(DomainError):
+        CampaignConfig(field=Field.COMPLEX, trials=trials)
+
+
+@pytest.mark.parametrize("field", list(Field))
+def test_every_check_reports_under_its_one_declared_id(field):
+    cfg = CampaignConfig(field=field, dims=(1, 2), seed=1, trials=1)
+    lemma_ids = [fn.check_id for fn in campaigns.lemma_checks(field)]
+    assert len(set(lemma_ids)) == len(lemma_ids)
+    lemma_reports = {fn.check_id: fn(cfg) for fn in campaigns.lemma_checks(field)}
+    assert all(report.axiom == cid for cid, report in lemma_reports.items())
+
+    # H1 delegates to axioms.check_h1, which reports under its label
+    axiom_checks = campaigns.axiom_checks(field)
+    axiom_ids = [getattr(fn, "check_id", label) for label, fn in axiom_checks]
+    assert len(set(axiom_ids)) == len(axiom_ids)
+    assert [fn(cfg).axiom for _, fn in axiom_checks] == axiom_ids
+
+    stream = io.StringIO()
+    reports = campaigns.run_reconstruction_suite(cfg, stream)
+    run_order = [line.split()[1] for line in stream.getvalue().splitlines()]
+    assert run_order == [cid for cid in lemma_ids if cid.startswith("reconstruct.")]
+    assert [r.to_json() for r in reports] == [lemma_reports[r.axiom].to_json() for r in reports]
