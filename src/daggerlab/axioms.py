@@ -40,6 +40,7 @@ from .matcat import (
     basis_column,
     commutator_matrix,
     compose,
+    diagonal_commutator_support,
     frobenius_distance,
     is_dagger_iso,
     is_dagger_mono,
@@ -341,36 +342,33 @@ def _commutant_of_projections(
     """Nullity and null-space basis of M -> (p M - M p) over all sampled
     projections, as a real-linear map on endomorphism space.
 
-    `commutator_matrix` builds the map's real matrix in coordinates
-    (i, j, c), one n x n row block per projection (n = dim^2 * width);
-    its entries are exact.  Call a block exact when each of its rows
-    has at most one nonzero entry.  A coordinate projection E_kk gives
-    one: row (i, j, c) of its block reads (delta_ik - delta_jk) M_ijc,
-    and so does every 0/1 diagonal projection.  Such a row says that a
-    nonzero number times one coordinate is 0, so every null vector is
-    exactly zero on each column that holds a nonzero of an exact block.
-    Those columns are forced; the rest are free.  The split is read off
-    the exact entries, with no rounding decision, and after the d
-    coordinate projections the free columns are the d * width diagonal
-    coordinates.  The SVD rank rule then runs on the other blocks
-    restricted to the free columns, and the null vectors are embedded
-    back with exact zeros on the forced columns.  With no exact block
-    this is the SVD of the whole map; with only exact blocks the free
-    coordinates are the null space."""
-    big = commutator_matrix(field, dim, projections)
-    n = big.shape[1]
-    blocks = big.reshape(len(projections), n, n)
-    nonzero = blocks != 0
-    exact = nonzero.sum(axis=2).max(axis=1, initial=0) <= 1
-    free = np.flatnonzero(~nonzero[exact].any(axis=(0, 1)))
-    rest = blocks[:, :, free][~exact].reshape(-1, free.size)
+    The map's real matrix has coordinates (i, j, c) and one n x n row
+    block per projection (n = dim^2 * width; see `commutator_matrix`).
+    A diagonal projection, such as a coordinate projection E_kk or any
+    0/1 diagonal one, multiplies coordinate (i, j, c) by p_ii - p_jj and
+    touches no other: each row of its block says that a nonzero number
+    times one coordinate is 0, so every null vector is exactly zero on
+    the coordinates where p_ii != p_jj.  Those columns are forced; the
+    rest are free.  `diagonal_commutator_support` reads the split off
+    the projections' exact entries, with no rounding decision, and after
+    the d coordinate projections the free columns are the d * width
+    diagonal coordinates.  Only the other projections' blocks are built,
+    and only on the free columns; the SVD rank rule runs on them, and
+    the null vectors are embedded back with exact zeros on the forced
+    columns.  With no diagonal projection this is the SVD of the whole
+    map; with only diagonal ones the free coordinates are the null
+    space."""
+    diagonal, forced = diagonal_commutator_support(field, dim, projections)
+    free = np.flatnonzero(~forced)
+    others = [p for p, d in zip(projections, diagonal) if not d]
+    rest = commutator_matrix(field, dim, others, free)
     if rest.size:
         _, s, vh = np.linalg.svd(rest, full_matrices=False)
         rank = int(np.count_nonzero(s > SVD_RANK_EPS * max(s[0], 1.0)))
         free_basis = vh[rank:].T
     else:
         free_basis = np.eye(free.size)
-    null_basis = np.zeros((n, free_basis.shape[1]))
+    null_basis = np.zeros((forced.size, free_basis.shape[1]))
     null_basis[free] = free_basis
     return free_basis.shape[1], null_basis
 

@@ -52,7 +52,7 @@ from .matcat import (
     is_dagger_mono,
     is_dagger_simple,
 )
-from .reports import ERROR, FAIL, INFEASIBLE, PASS, Report, worse
+from .reports import ERROR, FAIL, INFEASIBLE, NO_SAMPLE, PASS, Report, worse
 from .sampling import (
     random_dagger_mono,
     random_morphism,
@@ -93,8 +93,6 @@ class CampaignConfig:
     def positive_dims(self) -> tuple[int, ...]:
         return tuple(d for d in self.dims if d >= 1) or (1, 2, 3)
 
-
-NO_SAMPLE = "no sample drawn"
 
 CheckFn = Callable[[CampaignConfig], Report]
 
@@ -695,12 +693,9 @@ def check_functor_dagger_additive(cfg: CampaignConfig, rng: np.random.Generator)
 
 @check("reconstruct.functor-faithful")
 def check_functor_faithful(cfg: CampaignConfig, rng: np.random.Generator) -> Report:
-    inner = reconstruct.faithfulness_check(
+    return reconstruct.faithfulness_check(
         cfg.field, cfg.count(200), cfg.positive_dims(), rng, cfg.tol
     )
-    if inner.status == PASS and not inner.details["separated"]:
-        return _report(cfg, ERROR, details={"error": NO_SAMPLE})
-    return inner
 
 
 @check("reconstruct.scalar-witness")

@@ -2,7 +2,7 @@
 are matrices over R, C or H, and the dagger is the conjugate transpose.
 
 Matrices act on column vectors.  Each field keeps one native array, and
-only this module reads or writes it:
+only this module reads or writes a morphism's array:
 
 - R: a float64 (cod, dom) array;
 - C: a complex128 (cod, dom) array;
@@ -16,9 +16,12 @@ transpose.  Its Frobenius norm counts every quaternion entry twice, so
 `norm` and `frobenius_distance` divide by sqrt(2) over H.  The public
 boundary is a (cod, dom, 4) array of quaternion components: the
 constructor takes it, `entries` derives it, and the JSON format stores
-it.  Scalars act on columns from the right (a 1x1 morphism
-composed after the column), which keeps the quaternionic module
-structure free of left/right ambiguity.
+it.  A caller that works on many morphisms at once may take a stack of
+their native arrays (`native_stack`), which it only slices, multiplies
+and subtracts, and hand it back to `stack_norms` and `unstack`.
+Scalars act on columns from the right (a 1x1 morphism composed after
+the column), which keeps the quaternionic module structure free of
+left/right ambiguity.
 """
 
 from __future__ import annotations
@@ -312,50 +315,105 @@ def frobenius_distance(f: Morphism, g: Morphism) -> float:
     return math.sqrt(_sq_norm(f.field, f._a - g._a))
 
 
-def distances_to(fs: Sequence[Morphism], g: Morphism) -> np.ndarray:
-    """Frobenius distance from each of `fs` to `g`, all from one stacked
-    array; entry k equals frobenius_distance(fs[k], g) up to rounding."""
-    shape = g._a.shape  # over one field, equal native shapes mean equal dom and cod
-    for f in fs:
-        if f.field is not g.field:
-            raise FieldMismatchError(f"{f.field.value} vs {g.field.value}")
-        if f._a.shape != shape:
+def native_stack(ms: Sequence[Morphism]) -> np.ndarray:
+    """The native arrays of one or more morphisms of one field and
+    shape, stacked along a new leading axis.  Slicing, products and
+    differences of stacks stand for those of the morphisms, because the
+    representation is linear and turns composition into the product."""
+    if not ms:
+        raise ShapeMismatchError("cannot stack no morphisms")
+    field, shape = ms[0].field, ms[0]._a.shape
+    for m in ms:
+        if m.field is not field:
+            raise FieldMismatchError(f"{m.field.value} vs {field.value}")
+        if m._a.shape != shape:  # over one field, equal native shapes mean equal dom and cod
             raise ShapeMismatchError("morphisms of different shape")
-    if not fs:
-        return np.zeros(0)
-    diff = np.array([f._a for f in fs]) - g._a
-    flat = diff.reshape(len(fs), g._a.size).view(np.float64)  # real and imaginary parts
-    return np.sqrt(np.einsum("ki,ki->k", flat, flat) / _block(g.field))
+    return np.array([m._a for m in ms])
 
 
-def commutator_matrix(field: Field, dim: int, projections: Sequence[Morphism]) -> np.ndarray:
-    """Real matrix of M -> p M - M p on the endomorphisms of Obj(dim),
-    one n x n block per projection p, stacked by rows (n = dim^2 * width).
+def stack_norms(field: Field, stack: np.ndarray) -> np.ndarray:
+    """Frobenius norm of every matrix in a stack of native arrays over
+    `field` (the last two axes).  The norm of a difference of two stacks
+    is the frobenius_distance of their morphisms up to rounding."""
+    flat = stack.reshape(stack.shape[:-2] + (stack.shape[-2] * stack.shape[-1],))
+    if flat.dtype == np.complex128:
+        flat = flat.view(np.float64)  # real and imaginary parts
+    return np.sqrt(np.einsum("...i,...i->...", flat, flat) / _block(field))
 
-    Coordinate k = (i * dim + j) * width + c is component c of entry
-    (i, j): column k is the image of the unit endomorphism with that
-    component 1, and row k of a block reads that component of the image.
-    The n unit endomorphisms are one stacked native array, so a block
-    costs one batched product on each side of p.  Each product
-    multiplies by a unit entry and adds exact zeros, so every block
-    entry is exact.
-    """
+
+def unstack(field: Field, dom: Obj, cod: Obj, stack: np.ndarray) -> list[Morphism]:
+    """One morphism dom -> cod per row of a stack of native arrays over
+    `field`; each holds a view of its row."""
+    return [_wrap(field, dom, cod, a) for a in stack]
+
+
+def _check_projections(field: Field, dim: int, projections: Sequence[Morphism]) -> None:
     x = Obj(dim)
     for p in projections:
         if p.field is not field:
             raise FieldMismatchError(f"{p.field.value} projection over {field.value}")
         if p.dom != x or p.cod != x:
             raise ShapeMismatchError(f"projection is not an endomorphism of dimension {dim}")
+
+
+def commutator_matrix(
+    field: Field,
+    dim: int,
+    projections: Sequence[Morphism],
+    columns: np.ndarray | None = None,
+) -> np.ndarray:
+    """Real matrix of M -> p M - M p on the endomorphisms of Obj(dim),
+    one n-row block per projection p, stacked by rows (n = dim^2 * width),
+    restricted to the given columns (default: all n, in order).
+
+    Coordinate k = (i * dim + j) * width + c is component c of entry
+    (i, j): column k is the image of the unit endomorphism with that
+    component 1, and row k of a block reads that component of the image.
+    The units of the chosen columns are one stacked native array, so a
+    block costs one batched product on each side of p.  Each product
+    multiplies by a unit entry and adds exact zeros, so every block
+    entry is exact.
+    """
+    _check_projections(field, dim, projections)
     w = field.width
     n = dim * dim * w
-    units = np.zeros((n, dim, dim, 4))
-    units[..., :w] = np.eye(n).reshape(n, dim, dim, w)
+    columns = np.arange(n) if columns is None else np.asarray(columns)
+    units = np.zeros((columns.size, dim, dim, 4))
+    units[(np.arange(columns.size), *np.unravel_index(columns, (dim, dim, w)))] = 1.0
     stack = _native(field, units)
-    out = np.empty((len(projections) * n, n))
+    out = np.empty((len(projections) * n, columns.size))
     for k, p in enumerate(projections):
         image = _components(field, p._a @ stack - stack @ p._a)[..., :w]
-        out[k * n:(k + 1) * n] = image.reshape(n, n).T
+        out[k * n:(k + 1) * n] = image.reshape(columns.size, n).T
     return out
+
+
+def diagonal_commutator_support(
+    field: Field, dim: int, projections: Sequence[Morphism]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Which projections are diagonal, and which coordinates of
+    M -> p M - M p they force to zero.
+
+    A projection is diagonal here when its native array is diagonal
+    with a real diagonal, as a coordinate or 0/1 diagonal projection's
+    is.  Then (p M - M p)_ijc = (p_ii - p_jj) M_ijc, so its block of
+    `commutator_matrix` has one nonzero per row at most, and the
+    coordinates (i, j, c) with p_ii != p_jj, read from the exact
+    entries, are zero in every M that commutes with p.  Returns a mask
+    over the projections and a mask over the n coordinates, in the
+    order of `commutator_matrix`'s columns.
+    """
+    _check_projections(field, dim, projections)
+    s = _block(field)
+    diagonal = np.zeros(len(projections), bool)
+    forced = np.zeros((dim, dim), bool)
+    for k, p in enumerate(projections):
+        d = np.diagonal(p._a)
+        if np.count_nonzero(p._a) == np.count_nonzero(d) and not d.imag.any():
+            diagonal[k] = True
+            d = d[::s].real
+            forced |= d[:, None] != d[None, :]
+    return diagonal, np.repeat(forced.ravel(), field.width)
 
 
 def column_sq_norm(u: Morphism) -> float:

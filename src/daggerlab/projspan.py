@@ -14,14 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatchError, UnsupportedFieldError
-from .matcat import Morphism, Obj, basis_column, compose, distances_to
+from .errors import DomainError, ShapeMismatchError, UnsupportedFieldError
+from .matcat import Morphism, Obj, basis_column, compose, native_stack, stack_norms, unstack
 from .sampling import random_rank1_projection
 from .scalars import DEFAULT_TOL, Field, TolerancePolicy
 
 SPAN_RANK_EPS = 1e-8  # singular values below this (relative) fraction do not count
 DEFAULT_MAX_LEN = 3
 DEFAULT_RANDOM_GENERATORS = 2
+DEDUP_CHUNK_BYTES = 256 * 1024  # cap on the stacked differences of one dedup chunk
 
 
 @dataclass(frozen=True)
@@ -69,6 +70,8 @@ def projection_generators(
     built from unit columns with generic phases."""
     if dim < 1:
         raise ShapeMismatchError("generators need dimension >= 1")
+    if count < 0:
+        raise DomainError(f"cannot draw {count} random generators")
     rng = np.random.default_rng(seed)
     x = Obj(dim)
     gens = [
@@ -79,44 +82,73 @@ def projection_generators(
     return gens
 
 
+def _close(
+    field: Field,
+    a: np.ndarray,
+    a_norms: np.ndarray,
+    b: np.ndarray,
+    b_norms: np.ndarray,
+    tol: TolerancePolicy,
+) -> np.ndarray:
+    """(len(a), len(b)) mask of the stacked words a[i] that lie within
+    tol.bound(|a[i]|, |b[k]|) of b[k].  Rows of a go in chunks whose
+    differences to all of b take at most DEDUP_CHUNK_BYTES."""
+    close = np.empty((len(a), len(b)), bool)
+    step = max(1, DEDUP_CHUNK_BYTES // max(1, b.nbytes))
+    # one buffer for every chunk: a fresh allocation of this size per
+    # chunk cost more than the subtraction itself
+    diff = np.empty((min(step, len(a)),) + b.shape, b.dtype)
+    for start in range(0, len(a), step):
+        stop = min(start + step, len(a))
+        chunk = np.subtract(a[start:stop, None], b, out=diff[:stop - start])
+        bound = tol.abs_eps + tol.rel_eps * np.maximum(a_norms[start:stop, None], b_norms)
+        close[start:stop] = stack_norms(field, chunk) <= bound
+    return close
+
+
 def word_closure(
     gens: list[Morphism],
     max_len: int = DEFAULT_MAX_LEN,
     tol: TolerancePolicy = DEFAULT_TOL,
 ) -> list[Morphism]:
     """All products of generators of length <= max_len, deduplicated by
-    Frobenius distance: a candidate is dropped iff it lies within
-    tol.bound(|w|, |candidate|) of some kept word w.  The distances to
-    all kept words come from one stacked array per candidate."""
+    Frobenius distance: in the order `for w in frontier: for g in gens:
+    w @ g`, level by level, a candidate is dropped iff it lies within
+    tol.bound(|w|, |candidate|) of some kept word w.
+
+    A level's candidates are one batched product of the stacked frontier
+    with the stacked generators.  Those close to a word kept at an
+    earlier level are dropped; a greedy pass in candidate order over the
+    closeness of the survivors to each other then keeps a survivor iff
+    no earlier kept survivor is close to it.  Only the kept words become
+    morphisms, views into one stack."""
+    if max_len < 1:
+        raise DomainError(f"words have length >= 1, not at most {max_len}")
     if not gens:
         return []
     obj = gens[0].dom
     if any(g.dom != obj or g.cod != obj for g in gens):
         raise ShapeMismatchError("generators must be endomorphisms of one object")
-
-    words: list[Morphism] = []
-    norms: list[float] = []
-
-    def add(candidate: Morphism) -> bool:
-        norm = candidate.norm()
-        if words:
-            bounds = tol.abs_eps + tol.rel_eps * np.maximum(norms, norm)
-            if np.any(distances_to(words, candidate) <= bounds):
-                return False
-        words.append(candidate)
-        norms.append(norm)
-        return True
-
-    frontier = [g for g in gens if add(g)]
-    for _ in range(max_len - 1):
-        new_frontier = []
-        for w in frontier:
-            for g in gens:
-                candidate = w @ g
-                if add(candidate):
-                    new_frontier.append(candidate)
-        frontier = new_frontier
-    return words
+    field = gens[0].field
+    letters = native_stack(gens)
+    words, norms = letters[:0], np.zeros(0)
+    level = letters
+    for length in range(1, max_len + 1):
+        if length > 1:  # row f * len(gens) + g is frontier word f times generator g
+            level = (level[:, None] @ letters[None]).reshape(
+                (len(level) * len(letters),) + letters.shape[1:])
+        level_norms = stack_norms(field, level)
+        fresh = np.flatnonzero(~_close(field, level, level_norms, words, norms, tol).any(axis=1))
+        level, level_norms = level[fresh], level_norms[fresh]
+        twins = np.triu(_close(field, level, level_norms, level, level_norms, tol), 1)
+        keep = np.ones(len(level), bool)
+        for i in np.flatnonzero(twins.any(axis=1)):
+            if keep[i]:  # a kept survivor drops its later twins
+                keep &= ~twins[i]
+        level = level[keep]
+        words = np.concatenate([words, level])
+        norms = np.concatenate([norms, level_norms[keep]])
+    return unstack(field, obj, obj, words)
 
 
 def real_span_rank(words: list[Morphism], eps: float = SPAN_RANK_EPS) -> int:
@@ -124,11 +156,10 @@ def real_span_rank(words: list[Morphism], eps: float = SPAN_RANK_EPS) -> int:
     vectors of stacked real and imaginary parts."""
     if not words:
         return 0
-    rows = []
-    for w in words:
-        c = w.complex_view()
-        rows.append(np.concatenate([c.real.ravel(), c.imag.ravel()]))
-    s = np.linalg.svd(np.array(rows), compute_uv=False)
+    stack = np.array([w.complex_view() for w in words])
+    shape = (len(words), stack[0].size)
+    rows = np.concatenate([stack.real.reshape(shape), stack.imag.reshape(shape)], axis=1)
+    s = np.linalg.svd(rows, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > eps * s[0]))

@@ -34,7 +34,7 @@ from .matcat import (
     embed,
     frobenius_distance,
 )
-from .reports import FAIL, INFEASIBLE, PASS, Report, worse
+from .reports import ERROR, FAIL, INFEASIBLE, NO_SAMPLE, PASS, Report, worse
 from .sampling import random_morphism
 from .scalars import DEFAULT_TOL, Field, Scalar, TolerancePolicy
 from .scalars import inv as scalar_inv
@@ -248,7 +248,8 @@ def faithfulness_check(
     tol: TolerancePolicy = DEFAULT_TOL,
 ) -> Report:
     """Distinct parallel morphisms are separated by some column from the
-    unit object; reports the separating coordinate column per trial."""
+    unit object; reports the separating coordinate column per trial.
+    A run in which no drawn pair was distinct is an ERROR, not a pass."""
     rng = np.random.default_rng(0) if rng is None else rng
     separating: list[int] = []
     for _ in range(trials):
@@ -274,6 +275,8 @@ def faithfulness_check(
                 details={"reason": "no separating column"},
             )
         separating.append(found)
+    if not separating:
+        return Report("functor-faithful", field.value, ERROR, details={"error": NO_SAMPLE})
     return Report(
         "functor-faithful",
         field.value,

@@ -12,6 +12,7 @@ PASS = "pass"
 FAIL = "fail"
 INFEASIBLE = "infeasible"
 ERROR = "error"  # the check raised, or drew no sample, instead of reaching a verdict
+NO_SAMPLE = "no sample drawn"  # the `error` detail of a check that drew no sample
 
 
 def worse(*residuals: float) -> float:

@@ -340,15 +340,61 @@ def test_commutator_matrix_is_byte_identical_to_the_per_basis_map(field, dim):
     assert batched.tobytes() == reference.tobytes()
 
 
+def _split_of_the_full_map(field, dim, projections):
+    """The forced/free split read off the whole map: every block built
+    on all n columns, one unit endomorphism and two compositions at a
+    time, and a block exact when each of its rows has at most one
+    nonzero.  The oracle for _commutant_of_projections, which builds only
+    the non-diagonal projections' blocks, on the free columns alone."""
+    big = _per_basis_commutator_matrix(field, dim, projections)
+    n = big.shape[1]
+    blocks = big.reshape(len(projections), n, n)
+    nonzero = blocks != 0
+    exact = nonzero.sum(axis=2).max(axis=1, initial=0) <= 1
+    free = np.flatnonzero(~nonzero[exact].any(axis=(0, 1)))
+    rest = blocks[:, :, free][~exact].reshape(-1, free.size)
+    if rest.size:
+        _, s, vh = np.linalg.svd(rest, full_matrices=False)
+        rank = int(np.count_nonzero(s > axioms.SVD_RANK_EPS * max(s[0], 1.0)))
+        free_basis = vh[rank:].T
+    else:
+        free_basis = np.eye(free.size)
+    null_basis = np.zeros((n, free_basis.shape[1]))
+    null_basis[free] = free_basis
+    return free_basis.shape[1], null_basis
+
+
 @pytest.mark.parametrize("field,dim", [
     *((Field.REAL, d) for d in range(2, 7)),
     *((Field.QUATERNION, d) for d in range(2, 5)),
 ])
 def test_refutation_report_does_not_depend_on_how_the_map_is_built(monkeypatch, field, dim):
-    batched = refute_h5_scalar_case(field, dim, np.random.default_rng(7)).to_json()
-    monkeypatch.setattr(axioms, "commutator_matrix", _per_basis_commutator_matrix)
+    inputs = _recording_svd(monkeypatch)
+    built = refute_h5_scalar_case(field, dim, np.random.default_rng(7)).to_json()
+    built_inputs = list(inputs)
+    inputs.clear()
+    monkeypatch.setattr(axioms, "_commutant_of_projections", _split_of_the_full_map)
     reference = refute_h5_scalar_case(field, dim, np.random.default_rng(7)).to_json()
-    assert json.dumps(batched) == json.dumps(reference)
+    assert json.dumps(built) == json.dumps(reference)
+    assert len(built_inputs) == len(inputs) == 1
+    assert built_inputs[0].shape == inputs[0].shape
+    assert built_inputs[0].tobytes() == inputs[0].tobytes()
+
+
+@pytest.mark.parametrize("kind", ["coordinate+rank1", "rank1", "coordinate", "masks+rank1"])
+@pytest.mark.parametrize("field", ALL_FIELDS)
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_commutant_builds_the_svd_input_of_the_full_map(monkeypatch, kind, field, dim):
+    projections = _projection_set(kind, field, dim, np.random.default_rng(200 + dim))
+    inputs = _recording_svd(monkeypatch)
+    ref_nullity, ref_basis = _split_of_the_full_map(field, dim, projections)
+    ref_inputs = list(inputs)
+    inputs.clear()
+    nullity, null_basis = axioms._commutant_of_projections(field, dim, projections)
+    assert nullity == ref_nullity
+    assert null_basis.tobytes() == ref_basis.tobytes()
+    assert [a.shape for a in inputs] == [a.shape for a in ref_inputs]
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(inputs, ref_inputs))
 
 
 @pytest.mark.parametrize("field", ALL_FIELDS)

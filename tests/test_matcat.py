@@ -21,7 +21,7 @@ from daggerlab.matcat import (
     is_dagger_simple,
     is_projection,
 )
-from daggerlab.sampling import random_dagger_mono, random_morphism
+from daggerlab.sampling import random_dagger_mono, random_morphism, random_rank1_projection
 from daggerlab.scalars import ALL_FIELDS, Field, Scalar, mul
 
 RT2 = 2.0 ** -0.5
@@ -287,6 +287,32 @@ def test_commutator_matrix_checks_its_projections():
         matcat.commutator_matrix(Field.COMPLEX, 2, [p])
     with pytest.raises(ShapeMismatchError):
         matcat.commutator_matrix(Field.REAL, 3, [p])
+
+
+def test_commutator_matrix_on_some_columns_is_those_columns_of_the_map():
+    p = Morphism.identity(Field.REAL, Obj(2))
+    q = Morphism.from_real(Field.REAL, [[0.5, 0.5], [0.5, 0.5]])
+    full = matcat.commutator_matrix(Field.REAL, 2, [q, p])
+    cols = np.array([3, 0, 2])
+    assert matcat.commutator_matrix(Field.REAL, 2, [q, p], cols).tobytes() == full[:, cols].tobytes()
+    assert matcat.commutator_matrix(Field.REAL, 2, [q], np.array([], int)).shape == (4, 0)
+
+
+def test_diagonal_support_reads_the_exact_diagonal():
+    field, dim = Field.QUATERNION, 3
+    x = Obj(dim)
+    mask = Morphism.from_real(field, np.diag([1.0, 0.0, 1.0]))
+    rank1 = random_rank1_projection(field, x, np.random.default_rng(0))
+    diagonal, forced = matcat.diagonal_commutator_support(
+        field, dim, [Morphism.identity(field, x), mask, rank1])
+    assert diagonal.tolist() == [True, True, False]
+    # (i, j, c) is forced iff mask_ii != mask_jj: rows 0 and 2 against row 1
+    want = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], bool)
+    assert forced.tolist() == np.repeat(want.ravel(), 4).tolist()
+    with pytest.raises(FieldMismatchError):
+        matcat.diagonal_commutator_support(Field.REAL, dim, [mask])
+    with pytest.raises(ShapeMismatchError):
+        matcat.diagonal_commutator_support(field, 2, [mask])
 
 
 @st.composite

@@ -4,15 +4,29 @@ independent row-reduction rank oracle."""
 import numpy as np
 import pytest
 
-from daggerlab.errors import FieldMismatchError, ShapeMismatchError, UnsupportedFieldError
-from daggerlab.matcat import Morphism, Obj, distances_to, frobenius_distance, is_projection
+from daggerlab import matcat, projspan
+from daggerlab.errors import (
+    DomainError,
+    FieldMismatchError,
+    ShapeMismatchError,
+    UnsupportedFieldError,
+)
+from daggerlab.matcat import (
+    Morphism,
+    Obj,
+    frobenius_distance,
+    is_projection,
+    native_stack,
+    stack_norms,
+)
 from daggerlab.projspan import (
     projection_generators,
     real_span_rank,
     saturation_check,
     word_closure,
 )
-from daggerlab.scalars import DEFAULT_TOL, Field
+from daggerlab.sampling import random_morphism
+from daggerlab.scalars import ALL_FIELDS, DEFAULT_TOL, Field
 
 
 def row_reduction_rank(rows, pivot_eps=1e-6):
@@ -126,29 +140,33 @@ def test_rank_monotone_in_length_and_generators():
         assert by_count == sorted(by_count)
 
 
-@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX, Field.QUATERNION])
-def test_distances_to_matches_frobenius_distance(field):
-    from daggerlab.sampling import random_morphism
-
+@pytest.mark.parametrize("field", ALL_FIELDS)
+def test_stack_norms_of_differences_match_frobenius_distance(field):
     rng = np.random.default_rng(11)
     fs = [random_morphism(field, Obj(3), Obj(2), rng) for _ in range(5)]
     g = random_morphism(field, Obj(3), Obj(2), rng)
-    got = distances_to(fs + [g], g)
+    got = stack_norms(field, native_stack(fs + [g]) - native_stack([g]))
     want = [frobenius_distance(f, g) for f in fs] + [0.0]
     assert np.allclose(got, want, rtol=1e-12, atol=0.0)
-    assert distances_to([], g).shape == (0,)
+    # over leading axes: every pair of two stacks at once
+    pairs = stack_norms(field, native_stack(fs)[:, None] - native_stack(fs + [g])[None])
+    assert pairs.shape == (5, 6)
+    assert np.allclose(pairs[:, -1], want[:-1], rtol=1e-12, atol=0.0)
+    assert np.array_equal(np.diagonal(pairs), np.zeros(5))
 
 
-def test_distances_to_rejects_mixed_fields_and_shapes():
+def test_native_stack_rejects_mixed_fields_and_shapes():
     p = Morphism.from_real(Field.COMPLEX, [[1, 0], [0, 0]])
     with pytest.raises(FieldMismatchError):
-        distances_to([p, Morphism.from_real(Field.REAL, [[1, 0], [0, 0]])], p)
+        native_stack([p, Morphism.from_real(Field.REAL, [[1, 0], [0, 0]])])
     with pytest.raises(ShapeMismatchError):
-        distances_to([p, Morphism.from_real(Field.COMPLEX, [[1, 0, 0], [0, 0, 0]])], p)
+        native_stack([p, Morphism.from_real(Field.COMPLEX, [[1, 0, 0], [0, 0, 0]])])
     # an H matrix has the native shape of a C matrix twice its size
     with pytest.raises(FieldMismatchError):
-        distances_to([Morphism.identity(Field.QUATERNION, Obj(1))],
-                     Morphism.identity(Field.COMPLEX, Obj(2)))
+        native_stack([Morphism.identity(Field.COMPLEX, Obj(2)),
+                      Morphism.identity(Field.QUATERNION, Obj(1))])
+    with pytest.raises(ShapeMismatchError):
+        native_stack([])
 
 
 def _word_closure_reference(gens, max_len, tol=DEFAULT_TOL):
@@ -186,3 +204,101 @@ def test_word_closure_keeps_its_word_counts(seed, max_len, counts):
     """The one-shot dedup applies the same rule as a word-by-word scan."""
     got = {dim: saturation_check(dim, seed, max_len).words for dim in counts}
     assert got == counts
+
+
+def _assert_same_words(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.field, g.dom, g.cod) == (w.field, w.dom, w.cod)
+        assert g._a.dtype == w._a.dtype
+        assert g._a.tobytes() == w._a.tobytes()
+
+
+@pytest.mark.parametrize("dim, max_len", [
+    *((d, l) for d in range(1, 8) for l in (1, 2, 3)),
+    # the word-by-word reference takes seconds per case at length 4 beyond dim 4
+    *((d, 4) for d in range(1, 5)),
+])
+@pytest.mark.parametrize("field", ALL_FIELDS)
+def test_batched_closure_is_bitwise_the_reference(field, dim, max_len):
+    gens = projection_generators(dim, seed=dim + 10 * max_len, field=field)
+    _assert_same_words(word_closure(gens, max_len), _word_closure_reference(gens, max_len))
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS)
+def test_closure_drops_a_duplicate_inside_one_level(field):
+    # two equal generators: the second is a twin of the first in level 1,
+    # and every product through it is a twin of one through the first
+    gens = projection_generators(3, seed=4, field=field)
+    doubled = gens[:2] + [gens[1]] + gens[2:]
+    got = word_closure(doubled, 3)
+    _assert_same_words(got, _word_closure_reference(doubled, 3))
+    _assert_same_words(got[:2], gens[:2])
+    assert got[2]._a.tobytes() == gens[2]._a.tobytes()
+    assert len(got) == len(word_closure(gens, 3))
+
+
+def test_closure_of_zero_dimensional_generators():
+    z = Morphism.zero(Field.COMPLEX, Obj(0), Obj(0))
+    words = word_closure([z, z], 3)
+    _assert_same_words(words, _word_closure_reference([z, z], 3))
+    assert real_span_rank(words) == 0
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS)
+def test_closure_does_not_depend_on_the_chunk_size(monkeypatch, field):
+    gens = projection_generators(3, seed=8, field=field)
+    want = word_closure(gens, 3)
+    monkeypatch.setattr(projspan, "DEDUP_CHUNK_BYTES", 1)  # one candidate per chunk
+    _assert_same_words(word_closure(gens, 3), want)
+    _assert_same_words(want, _word_closure_reference(gens, 3))
+
+
+def test_closure_makes_no_compositions_or_morphisms_per_candidate(monkeypatch):
+    gens = projection_generators(4, seed=42)
+    calls = {"compose": 0, "Morphism": 0, "wrap": 0}
+    compose, init, wrap = matcat.compose, Morphism.__init__, matcat._wrap
+
+    def counting_compose(g, f):
+        calls["compose"] += 1
+        return compose(g, f)
+
+    def counting_init(self, *args, **kwargs):
+        calls["Morphism"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_wrap(*args):
+        calls["wrap"] += 1
+        return wrap(*args)
+
+    monkeypatch.setattr(matcat, "compose", counting_compose)
+    monkeypatch.setattr(projspan, "compose", counting_compose)
+    monkeypatch.setattr(Morphism, "__init__", counting_init)
+    monkeypatch.setattr(matcat, "_wrap", counting_wrap)
+    Morphism.from_json(gens[0].to_json()) @ gens[0]
+    assert calls == {"compose": 1, "Morphism": 1, "wrap": 1}  # the counters see every path
+    calls.update(compose=0, Morphism=0, wrap=0)
+    words = word_closure(gens, 3)
+    assert len(words) == 91
+    # one morphism per kept word, none per candidate
+    assert calls == {"compose": 0, "Morphism": 0, "wrap": len(words)}
+
+
+@pytest.mark.parametrize("max_len", [0, -2])
+def test_closure_rejects_a_length_cap_below_one(max_len):
+    gens = projection_generators(3, seed=0)
+    assert len(word_closure(gens, 1)) == 5
+    with pytest.raises(DomainError):
+        word_closure(gens, max_len)
+    with pytest.raises(DomainError):
+        word_closure([], max_len)
+    with pytest.raises(DomainError):
+        saturation_check(3, seed=0, max_len=max_len)
+
+
+def test_saturation_rejects_a_negative_generator_count():
+    assert saturation_check(3, seed=0, count=0).words > 0
+    with pytest.raises(DomainError):
+        saturation_check(3, seed=0, count=-3)
+    with pytest.raises(DomainError):
+        projection_generators(3, seed=0, count=-1)

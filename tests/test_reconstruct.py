@@ -34,6 +34,7 @@ from daggerlab.reconstruct import (
     scale,
     subspace_to_dagger_mono,
 )
+from daggerlab.reports import ERROR, NO_SAMPLE
 from daggerlab.sampling import random_morphism, random_scalar, random_unitary
 from daggerlab.scalars import ALL_FIELDS, Field, Scalar, conj, distance, mul, norm
 
@@ -226,6 +227,18 @@ def test_faithfulness_check():
     for j in range(2):
         u = basis_column(Field.REAL, Obj(2), j)
         assert approx_eq(f @ u, f @ u)
+
+
+def test_faithfulness_check_with_no_distinct_pair_is_an_error(monkeypatch):
+    def zero_morphism(field, dom, cod, rng):
+        return Morphism.zero(field, dom, cod)
+
+    monkeypatch.setattr(reconstruct, "random_morphism", zero_morphism)
+    report = faithfulness_check(Field.COMPLEX, trials=20, rng=np.random.default_rng(47))
+    assert (report.axiom, report.status) == ("functor-faithful", ERROR)
+    assert report.details == {"error": NO_SAMPLE}
+    assert report.residual == 0.0 and report.witness is None
+    assert faithfulness_check(Field.REAL, trials=0).status == ERROR
 
 
 def test_entry_difference_is_separated_by_its_column():
