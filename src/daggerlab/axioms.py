@@ -39,14 +39,16 @@ from .matcat import (
     approx_eq,
     basis_column,
     commutator_matrix,
+    commuting,
     compose,
     diagonal_commutator_support,
     frobenius_distance,
     is_dagger_iso,
     is_dagger_mono,
+    native_stack,
 )
 from .reports import FAIL, INFEASIBLE, PASS, Report, worse
-from .sampling import random_morphism, random_rank1_projection
+from .sampling import random_morphism, random_rank1_projection, random_rank1_projections
 from .scalars import DEFAULT_TOL, Field, Scalar, TolerancePolicy, real_sqrt
 
 EIGENVALUE_CLUSTER_EPS = 1e-7  # eigenvalues closer than this interpolate as one node
@@ -273,7 +275,10 @@ def is_strict_sqrt(
 ) -> bool:
     """Check v^2 = u together with the commutation biconditional on three
     projection families: coordinate projections, random rank-1
-    projections, and (over C) the spectral projections of u."""
+    projections, and (over C) the spectral projections of u and random
+    unions of them.  All of them are one stack of native arrays, and
+    each side of the biconditional is tested on the whole stack at once
+    (`matcat.commuting`)."""
     if u.dom != u.cod or v.dom != v.cod or u.dom != v.dom:
         raise ShapeMismatchError("strictness check needs endomorphisms of one object")
     rng = np.random.default_rng(0) if rng is None else rng
@@ -284,28 +289,30 @@ def is_strict_sqrt(
     if u.dom.dim == 0:
         return True
 
-    def commutes(p: Morphism, a: Morphism) -> bool:
-        return approx_eq(p @ a, a @ p, tol)
-
-    projections: list[Morphism] = [
+    coordinate = [
         compose(basis_column(u.field, u.dom, k), basis_column(u.field, u.dom, k).dagger())
         for k in range(u.dom.dim)
     ]
-    projections += [
-        random_rank1_projection(u.field, u.dom, rng) for _ in range(projection_samples)
+    blocks = [
+        native_stack(coordinate),
+        random_rank1_projections(u.field, u.dom, projection_samples, rng),
     ]
     if u.field is Field.COMPLEX:
-        specs = spectral_projections(u)
-        projections += specs
+        spectral = spectral_projections(u)
+        unions = []
         for _ in range(4):  # random unions of spectral subspaces
-            pick = [p for p in specs if rng.random() < 0.5]
+            pick = [p for p in spectral if rng.random() < 0.5]
             if pick:
                 acc = pick[0]
                 for p in pick[1:]:
                     acc = derived_add(acc, p)
-                projections.append(acc)
+                unions.append(acc)
+        blocks.append(native_stack(spectral + unions))
 
-    return all(commutes(p, u) == commutes(p, v) for p in projections)
+    projections = np.concatenate(blocks)
+    return bool(np.array_equal(
+        commuting(u.field, projections, u, tol), commuting(u.field, projections, v, tol)
+    ))
 
 
 def polynomial_fit_residual(u: Morphism, v: Morphism) -> float:

@@ -9,18 +9,20 @@ entrywise sum appears only inside test oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate
 from typing import Sequence
 
-from .errors import ShapeMismatchError
+from .errors import DomainError, ShapeMismatchError
 from .matcat import (
     Morphism,
     Obj,
+    column_block,
     column_sq_norm,
+    direct_sum,
     embed,
     frobenius_distance,
     project_to_field,
+    range_component,
     read_only,
     scaled,
 )
@@ -29,6 +31,8 @@ from .scalars import ALL_FIELDS, DEFAULT_TOL, Field, Scalar, TolerancePolicy, re
 
 # -1 as a 1x1 morphism: the Gram-Schmidt step subtracts Q . c as Q . (c . -1)
 _MINUS_ONE = {f: read_only(Morphism.single(Scalar(f, -1.0))) for f in ALL_FIELDS}
+# Gram-Schmidt treats a candidate shorter than this after projection as dependent
+DROP_EPS = 1e-8
 
 
 def oplus_obj(a: Obj, b: Obj) -> Obj:
@@ -90,23 +94,15 @@ def oplus_mor(f: Morphism, g: Morphism) -> Morphism:
     canonical injections on both legs."""
     if f.field is not g.field:
         raise ShapeMismatchError("direct sum over mixed fields")
-    dom = oplus_obj(f.dom, g.dom)
-    cod = oplus_obj(f.cod, g.cod)
-    return embed(f.field, dom, cod, [(0, 0, f), (f.cod.dim, f.dom.dim, g)])
+    return direct_sum(f, g)
 
 
 def copairing(fs: Sequence[Morphism]) -> Morphism:
     """[f_1, ..., f_n]: A_1 (+) ... (+) A_n -> X for morphisms with a
-    common codomain; block-concatenates the columns."""
+    common codomain and field; block-concatenates the columns."""
     if not fs:
         raise ShapeMismatchError("copairing of an empty list")
-    cod = fs[0].cod
-    field = fs[0].field
-    if any(f.cod != cod or f.field is not field for f in fs):
-        raise ShapeMismatchError("copairing requires a common codomain")
-    starts = accumulate((f.dom.dim for f in fs), initial=0)
-    parts = [(0, col, f) for col, f in zip(starts, fs)]
-    return embed(field, Obj(sum(f.dom.dim for f in fs)), cod, parts)
+    return column_block(fs)
 
 
 def pairing(fs: Sequence[Morphism]) -> Morphism:
@@ -132,13 +128,24 @@ class DiagonalPair:
     codiagonal: Morphism
 
 
-@lru_cache(maxsize=256)
+_DIAGONAL_PAIRS: dict[tuple[Field, int], DiagonalPair] = {}
+_DIAGONAL_PAIRS_MAX = 256
+
+
 def diagonal_pair(field: Field, x: Obj) -> DiagonalPair:
-    """Cached per (field, object): every derived addition asks for two.
-    The shared morphisms are read-only, so no caller can corrupt them."""
-    ident = Morphism.identity(field, x)
-    diag = read_only(pairing([ident, ident]))
-    return DiagonalPair(x, diag, read_only(diag.dagger()))
+    """Cached per (field, dimension): every derived addition asks for
+    two.  The key is the dimension, not the Obj, because hashing and
+    comparing the dataclass cost more than the rest of a lookup.  The
+    shared morphisms are read-only, so no caller can corrupt them."""
+    key = (field, x.dim)
+    pair = _DIAGONAL_PAIRS.get(key)
+    if pair is None:
+        if len(_DIAGONAL_PAIRS) >= _DIAGONAL_PAIRS_MAX:
+            _DIAGONAL_PAIRS.clear()
+        ident = Morphism.identity(field, x)
+        diag = read_only(pairing([ident, ident]))
+        pair = _DIAGONAL_PAIRS[key] = DiagonalPair(x, diag, read_only(diag.dagger()))
+    return pair
 
 
 def derived_add(f: Morphism, g: Morphism) -> Morphism:
@@ -155,7 +162,7 @@ def nfold_biproduct(x: Obj, n: int, field: Field) -> list[Morphism]:
     """The n injections of x into n.x (empty list for n = 0, whose
     biproduct is the zero object)."""
     if n < 0:
-        raise ValueError("n must be a natural number")
+        raise DomainError(f"a biproduct has a natural number of summands, not {n}")
     total = Obj(n * x.dim)
     ident = Morphism.identity(field, x)
     return [embed(field, x, total, [(i * x.dim, 0, ident)]) for i in range(n)]
@@ -164,7 +171,7 @@ def nfold_biproduct(x: Obj, n: int, field: Field) -> list[Morphism]:
 def orthonormal_columns(
     vectors: Sequence[Morphism],
     against: Sequence[Morphism] = (),
-    drop_eps: float = 1e-8,
+    drop_eps: float = DROP_EPS,
     tol: TolerancePolicy = DEFAULT_TOL,
 ) -> list[Morphism]:
     """Right Gram-Schmidt over the ambient field, in blocks (CGS2).
@@ -173,8 +180,8 @@ def orthonormal_columns(
     spanning `vectors`; candidates whose residual norm falls below
     `drop_eps` are treated as dependent and dropped.  The basis so far
     is one column block Q = [against..., accepted...].  Each candidate u
-    is projected out of it twice, each pass taking the coefficient
-    column c = Q-dagger . u in one composition and subtracting Q . c
+    is projected out of it twice, each pass forming Q . ((Q-dagger . u) .
+    -1) as native products (`matcat.range_component`) and adding it to u
     through one derived addition; two passes keep the columns orthogonal
     to rounding level ("twice is enough": Giraud, Langou & Rozloznik,
     Comput. Math. Appl. 50, 2005).  The subtraction cancels most of u,
@@ -182,21 +189,23 @@ def orthonormal_columns(
     native 2x2 block, so each pass ends with `project_to_field`.  Q . c
     composes the coefficients on the right and normalisation divides on
     the right, so the quaternionic right-module structure is respected
-    throughout.
+    throughout.  Mixed fields raise FieldMismatchError and mixed
+    codomains ShapeMismatchError.
     """
-    q = copairing(against) if against else None
+    q = column_block(against) if against else None
     accepted: list[Morphism] = []
     for v in vectors:
         u = v
         if q is not None:
             q_dagger = q.dagger()
+            minus_one = _MINUS_ONE[u.field]
             for _ in range(2):  # re-orthogonalise once against rounding
-                u = derived_add(u, q @ ((q_dagger @ u) @ _MINUS_ONE[u.field]))
+                u = derived_add(u, range_component(q, q_dagger, u, minus_one))
                 u = project_to_field(u)
         length = real_sqrt(column_sq_norm(u), tol)
         if length < drop_eps:
             continue
         unit = scaled(u, 1.0 / length)
         accepted.append(unit)
-        q = unit if q is None else copairing([q, unit])
+        q = unit if q is None else column_block([q, unit])
     return accepted

@@ -17,8 +17,10 @@ transpose.  Its Frobenius norm counts every quaternion entry twice, so
 boundary is a (cod, dom, 4) array of quaternion components: the
 constructor takes it, `entries` derives it, and the JSON format stores
 it.  A caller that works on many morphisms at once may take a stack of
-their native arrays (`native_stack`), which it only slices, multiplies
-and subtracts, and hand it back to `stack_norms` and `unstack`.
+their native arrays (`native_stack`, or `component_stack` from drawn
+components), which it only slices, concatenates, multiplies and
+subtracts, and hand it back to `stack_norms`, `unit_columns`,
+`outer_products`, `commuting` and `unstack`.
 Scalars act on columns from the right (a 1x1 morphism composed after
 the column), which keeps the quaternionic module structure free of
 left/right ambiguity.
@@ -32,7 +34,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ContradictionError, FieldMismatchError, ShapeMismatchError
+from .errors import ContradictionError, DomainError, FieldMismatchError, ShapeMismatchError
 from .scalars import DEFAULT_TOL, Field, Scalar, TolerancePolicy
 
 
@@ -45,7 +47,7 @@ class Obj:
 
     def __post_init__(self):
         if self.dim < 0:
-            raise ValueError("object dimension must be a natural number")
+            raise DomainError(f"object dimension must be a natural number, not {self.dim}")
 
 
 ZERO_OBJ = Obj(0)
@@ -115,16 +117,6 @@ def _sq_norm(field: Field, a: np.ndarray) -> float:
     return float(np.vdot(a, a).real) / _block(field)
 
 
-def _wrap(field: Field, dom: Obj, cod: Obj, a: np.ndarray) -> "Morphism":
-    """Morphism around a native array, without boundary checks."""
-    m = object.__new__(Morphism)
-    object.__setattr__(m, "field", field)
-    object.__setattr__(m, "dom", dom)
-    object.__setattr__(m, "cod", cod)
-    object.__setattr__(m, "_a", a)
-    return m
-
-
 class Morphism:
     """A matrix with explicit domain and codomain over a fixed field."""
 
@@ -142,10 +134,10 @@ class Morphism:
             raise FieldMismatchError(
                 f"nonzero components beyond the width of field {field.value}"
             )
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "dom", dom)
-        object.__setattr__(self, "cod", cod)
-        object.__setattr__(self, "_a", _native(field, entries))
+        _set_field(self, field)
+        _set_dom(self, dom)
+        _set_cod(self, cod)
+        _set_a(self, _native(field, entries))
 
     def __setattr__(self, name, value):
         raise AttributeError("Morphism is immutable")
@@ -277,13 +269,44 @@ class Morphism:
         return cls(field, dom, cod, e)
 
 
+# Morphism.__setattr__ refuses every write, so the constructors set the
+# slots through their descriptors, which is also cheaper than
+# object.__setattr__.
+_set_field = Morphism.field.__set__
+_set_dom = Morphism.dom.__set__
+_set_cod = Morphism.cod.__set__
+_set_a = Morphism._a.__set__
+
+
+def _wrap(field: Field, dom: Obj, cod: Obj, a: np.ndarray) -> Morphism:
+    """Morphism around a native array, without boundary checks."""
+    m = object.__new__(Morphism)
+    _set_field(m, field)
+    _set_dom(m, dom)
+    _set_cod(m, cod)
+    _set_a(m, a)
+    return m
+
+
+def from_components(field: Field, dom: Obj, cod: Obj, comps: np.ndarray) -> Morphism:
+    """The morphism dom -> cod whose entries have the leading components
+    comps[i, j, :width], as a sampler draws them: a (cod, dom, width)
+    array needs no check for nonzero components beyond the width."""
+    if comps.shape != (cod.dim, dom.dim, field.width):
+        raise ShapeMismatchError(
+            f"components shape {comps.shape} != {(cod.dim, dom.dim, field.width)}"
+        )
+    return _wrap(field, dom, cod, _native(field, comps))
+
+
 def embed(
     field: Field, dom: Obj, cod: Obj, parts: Iterable[tuple[int, int, Morphism]]
 ) -> Morphism:
     """The morphism dom -> cod that is zero outside the given blocks:
     each part (row, col, m) places m with its top-left entry at
-    coordinate (row, col).  All block constructions (direct sums,
-    (co)pairings, biproduct injections) go through here."""
+    coordinate (row, col).  Pairings and biproduct injections go
+    through here; `direct_sum` and `column_block` write their two or n
+    blocks straight into one array."""
     s = _block(field)
     a = np.zeros((s * cod.dim, s * dom.dim), _dtype(field))
     for row, col, m in parts:
@@ -293,6 +316,49 @@ def embed(
             raise ShapeMismatchError("block does not fit in the target matrix")
         a[_span(field, row, m.cod.dim), _span(field, col, m.dom.dim)] = m._a
     return _wrap(field, dom, cod, a)
+
+
+def direct_sum(f: Morphism, g: Morphism) -> Morphism:
+    """The block-diagonal f (+) g: f and g written into one zero array."""
+    if f.field is not g.field:
+        raise FieldMismatchError(f"{f.field.value} vs {g.field.value}")
+    rows, cols = f._a.shape
+    a = np.zeros((rows + g._a.shape[0], cols + g._a.shape[1]), _dtype(f.field))
+    a[:rows, :cols] = f._a
+    a[rows:, cols:] = g._a
+    return _wrap(f.field, Obj(f.dom.dim + g.dom.dim), Obj(f.cod.dim + g.cod.dim), a)
+
+
+def column_block(ms: Sequence[Morphism]) -> Morphism:
+    """[m_1, ..., m_n]: morphisms of one field and codomain side by side,
+    one concatenation of their native arrays."""
+    if not ms:
+        raise ShapeMismatchError("a column block needs at least one morphism")
+    field, cod = ms[0].field, ms[0].cod
+    for m in ms:
+        if m.field is not field:
+            raise FieldMismatchError(f"{m.field.value} vs {field.value}")
+        if m.cod != cod:
+            raise ShapeMismatchError("column block requires a common codomain")
+    a = np.concatenate([m._a for m in ms], axis=1)
+    return _wrap(field, Obj(sum(m.dom.dim for m in ms)), cod, a)
+
+
+def range_component(q: Morphism, q_dagger: Morphism, u: Morphism, s: Morphism) -> Morphism:
+    """q . ((q_dagger . u) . s), for q_dagger the dagger of q: the part of
+    u in the range of an isometry q, times the 1x1 scalar s on the right.
+    The three compositions are the native products in this order, and
+    only the result is wrapped."""
+    if not (q.field is q_dagger.field is u.field is s.field):
+        raise FieldMismatchError(
+            f"{q.field.value}, {q_dagger.field.value}, {u.field.value}, {s.field.value}"
+        )
+    if q_dagger.dom != u.cod or s.cod != u.dom or q.dom != q_dagger.cod:
+        raise ShapeMismatchError(
+            f"cannot project {u.dom.dim}->{u.cod.dim} on the range of "
+            f"{q.dom.dim}->{q.cod.dim} and scale it by {s.dom.dim}->{s.cod.dim}"
+        )
+    return _wrap(q.field, s.dom, q.cod, q._a @ ((q_dagger._a @ u._a) @ s._a))
 
 
 def compose(g: Morphism, f: Morphism) -> Morphism:
@@ -414,6 +480,47 @@ def diagonal_commutator_support(
             d = d[::s].real
             forced |= d[:, None] != d[None, :]
     return diagonal, np.repeat(forced.ravel(), field.width)
+
+
+def component_stack(field: Field, comps: np.ndarray) -> np.ndarray:
+    """Stack of native arrays from a (count, cod, dom, width) array of
+    the entries' leading components: row k is the array that
+    `from_components` builds from comps[k]."""
+    return _native(field, comps)
+
+
+def unit_columns(stack: np.ndarray, drop_eps: float) -> np.ndarray:
+    """The columns of a stack of native (cod, 1) arrays that are at least
+    drop_eps long, each divided by its length, in order.  Each length is
+    reckoned as for one column: `column_sq_norm`, its square root with
+    real_sqrt's clamp at 0, and then the product with 1 / length."""
+    sq = (stack.conj().swapaxes(-1, -2) @ stack)[:, 0, 0].real
+    lengths = np.sqrt(np.maximum(sq, 0.0))
+    keep = ~(lengths < drop_eps)
+    return stack[keep] * (1.0 / lengths[keep])[:, None, None]
+
+
+def outer_products(stack: np.ndarray) -> np.ndarray:
+    """v . v-dagger for each column v of a stack of native arrays: one
+    batched product."""
+    return stack @ stack.conj().swapaxes(-1, -2)
+
+
+def commuting(
+    field: Field, stack: np.ndarray, a: Morphism, tol: TolerancePolicy = DEFAULT_TOL
+) -> np.ndarray:
+    """Mask of the endomorphisms p in a stack of native arrays over
+    `field` that commute with a by the rule of `approx_eq`:
+    |p . a - a . p| <= tol.bound(|p . a|, |a . p|).  The compositions
+    are two batched products; the norms are `stack_norms`."""
+    if a.field is not field:
+        raise FieldMismatchError(f"{a.field.value} vs {field.value}")
+    if a.dom != a.cod or stack.shape[-2:] != a._a.shape:
+        raise ShapeMismatchError("commutation needs endomorphisms of one object")
+    pa = stack @ a._a
+    ap = a._a @ stack
+    bound = tol.abs_eps + tol.rel_eps * np.maximum(stack_norms(field, pa), stack_norms(field, ap))
+    return stack_norms(field, pa - ap) <= bound
 
 
 def column_sq_norm(u: Morphism) -> float:

@@ -23,6 +23,9 @@ SPAN_RANK_EPS = 1e-8  # singular values below this (relative) fraction do not co
 DEFAULT_MAX_LEN = 3
 DEFAULT_RANDOM_GENERATORS = 2
 DEDUP_CHUNK_BYTES = 256 * 1024  # cap on the stacked differences of one dedup chunk
+# relative slack on the norm prefilter of the dedup: the norms' rounding is
+# below 1e-13 of their size, and distinct words' norms mostly differ by far more
+NORM_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -89,20 +92,39 @@ def _close(
     b: np.ndarray,
     b_norms: np.ndarray,
     tol: TolerancePolicy,
+    upper: bool = False,
 ) -> np.ndarray:
     """(len(a), len(b)) mask of the stacked words a[i] that lie within
-    tol.bound(|a[i]|, |b[k]|) of b[k].  Rows of a go in chunks whose
-    differences to all of b take at most DEDUP_CHUNK_BYTES."""
-    close = np.empty((len(a), len(b)), bool)
-    step = max(1, DEDUP_CHUNK_BYTES // max(1, b.nbytes))
-    # one buffer for every chunk: a fresh allocation of this size per
-    # chunk cost more than the subtraction itself
-    diff = np.empty((min(step, len(a)),) + b.shape, b.dtype)
-    for start in range(0, len(a), step):
-        stop = min(start + step, len(a))
-        chunk = np.subtract(a[start:stop, None], b, out=diff[:stop - start])
-        bound = tol.abs_eps + tol.rel_eps * np.maximum(a_norms[start:stop, None], b_norms)
-        close[start:stop] = stack_norms(field, chunk) <= bound
+    tol.bound(|a[i]|, |b[k]|) of b[k]; with `upper` (a and b one stack)
+    only of the pairs i < k, the rest False.
+
+    Since | |a[i]| - |b[k]| | <= |a[i] - b[k]|, a pair whose norms differ
+    by more than its bound plus 2 NORM_MARGIN times the larger norm, far
+    above the rounding of the norms, cannot be close and is not
+    compared.  The other pairs go in chunks whose differences take at
+    most DEDUP_CHUNK_BYTES; each difference, its norm and its bound are
+    the ones of a comparison of a[i] with all of b."""
+    gap = np.subtract.outer(a_norms, b_norms)
+    np.abs(gap, out=gap)
+    limit = np.maximum.outer(a_norms, b_norms)
+    limit *= tol.rel_eps + 2 * NORM_MARGIN
+    limit += tol.abs_eps
+    maybe = gap <= limit
+    del gap, limit  # before the chunks gather words
+    if upper:
+        maybe = np.triu(maybe, 1)
+    rows, cols = np.nonzero(maybe)
+    close = np.zeros(maybe.shape, bool)
+    step = max(1, DEDUP_CHUNK_BYTES // max(1, b[:1].nbytes))
+    # one buffer for every chunk's differences: a fresh allocation per
+    # chunk raised the peak RSS of a campaign
+    buf = np.empty((min(step, len(rows)),) + b.shape[1:], b.dtype)
+    for start in range(0, len(rows), step):
+        r, k = rows[start:start + step], cols[start:start + step]
+        diff = np.take(a, r, axis=0, out=buf[:len(r)])
+        diff -= b[k]
+        bound = tol.abs_eps + tol.rel_eps * np.maximum(a_norms[r], b_norms[k])
+        close[r, k] = stack_norms(field, diff) <= bound
     return close
 
 
@@ -140,7 +162,7 @@ def word_closure(
         level_norms = stack_norms(field, level)
         fresh = np.flatnonzero(~_close(field, level, level_norms, words, norms, tol).any(axis=1))
         level, level_norms = level[fresh], level_norms[fresh]
-        twins = np.triu(_close(field, level, level_norms, level, level_norms, tol), 1)
+        twins = _close(field, level, level_norms, level, level_norms, tol, upper=True)
         keep = np.ones(len(level), bool)
         for i in np.flatnonzero(twins.any(axis=1)):
             if keep[i]:  # a kept survivor drops its later twins

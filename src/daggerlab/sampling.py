@@ -9,8 +9,18 @@ from __future__ import annotations
 import numpy as np
 import numpy.random  # loaded here, not lazily by the first draw
 
-from .biproduct import copairing, orthonormal_columns
-from .matcat import Morphism, Obj, compose
+from .biproduct import DROP_EPS, orthonormal_columns
+from .errors import DomainError, NoMorphismError
+from .matcat import (
+    Morphism,
+    Obj,
+    column_block,
+    component_stack,
+    compose,
+    from_components,
+    outer_products,
+    unit_columns,
+)
 from .scalars import Field, Scalar
 
 
@@ -23,25 +33,25 @@ def random_scalar(field: Field, rng: np.random.Generator, scale: float = 1.0) ->
 def random_morphism(
     field: Field, dom: Obj, cod: Obj, rng: np.random.Generator, scale: float = 1.0
 ) -> Morphism:
-    e = np.zeros((cod.dim, dom.dim, 4))
-    e[..., : field.width] = rng.normal(0.0, scale, (cod.dim, dom.dim, field.width))
-    return Morphism(field, dom, cod, e)
+    comps = rng.normal(0.0, scale, (cod.dim, dom.dim, field.width))
+    return from_components(field, dom, cod, comps)
 
 
 def random_dagger_mono(
     field: Field, dom: Obj, cod: Obj, rng: np.random.Generator
 ) -> Morphism:
     """Random isometry dom -> cod, built by orthonormalising the columns
-    of a Gaussian matrix.  Requires dom.dim <= cod.dim."""
+    of a Gaussian matrix and returned as one block of the accepted
+    columns.  Requires dom.dim <= cod.dim."""
     if dom.dim > cod.dim:
-        raise ValueError("no isometry into a smaller object")
+        raise NoMorphismError(f"no isometry from dimension {dom.dim} into {cod.dim}")
     if dom.dim == 0:
         return Morphism.zero(field, dom, cod)
     while True:
         m = random_morphism(field, dom, cod, rng)
         cols = orthonormal_columns([m.col(j) for j in range(dom.dim)])
         if len(cols) == dom.dim:  # Gaussian columns are a.s. independent
-            return copairing(cols)
+            return column_block(cols)
 
 
 def random_unitary(field: Field, obj: Obj, rng: np.random.Generator) -> Morphism:
@@ -50,7 +60,7 @@ def random_unitary(field: Field, obj: Obj, rng: np.random.Generator) -> Morphism
 
 def random_unit_column(field: Field, obj: Obj, rng: np.random.Generator) -> Morphism:
     if obj.dim == 0:
-        raise ValueError("the zero object carries no unit column")
+        raise NoMorphismError("the zero object carries no unit column")
     return random_dagger_mono(field, Obj(1), obj, rng)
 
 
@@ -58,6 +68,32 @@ def random_rank1_projection(field: Field, obj: Obj, rng: np.random.Generator) ->
     """v . v-dagger for a random unit column v."""
     v = random_unit_column(field, obj, rng)
     return compose(v, v.dagger())
+
+
+def random_rank1_projections(
+    field: Field, obj: Obj, count: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Stacked native arrays of `count` random rank-1 projections, the
+    same ones as `count` calls of `random_rank1_projection` in a row.
+
+    The Gaussian columns are drawn as one block, the same stream as one
+    column at a time.  A column that Gram-Schmidt would drop (shorter
+    than DROP_EPS) is skipped, and one more block draws the columns
+    still missing, so each replacement is the draw that follows, as in
+    the sequential retry."""
+    if obj.dim == 0:
+        raise NoMorphismError("the zero object carries no unit column")
+    if count < 0:
+        raise DomainError(f"cannot draw {count} projections")
+
+    def draw(n: int) -> np.ndarray:
+        columns = component_stack(field, rng.normal(0.0, 1.0, (n, obj.dim, 1, field.width)))
+        return unit_columns(columns, DROP_EPS)
+
+    units = draw(count)
+    while len(units) < count:
+        units = np.concatenate([units, draw(count - len(units))])
+    return outer_products(units)
 
 
 def random_coordinate_projection(

@@ -36,7 +36,7 @@ class Field(enum.Enum):
         for f in cls:
             if f.value == name:
                 return f
-        raise ValueError(f"unknown field {name!r}, expected one of R, C, H")
+        raise DomainError(f"unknown field {name!r}, expected one of R, C, H")
 
 
 ALL_FIELDS = (Field.REAL, Field.COMPLEX, Field.QUATERNION)

@@ -50,7 +50,7 @@ from daggerlab.sampling import (
     random_rank1_projection,
     random_unitary,
 )
-from daggerlab.scalars import ALL_FIELDS, Field, Scalar
+from daggerlab.scalars import ALL_FIELDS, DEFAULT_TOL, Field, Scalar
 
 RT2 = 2.0 ** -0.5
 
@@ -206,6 +206,76 @@ def test_sqrt_campaign_random_unitaries():
         assert frobenius_distance(cert.root.dagger() @ cert.root, ident) <= 1e-8
         assert is_strict_sqrt(u, cert.root, 20, rng)
         assert polynomial_fit_residual(u, cert.root) <= 1e-7
+
+
+def _is_strict_sqrt_one_projection_at_a_time(u, v, projection_samples, rng, tol=DEFAULT_TOL):
+    """The strictness check as it was before the projections were
+    stacked: each projection is a morphism, drawn one at a time, and each
+    commutation is two compositions and approx_eq."""
+    if not (matcat.is_dagger_iso(u, tol) and matcat.is_dagger_iso(v, tol)):
+        return False
+    if not approx_eq(v @ v, u, tol):
+        return False
+    if u.dom.dim == 0:
+        return True
+
+    def commutes(p, a):
+        return approx_eq(p @ a, a @ p, tol)
+
+    projections = [
+        basis_column(u.field, u.dom, k) @ basis_column(u.field, u.dom, k).dagger()
+        for k in range(u.dom.dim)
+    ]
+    projections += [random_rank1_projection(u.field, u.dom, rng) for _ in range(projection_samples)]
+    if u.field is Field.COMPLEX:
+        specs = spectral_projections(u)
+        projections += specs
+        for _ in range(4):
+            pick = [p for p in specs if rng.random() < 0.5]
+            if pick:
+                acc = pick[0]
+                for p in pick[1:]:
+                    acc = derived_add(acc, p)
+                projections.append(acc)
+    return all(commutes(p, u) == commutes(p, v) for p in projections)
+
+
+def _strictness_cases(field, rng):
+    """(name, u, v, strict or None when the sampling may not tell)."""
+    ident = Morphism.identity(field, Obj(2))
+    turn = np.array([[0.0, -1.0], [1.0, 0.0]])
+    cases = [
+        ("identity", ident, ident, True),
+        ("minus-identity-rotation", Morphism.from_real(field, -np.eye(2)),
+         Morphism.from_real(field, turn), False),
+    ]
+    # u has the eigenvalue 1 twice, and v takes it to 1 and -1: v is no
+    # polynomial in u, hidden in a random basis
+    u0 = np.zeros((4, 4))
+    u0[:2, :2], u0[2:, 2:] = np.eye(2), -np.eye(2)
+    v0 = np.zeros((4, 4))
+    v0[:2, :2], v0[2:, 2:] = np.diag([1.0, -1.0]), turn
+    w = random_unitary(field, Obj(4), rng)
+    hidden = [w @ Morphism.from_real(field, m) @ w.dagger() for m in (u0, v0)]
+    cases.append(("non-polynomial-root", *hidden, False if field is Field.COMPLEX else None))
+    w = random_unitary(field, Obj(3), rng)
+    cases.append(("square-of-random", w @ w, w, None))
+    if field is Field.COMPLEX:
+        u = random_unitary(field, Obj(5), rng)
+        cases.append(("synthesised-root", u, strict_sqrt_complex(u).root, True))
+    return cases
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS)
+def test_stacked_strictness_agrees_with_one_projection_at_a_time(field):
+    for name, u, v, strict in _strictness_cases(field, np.random.default_rng(6)):
+        for seed in range(3):
+            old_rng, new_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            want = _is_strict_sqrt_one_projection_at_a_time(u, v, 50, old_rng)
+            assert is_strict_sqrt(u, v, 50, new_rng) == want, name
+            assert old_rng.random() == new_rng.random(), name  # the same draws
+            if strict is not None:
+                assert want == strict, name
 
 
 def test_strict_sqrt_branch_cut_straddle():

@@ -21,7 +21,8 @@ from daggerlab.biproduct import (
     pairing,
     verify_biproduct,
 )
-from daggerlab.errors import ShapeMismatchError
+from daggerlab import biproduct
+from daggerlab.errors import DomainError, FieldMismatchError, ShapeMismatchError
 from daggerlab.matcat import (
     Morphism,
     Obj,
@@ -203,6 +204,8 @@ def test_nfold_biproduct_examples():
     assert np.allclose(injections[1].entries[..., 0], [[0], [1]])
 
     assert nfold_biproduct(UNIT, 0, Field.REAL) == []
+    with pytest.raises(DomainError):
+        nfold_biproduct(UNIT, -1, Field.REAL)
 
     injections = nfold_biproduct(Obj(2), 2, Field.COMPLEX)
     assert len(injections) == 2
@@ -358,3 +361,52 @@ def test_diagonal_pair_is_cached_and_read_only():
             assert not m._a.flags.writeable
             with pytest.raises(ValueError):
                 m._a[0, 0] = 7.0
+
+
+def test_diagonal_pair_cache_is_bounded():
+    biproduct._DIAGONAL_PAIRS.clear()
+    pairs = [diagonal_pair(Field.REAL, Obj(n)) for n in range(biproduct._DIAGONAL_PAIRS_MAX + 5)]
+    assert len(biproduct._DIAGONAL_PAIRS) <= biproduct._DIAGONAL_PAIRS_MAX
+    for n, dp in enumerate(pairs):
+        again = diagonal_pair(Field.REAL, Obj(n))
+        assert again.object == Obj(n)
+        assert frobenius_distance(again.diagonal, dp.diagonal) == 0.0
+
+
+def test_oplus_and_copairing_reject_mixed_fields():
+    r = Morphism.identity(Field.REAL, UNIT)
+    c = Morphism.identity(Field.COMPLEX, UNIT)
+    with pytest.raises(ShapeMismatchError):
+        oplus_mor(r, c)
+    with pytest.raises(FieldMismatchError):
+        copairing([r, c])
+
+
+@pytest.mark.parametrize("against_count", [0, 1])
+def test_orthonormal_columns_reject_mixed_fields_and_codomains(against_count):
+    rng = np.random.default_rng(8)
+    x = Obj(3)
+    against = [random_unitary(Field.COMPLEX, x, rng).col(0)][:against_count]
+    vectors = [random_morphism(Field.COMPLEX, UNIT, x, rng) for _ in range(2)]
+    real = random_morphism(Field.REAL, UNIT, x, rng)
+    quaternion = random_morphism(Field.QUATERNION, UNIT, x, rng)
+    longer = random_morphism(Field.COMPLEX, UNIT, Obj(4), rng)
+    for odd in (real, quaternion):
+        with pytest.raises(FieldMismatchError):
+            orthonormal_columns([*vectors, odd], against=against)
+        with pytest.raises(FieldMismatchError):
+            orthonormal_columns([odd, *vectors], against=against)
+    with pytest.raises(ShapeMismatchError):
+        orthonormal_columns([*vectors, longer], against=against)
+    with pytest.raises(ShapeMismatchError):
+        orthonormal_columns([longer, *vectors], against=against)
+    if against:
+        # a mixed prefix, and a prefix that differs from every vector
+        with pytest.raises(FieldMismatchError):
+            orthonormal_columns(vectors, against=[*against, real])
+        with pytest.raises(ShapeMismatchError):
+            orthonormal_columns(vectors, against=[*against, longer])
+        with pytest.raises(FieldMismatchError):
+            orthonormal_columns([real], against=against)
+        with pytest.raises(ShapeMismatchError):
+            orthonormal_columns([longer], against=against)

@@ -210,3 +210,32 @@ def test_check_that_draws_no_sample_exits_3(tmp_path, capsys):
         "details": {"error": "no sample drawn"},
     }]
     assert {r["status"] for r in payload["reports"]} == {"pass", "error"}
+
+
+@pytest.mark.parametrize("field, dom, reason", [("Q", 1, "unknown field"),
+                                                ("C", -1, "natural number")])
+def test_sqrt_input_outside_the_domain_is_input_error(tmp_path, capsys, field, dom, reason):
+    src = tmp_path / "m.json"
+    src.write_text(json.dumps({"field": field, "dom": dom, "cod": 1, "entries": [[]]}))
+    assert main(["sqrt", "--input", str(src)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bad morphism input: ") and reason in err
+
+
+def test_sampler_error_in_a_campaign_check_exits_3(tmp_path, capsys, monkeypatch):
+    from daggerlab import campaigns
+    from daggerlab.matcat import ZERO_OBJ
+
+    # with the unit object taken for the zero object, the check asks for
+    # a unit column of the zero object, which does not exist
+    check = campaigns.check_small_objects_distinct
+    monkeypatch.setattr(campaigns, "UNIT", ZERO_OBJ)
+    monkeypatch.setattr(campaigns, "lemma_checks", lambda field: [check])
+    out = tmp_path / "r.json"
+    argv = ["lemmas", "--field", "R", "--trials", "2", "--seed", "1"]
+    assert main(argv + ["--format", "json", "--out", str(out)]) == 3
+    (report,) = json.loads(out.read_text())["reports"]
+    assert report["axiom"] == "matcat.small-objects-pairwise-distinct"
+    assert report["status"] == "error"
+    assert report["details"] == {"error": "NoMorphismError: the zero object carries no unit column"}
+    assert "Traceback" not in capsys.readouterr().err

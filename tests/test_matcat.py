@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from daggerlab import matcat
-from daggerlab.errors import ContradictionError, FieldMismatchError, ShapeMismatchError
+from daggerlab.errors import ContradictionError, DomainError, FieldMismatchError, ShapeMismatchError
 from daggerlab.matcat import (
     Morphism,
     Obj,
@@ -214,6 +214,12 @@ def test_morphism_is_immutable():
         f.dom = Obj(2)
 
 
+def test_objects_are_natural_numbers():
+    assert Obj(0).dim == 0
+    with pytest.raises(DomainError):
+        Obj(-1)
+
+
 def test_views_are_read_only():
     f = Morphism.from_complex([[1.0 + 2.0j]])
     for view in (f.entries, f.complex_view()):
@@ -331,3 +337,84 @@ def test_column_helpers_match_the_scalar_path(pair):
     assert np.array_equal(matcat.scaled(u, r).entries,
                           (u @ Morphism.single(Scalar(u.field, r))).entries)
     assert (matcat.scaled(u, r).dom, matcat.scaled(u, r).cod) == (u.dom, u.cod)
+
+
+def _blocks_by_embedding(field, f, g):
+    dom, cod = Obj(f.dom.dim + g.dom.dim), Obj(f.cod.dim + g.cod.dim)
+    return embed(field, dom, cod, [(0, 0, f), (f.cod.dim, f.dom.dim, g)])
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS)
+def test_direct_sum_and_column_block_are_the_embedded_blocks(field):
+    rng = np.random.default_rng(1)
+    f = random_morphism(field, Obj(2), Obj(3), rng)
+    g = random_morphism(field, Obj(1), Obj(2), rng)
+    h = random_morphism(field, Obj(3), Obj(3), rng)
+    got = matcat.direct_sum(f, g)
+    want = _blocks_by_embedding(field, f, g)
+    assert (got.dom, got.cod) == (want.dom, want.cod)
+    assert got._a.tobytes() == want._a.tobytes()
+    block = matcat.column_block([f, h, f.col(1)])
+    parts = [(0, 0, f), (0, 2, h), (0, 5, f.col(1))]
+    want = embed(field, Obj(6), Obj(3), parts)
+    assert (block.dom, block.cod) == (want.dom, want.cod)
+    assert block._a.tobytes() == want._a.tobytes()
+    with pytest.raises(ShapeMismatchError):
+        matcat.column_block([])
+    with pytest.raises(ShapeMismatchError):
+        matcat.column_block([f, g])
+    other = Field.REAL if field is not Field.REAL else Field.COMPLEX
+    with pytest.raises(FieldMismatchError):
+        matcat.column_block([f, Morphism.zero(other, UNIT, Obj(3))])
+    with pytest.raises(FieldMismatchError):
+        matcat.direct_sum(f, Morphism.zero(other, UNIT, UNIT))
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS)
+def test_range_component_is_three_compositions(field):
+    rng = np.random.default_rng(2)
+    q = random_dagger_mono(field, Obj(2), Obj(4), rng)
+    u = random_morphism(field, UNIT, Obj(4), rng)
+    s = Morphism.single(Scalar(field, -1.0))
+    got = matcat.range_component(q, q.dagger(), u, s)
+    want = q @ ((q.dagger() @ u) @ s)
+    assert (got.field, got.dom, got.cod) == (want.field, want.dom, want.cod)
+    assert got._a.tobytes() == want._a.tobytes()
+    with pytest.raises(ShapeMismatchError):
+        matcat.range_component(q, q.dagger(), random_morphism(field, UNIT, Obj(3), rng), s)
+    with pytest.raises(ShapeMismatchError):
+        matcat.range_component(q, q.dagger(), random_morphism(field, Obj(2), Obj(4), rng), s)
+    other = Field.REAL if field is not Field.REAL else Field.COMPLEX
+    with pytest.raises(FieldMismatchError):
+        matcat.range_component(q, q.dagger(), u, Morphism.single(Scalar(other, -1.0)))
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS)
+def test_commuting_applies_the_approx_eq_rule_to_each_projection(field):
+    rng = np.random.default_rng(3)
+    x = Obj(3)
+    u = random_dagger_mono(field, x, x, rng)
+    projections = [random_rank1_projection(field, x, rng) for _ in range(5)]
+    projections += [Morphism.identity(field, x), Morphism.zero(field, x, x),
+                    Morphism.from_real(field, np.diag([1.0, 0.0, 0.0]))]
+    diagonal = Morphism.from_real(field, np.diag([2.0, 3.0, 3.0]))
+    stack = matcat.native_stack(projections)
+    for a in (u, diagonal, Morphism.identity(field, x)):
+        want = [approx_eq(p @ a, a @ p) for p in projections]
+        assert matcat.commuting(field, stack, a).tolist() == want
+    assert matcat.commuting(field, stack, diagonal).tolist() == [False] * 5 + [True] * 3
+    with pytest.raises(ShapeMismatchError):
+        matcat.commuting(field, stack, Morphism.identity(field, Obj(2)))
+    other = Field.REAL if field is not Field.REAL else Field.COMPLEX
+    with pytest.raises(FieldMismatchError):
+        matcat.commuting(field, stack, Morphism.identity(other, x))
+
+
+def test_from_components_checks_the_shape():
+    comps = np.ones((2, 3, 2))
+    m = matcat.from_components(Field.COMPLEX, Obj(3), Obj(2), comps)
+    assert np.array_equal(m.complex_view(), np.full((2, 3), 1 + 1j))
+    with pytest.raises(ShapeMismatchError):
+        matcat.from_components(Field.COMPLEX, Obj(2), Obj(3), comps)
+    with pytest.raises(ShapeMismatchError):
+        matcat.from_components(Field.QUATERNION, Obj(3), Obj(2), comps)

@@ -302,3 +302,48 @@ def test_saturation_rejects_a_negative_generator_count():
         saturation_check(3, seed=0, count=-3)
     with pytest.raises(DomainError):
         projection_generators(3, seed=0, count=-1)
+
+
+def _close_by_all_differences(field, a, a_norms, b, b_norms, tol):
+    """Every pair compared: the norms of all differences at once."""
+    bound = tol.abs_eps + tol.rel_eps * np.maximum(a_norms[:, None], b_norms)
+    return stack_norms(field, a[:, None] - b) <= bound
+
+
+def _stack_with_near_twins(field, rng):
+    """Words with repeated norms and twins near the tolerance bound."""
+    x = Obj(3)
+    base = [random_morphism(field, x, x, rng) for _ in range(6)]
+    ident = Morphism.identity(field, x)
+    words = base + [base[0], base[1] @ ident, Morphism.zero(field, x, x)]
+    stack = native_stack(words)
+    nudged = stack[:3] * (1.0 + np.array([0.5e-9, 0.9e-9, 3e-9]))[:, None, None]
+    return np.concatenate([stack, nudged, -stack[:2]])
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS)
+def test_close_compares_only_pairs_that_can_be_close(monkeypatch, field):
+    rng = np.random.default_rng(12)
+    a = _stack_with_near_twins(field, rng)
+    b = np.concatenate([a[::2], _stack_with_near_twins(field, rng)])
+    a_norms, b_norms = stack_norms(field, a), stack_norms(field, b)
+    compared = []
+
+    def counting_norms(f, stack):
+        compared.append(len(stack))
+        return stack_norms(f, stack)
+
+    monkeypatch.setattr(projspan, "stack_norms", counting_norms)
+    for chunk in (projspan.DEDUP_CHUNK_BYTES, 1):
+        monkeypatch.setattr(projspan, "DEDUP_CHUNK_BYTES", chunk)
+        want = _close_by_all_differences(field, a, a_norms, b, b_norms, DEFAULT_TOL)
+        compared.clear()
+        got = projspan._close(field, a, a_norms, b, b_norms, DEFAULT_TOL)
+        assert got.tolist() == want.tolist()
+        assert 0 < sum(compared) < want.size / 4  # equal and near-equal norms only
+        twins = _close_by_all_differences(field, a, a_norms, a, a_norms, DEFAULT_TOL)
+        compared.clear()
+        got = projspan._close(field, a, a_norms, a, a_norms, DEFAULT_TOL, upper=True)
+        assert got.tolist() == np.triu(twins, 1).tolist()
+        assert sum(compared) < len(a) * (len(a) - 1) / 2 / 4
+    assert want.sum() > len(b) // 2 and np.triu(twins, 1).sum() >= 3

@@ -1,0 +1,125 @@
+"""Samplers: the batched rank-1 block against one draw at a time, the
+native isometry sampler, and the errors on impossible requests."""
+
+import numpy as np
+import pytest
+
+from daggerlab import biproduct, matcat
+from daggerlab.errors import DomainError, NoMorphismError
+from daggerlab.matcat import Morphism, Obj, UNIT, ZERO_OBJ, native_stack
+from daggerlab.sampling import (
+    random_dagger_mono,
+    random_morphism,
+    random_rank1_projection,
+    random_rank1_projections,
+    random_unit_column,
+)
+from daggerlab.scalars import ALL_FIELDS, Field
+
+
+class QueueRng:
+    """Stand-in for a numpy Generator whose normal draws come in order
+    from a fixed queue of standard normal values, however they are
+    grouped into calls."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def normal(self, loc, scale, size):
+        count = int(np.prod(size))
+        taken, self.values = self.values[:count], self.values[count:]
+        assert len(taken) == count, "queue exhausted"
+        return loc + scale * np.array(taken).reshape(size)
+
+
+def _sequential(field, dim, count, rng):
+    return native_stack([random_rank1_projection(field, Obj(dim), rng) for _ in range(count)])
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS)
+@pytest.mark.parametrize("dim", [1, 2, 3, 6])
+def test_rank1_block_is_bitwise_the_sequential_draws(field, dim):
+    seq_rng, block_rng = np.random.default_rng(dim), np.random.default_rng(dim)
+    want = _sequential(field, dim, 50, seq_rng)
+    got = random_rank1_projections(field, Obj(dim), 50, block_rng)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    # both consumed the same stream
+    assert seq_rng.random() == block_rng.random()
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS)
+def test_rank1_block_replaces_a_dropped_draw_with_the_next_one(field):
+    dim, count = 3, 5
+    column = dim * field.width
+    draws = np.random.default_rng(9).normal(0.0, 1.0, (count + 1) * column + 7)
+    draws[2 * column:3 * column] = 0.0  # the third column has length 0: Gram-Schmidt drops it
+    seq_rng, block_rng = QueueRng(draws), QueueRng(draws)
+    want = _sequential(field, dim, count, seq_rng)
+    got = random_rank1_projections(field, Obj(dim), count, block_rng)
+    assert got.tobytes() == want.tobytes()
+    assert len(seq_rng.values) == len(block_rng.values) == 7  # one draw more than count
+    # the replacement is the column after the dropped one
+    sixth = draws[count * column:(count + 1) * column].reshape(dim, 1, field.width)
+    v = matcat.from_components(field, UNIT, Obj(dim), sixth)
+    v = matcat.scaled(v, 1.0 / np.sqrt(matcat.column_sq_norm(v)))
+    assert got[-1].tobytes() == (v @ v.dagger())._a.tobytes()
+
+
+def test_rank1_block_rejects_impossible_requests():
+    rng = np.random.default_rng(0)
+    assert random_rank1_projections(Field.REAL, Obj(2), 0, rng).shape == (0, 2, 2)
+    with pytest.raises(NoMorphismError):
+        random_rank1_projections(Field.COMPLEX, ZERO_OBJ, 3, rng)
+    with pytest.raises(DomainError):
+        random_rank1_projections(Field.COMPLEX, Obj(2), -1, rng)
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS)
+def test_random_morphism_matches_the_constructor(field):
+    rng = np.random.default_rng(4)
+    got = random_morphism(field, Obj(3), Obj(2), rng, scale=0.5)
+    entries = np.zeros((2, 3, 4))
+    entries[..., :field.width] = np.random.default_rng(4).normal(0.0, 0.5, (2, 3, field.width))
+    want = Morphism(field, Obj(3), Obj(2), entries)
+    assert (got.field, got.dom, got.cod) == (want.field, want.dom, want.cod)
+    assert got._a.tobytes() == want._a.tobytes()
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS)
+def test_random_dagger_mono_composes_only_inside_derived_additions(monkeypatch, field):
+    calls = {"compose": 0, "Morphism": 0, "derived_add": 0}
+    compose, init, derived_add = matcat.compose, Morphism.__init__, biproduct.derived_add
+
+    def counting_compose(g, f):
+        calls["compose"] += 1
+        return compose(g, f)
+
+    def counting_init(self, *args, **kwargs):
+        calls["Morphism"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_add(f, g):
+        calls["derived_add"] += 1
+        return derived_add(f, g)
+
+    monkeypatch.setattr(matcat, "compose", counting_compose)
+    monkeypatch.setattr(Morphism, "__init__", counting_init)
+    monkeypatch.setattr(biproduct, "derived_add", counting_add)
+    rng = np.random.default_rng(2)
+    random_dagger_mono(field, UNIT, Obj(4), rng)
+    assert calls == {"compose": 0, "Morphism": 0, "derived_add": 0}
+    m = random_dagger_mono(field, Obj(3), Obj(5), rng)
+    # two Gram-Schmidt passes for each column after the first, and each
+    # derived addition is codiagonal . (f (+) g) . diagonal
+    assert calls == {"compose": 2 * 2 * 2, "Morphism": 0, "derived_add": 2 * 2}
+    assert matcat.is_dagger_mono(m)
+
+
+def test_samplers_reject_impossible_isometries():
+    rng = np.random.default_rng(0)
+    with pytest.raises(NoMorphismError):
+        random_dagger_mono(Field.COMPLEX, Obj(3), Obj(2), rng)
+    with pytest.raises(NoMorphismError):
+        random_unit_column(Field.REAL, ZERO_OBJ, rng)
+    assert random_dagger_mono(Field.REAL, ZERO_OBJ, Obj(2), rng).norm() == 0.0

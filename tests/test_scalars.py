@@ -136,3 +136,9 @@ def test_inverse_two_sided(field):
 def test_real_sqrt_matches_math():
     for v in [0.0, 1.0, 2.0, 1e-12, 123.456]:
         assert real_sqrt(v) == math.sqrt(v)
+
+
+def test_field_names():
+    assert [Field.from_name(name) for name in "RCH"] == list(ALL_FIELDS)
+    with pytest.raises(DomainError):
+        Field.from_name("Q")
