@@ -536,6 +536,15 @@ class ColimitCocone:
             )
         return worst
 
+    def complement_projection(self, tol: TolerancePolicy = DEFAULT_TOL) -> Morphism:
+        """The projection onto the complement of the span of the legs'
+        columns in the apex; it draws nothing from an rng."""
+        columns = [leg.col(j) for leg in self.legs.values() for j in range(leg.dom.dim)]
+        ortho = orthonormal_columns(columns, tol=tol)
+        span_mono = copairing(ortho) if ortho else Morphism.zero(self.field, Obj(0), self.apex)
+        comp = complement_h3(span_mono, tol)
+        return comp @ comp.dagger()
+
 
 def finite_directed_colimit(
     d: DirectedDiagram, tol: TolerancePolicy = DEFAULT_TOL
@@ -602,12 +611,7 @@ def jointly_epic_check(
     rank = int(np.linalg.matrix_rank(np.array(real_vectors).T, tol=SVD_RANK_EPS))
     spans = rank == apex.dim * w
 
-    ortho = orthonormal_columns(columns, tol=tol)
-    span_mono = (
-        copairing(ortho) if ortho else Morphism.zero(field, Obj(0), apex)
-    )
-    comp = complement_h3(span_mono, tol)
-    p_perp = comp @ comp.dagger()
+    p_perp = cocone.complement_projection(tol)
     agree = True
     y = Obj(apex.dim)
     for _ in range(trials):

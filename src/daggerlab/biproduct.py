@@ -151,7 +151,7 @@ def diagonal_pair(field: Field, x: Obj) -> DiagonalPair:
 def derived_add(f: Morphism, g: Morphism) -> Morphism:
     """Sum of parallel morphisms, evaluated literally as
     codiagonal . (f (+) g) . diagonal."""
-    if f.dom != g.dom or f.cod != g.cod or f.field is not g.field:
+    if f.dom.dim != g.dom.dim or f.cod.dim != g.cod.dim or f.field is not g.field:
         raise ShapeMismatchError("derived addition needs parallel morphisms")
     dp_dom = diagonal_pair(f.field, f.dom)
     dp_cod = diagonal_pair(f.field, f.cod)

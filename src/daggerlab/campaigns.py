@@ -25,6 +25,7 @@ alone, with the declared name, docstring and a `check_id` attribute.
 from __future__ import annotations
 
 import functools
+import math
 import zlib
 from dataclasses import dataclass, field as dc_field
 from typing import Callable
@@ -34,12 +35,10 @@ import numpy as np
 from . import axioms, projspan, reconstruct, scalars
 from .biproduct import (
     Biproduct,
-    copairing,
     derived_add,
     make_biproduct,
     nfold_biproduct,
     oplus_mor,
-    orthonormal_columns,
     verify_biproduct,
 )
 from .errors import DaggerLabError, DomainError, NoMorphismError
@@ -47,6 +46,8 @@ from .matcat import (
     Morphism,
     Obj,
     UNIT,
+    column_distances,
+    column_norms,
     frobenius_distance,
     is_dagger_iso,
     is_dagger_mono,
@@ -390,13 +391,15 @@ def check_h2_directed_colimits(cfg: CampaignConfig, rng: np.random.Generator) ->
         worst = worse(worst, cocone.commutation_residual(diagram))
         if not axioms.jointly_epic_check(cocone, trials=4, rng=rng, tol=cfg.tol):
             return _report(cfg, FAIL, worst, details={"reason": "legs not jointly epic"})
+        p_perp = cocone.complement_projection(cfg.tol)
         for _ in range(2):  # two competing cocones per diagram
             extra = int(rng.integers(0, 3))
             m = random_dagger_mono(cfg.field, cocone.apex, Obj(cocone.apex.dim + extra), rng)
             competing = {n: m @ leg for n, leg in cocone.legs.items()}
             u = axioms.mediating_dagger_mono(cocone, competing, cfg.tol)
             worst = worse(worst, frobenius_distance(u, m))
-            worst = worse(worst, _mediating_uniqueness_residual(cfg, cocone, competing, u, rng))
+            worst = worse(worst, _mediating_uniqueness_residual(cfg, cocone, competing, u,
+                                                                p_perp, rng))
     return _verdict(cfg, worst, target=COLIMIT_RESIDUAL_TARGET)
 
 
@@ -405,21 +408,13 @@ def _mediating_uniqueness_residual(
     cocone: axioms.ColimitCocone,
     competing: dict,
     u: Morphism,
+    p_perp: Morphism,
     rng: np.random.Generator,
 ) -> float:
     """Any candidate agreeing with u on every leg coincides with it: a
-    perturbation supported on the complement of the legs' span collapses,
-    and (over R and C) the least-squares solution of the leg equations
-    lands on u as well."""
-    columns = [leg.col(j) for leg in cocone.legs.values() for j in range(leg.dom.dim)]
-    ortho = orthonormal_columns(columns, tol=cfg.tol)
-    span = (
-        copairing(ortho)
-        if ortho
-        else Morphism.zero(cfg.field, Obj(0), cocone.apex)
-    )
-    comp = axioms.complement_h3(span, cfg.tol)
-    p_perp = comp @ comp.dagger()
+    perturbation supported on the complement of the legs' span (`p_perp`
+    projects onto it) collapses, and (over R and C) the least-squares
+    solution of the leg equations lands on u as well."""
     noise = random_morphism(cfg.field, cocone.apex, u.cod, rng) @ p_perp
     residual = frobenius_distance(derived_add(u, noise), u)
 
@@ -522,8 +517,7 @@ def check_h5_refutation(cfg: CampaignConfig, rng: np.random.Generator) -> Report
 
 
 def _random_onb(cfg: CampaignConfig, x: Obj, rng: np.random.Generator) -> reconstruct.Subspace:
-    u = random_unitary(cfg.field, x, rng)
-    return reconstruct.Subspace(cfg.field, x, tuple(u.col(j) for j in range(x.dim)))
+    return reconstruct.Subspace(random_unitary(cfg.field, x, rng))
 
 
 @law("reconstruct.hermitian-form-laws", 300, 100.0)
@@ -533,24 +527,23 @@ def check_hermitian_form_laws(cfg: CampaignConfig, rng: np.random.Generator):
     u = random_morphism(cfg.field, UNIT, x, rng)
     v = random_morphism(cfg.field, UNIT, x, rng)
     w = random_morphism(cfg.field, UNIT, x, rng)
-    alpha = random_scalar(cfg.field, rng)
+    alpha = endo.lift(random_scalar(cfg.field, rng))
 
-    herm = lambda p, q: Morphism.single(reconstruct.inner_product(p, q))
+    herm = reconstruct.hermitian_form  # <p, q> as a 1x1 morphism, never a Scalar
+    huv = herm(u, v)
     residuals = (
         # linear in the first slot for the reversed multiplication
-        frobenius_distance(herm(reconstruct.scale(u, alpha), v),
-                           endo.mul(endo.lift(alpha), herm(u, v))),
+        frobenius_distance(herm(u @ alpha, v), endo.mul(alpha, huv)),
         # conjugate-linear in the second slot
-        frobenius_distance(herm(u, reconstruct.scale(v, alpha)),
-                           endo.mul(herm(u, v), endo.star(endo.lift(alpha)))),
+        frobenius_distance(herm(u, v @ alpha), endo.mul(huv, endo.star(alpha))),
         # additive in both slots
-        frobenius_distance(herm(derived_add(u, w), v), endo.add(herm(u, v), herm(w, v))),
+        frobenius_distance(herm(derived_add(u, w), v), endo.add(huv, herm(w, v))),
         # conjugate symmetry
-        frobenius_distance(herm(u, v), endo.star(herm(v, u))),
+        frobenius_distance(huv, endo.star(herm(v, u))),
     )
     # anisotropy: the squared length is real and positive for u != 0
-    uu = reconstruct.inner_product(u, u)
-    if u.norm() > 1e-3 and (uu.w <= 0 or abs(uu.x) + abs(uu.y) + abs(uu.z) > cfg.tol.abs_eps):
+    uu = herm(u, u).entries[0, 0]  # components w, x, y, z
+    if u.norm() > 1e-3 and (uu[0] <= 0 or abs(uu[1]) + abs(uu[2]) + abs(uu[3]) > cfg.tol.abs_eps):
         return _report(cfg, FAIL, 0.0, u, {"reason": "squared length not positive real"})
     return residuals
 
@@ -562,7 +555,7 @@ def check_uniformity(cfg: CampaignConfig, rng: np.random.Generator):
     if u.norm() < 1e-3:
         return None
     h = axioms.normalize_h4b(u, cfg.tol)
-    unit = reconstruct.scale(u, h)
+    unit = u @ Morphism.single(h)
     return (abs(scalars.norm(reconstruct.inner_product(unit, unit)) - 1.0),)
 
 
@@ -574,15 +567,17 @@ def check_copairing_biconditional(cfg: CampaignConfig, rng: np.random.Generator)
         x = _random_shape(rng, 1, 6)
         n = int(rng.integers(1, x.dim + 1))
         if trial % 2 == 0:
-            u = random_dagger_mono(cfg.field, Obj(n), x, rng)
-            cols = tuple(u.col(j) for j in range(n))
+            sub = reconstruct.Subspace(random_dagger_mono(cfg.field, Obj(n), x, rng))
         else:
-            cols = tuple(random_morphism(cfg.field, UNIT, x, rng) for _ in range(n))
-        sub = reconstruct.Subspace(cfg.field, x, cols)
-        orthonormal = sub.orthonormality_residual() <= 1e-6
-        isometric = is_dagger_mono(copairing(list(cols)), cfg.tol)
+            cols = [random_morphism(cfg.field, UNIT, x, rng) for _ in range(n)]
+            sub = reconstruct.Subspace.of_columns(cfg.field, x, cols)
+        residual = sub.orthonormality_residual()
+        if not math.isfinite(residual):  # neither side of the biconditional can be read
+            return _report(cfg, FAIL, residual, details={"reason": "non-finite residual"})
+        orthonormal = residual <= 1e-6
+        isometric = is_dagger_mono(sub.isometry, cfg.tol)
         if orthonormal != isometric:
-            return _report(cfg, FAIL, sub.orthonormality_residual(),
+            return _report(cfg, FAIL, residual,
                            details={"orthonormal": orthonormal, "isometric": isometric})
     return _report(cfg, PASS, 0.0)
 
@@ -594,14 +589,10 @@ def check_onb_is_full_biproduct(cfg: CampaignConfig, rng: np.random.Generator):
     every vector."""
     x = _random_shape(rng, 1, 6)
     basis = _random_onb(cfg, x, rng)
-    cop = copairing(list(basis.onb))
-    if not is_dagger_iso(cop, cfg.tol):
-        return _report(cfg, FAIL, 0.0, cop)
+    if not is_dagger_iso(basis.isometry, cfg.tol):
+        return _report(cfg, FAIL, 0.0, basis.isometry)
     u = random_morphism(cfg.field, UNIT, x, rng)
-    coeffs = reconstruct.onb_expand(u, basis, cfg.tol)
-    recon = Morphism.zero(cfg.field, UNIT, x)
-    for e, c in zip(basis.onb, coeffs):
-        recon = derived_add(recon, reconstruct.scale(e, c))
+    _, recon = reconstruct.onb_expansion(u, basis)
     return (frobenius_distance(u, recon),)
 
 
@@ -636,10 +627,11 @@ def check_orthomodularity(cfg: CampaignConfig, rng: np.random.Generator):
     if sub.dim + perp.dim != x.dim:
         return _report(cfg, FAIL, 0.0, details={"dims": [sub.dim, perp.dim, x.dim]})
     p, q = reconstruct.projection_of_subspace(sub), reconstruct.projection_of_subspace(perp)
+    # one residual per basis column, read from one product each
     return (
         [frobenius_distance(derived_add(p, q), Morphism.identity(cfg.field, x))]
-        + [frobenius_distance(p @ e, e) for e in sub.onb]
-        + [(p @ e).norm() for e in perp.onb]
+        + column_distances(p @ sub.isometry, sub.isometry)
+        + column_norms(p @ perp.isometry)
     )
 
 
@@ -725,7 +717,7 @@ def check_rank_objects(cfg: CampaignConfig, rng: np.random.Generator) -> Report:
         x, onb = reconstruct.rank_object(cfg.field, n)
         if x.dim != n or len(onb) != n:
             return _report(cfg, FAIL, 0.0, details={"rank": n})
-        sub = reconstruct.Subspace(cfg.field, x, tuple(onb))
+        sub = reconstruct.Subspace.of_columns(cfg.field, x, onb)
         worst = worse(worst, sub.orthonormality_residual())
     return _verdict(cfg, worst)
 

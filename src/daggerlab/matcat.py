@@ -222,6 +222,10 @@ class Morphism:
         """j-th column as a morphism from the unit object."""
         return _wrap(self.field, UNIT, self.cod, self._a[:, _span(self.field, j, 1)])
 
+    def row(self, i: int) -> "Morphism":
+        """i-th row as a morphism into the unit object."""
+        return _wrap(self.field, self.dom, UNIT, self._a[_span(self.field, i, 1), :])
+
     # -- algebra ----------------------------------------------------------
 
     def dagger(self) -> "Morphism":
@@ -338,7 +342,7 @@ def column_block(ms: Sequence[Morphism]) -> Morphism:
     for m in ms:
         if m.field is not field:
             raise FieldMismatchError(f"{m.field.value} vs {field.value}")
-        if m.cod != cod:
+        if m.cod.dim != cod.dim:
             raise ShapeMismatchError("column block requires a common codomain")
     a = np.concatenate([m._a for m in ms], axis=1)
     return _wrap(field, Obj(sum(m.dom.dim for m in ms)), cod, a)
@@ -353,7 +357,7 @@ def range_component(q: Morphism, q_dagger: Morphism, u: Morphism, s: Morphism) -
         raise FieldMismatchError(
             f"{q.field.value}, {q_dagger.field.value}, {u.field.value}, {s.field.value}"
         )
-    if q_dagger.dom != u.cod or s.cod != u.dom or q.dom != q_dagger.cod:
+    if q_dagger.dom.dim != u.cod.dim or s.cod.dim != u.dom.dim or q.dom.dim != q_dagger.cod.dim:
         raise ShapeMismatchError(
             f"cannot project {u.dom.dim}->{u.cod.dim} on the range of "
             f"{q.dom.dim}->{q.cod.dim} and scale it by {s.dom.dim}->{s.cod.dim}"
@@ -365,7 +369,7 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
     """g after f: one matrix product of the native arrays."""
     if g.field is not f.field:
         raise FieldMismatchError(f"{g.field.value} vs {f.field.value}")
-    if f.cod != g.dom:
+    if f.cod.dim != g.dom.dim:  # the dimension is the object, and cheaper to compare
         raise ShapeMismatchError(
             f"cannot compose {g.dom.dim}->{g.cod.dim} after {f.dom.dim}->{f.cod.dim}"
         )
@@ -376,9 +380,27 @@ def frobenius_distance(f: Morphism, g: Morphism) -> float:
     """Metric backing all approximate morphism equality."""
     if f.field is not g.field:
         raise FieldMismatchError(f"{f.field.value} vs {g.field.value}")
-    if f.dom != g.dom or f.cod != g.cod:
+    if f.dom.dim != g.dom.dim or f.cod.dim != g.cod.dim:
         raise ShapeMismatchError("morphisms of different shape")
     return math.sqrt(_sq_norm(f.field, f._a - g._a))
+
+
+def column_distances(f: Morphism, g: Morphism) -> list[float]:
+    """frobenius_distance(f.col(j), g.col(j)) for every column j, from
+    one difference of the native arrays; NaN where a column has one."""
+    if f.field is not g.field:
+        raise FieldMismatchError(f"{f.field.value} vs {g.field.value}")
+    if f.dom.dim != g.dom.dim or f.cod.dim != g.cod.dim:
+        raise ShapeMismatchError("morphisms of different shape")
+    return column_norms(_wrap(f.field, f.dom, f.cod, f._a - g._a))
+
+
+def column_norms(m: Morphism) -> list[float]:
+    """m.col(j).norm() for every column j, from one pass over the native
+    array; NaN where a column has one."""
+    s = _block(m.field)
+    sq = (m._a.conj() * m._a).real.sum(axis=0).reshape(m.dom.dim, s).sum(axis=1)
+    return np.sqrt(sq / s).tolist()
 
 
 def native_stack(ms: Sequence[Morphism]) -> np.ndarray:

@@ -11,30 +11,32 @@ for quaternions hold by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .axioms import complement_h3, construct_h4a, normalize_h4b
 from .biproduct import (
-    copairing,
     derived_add,
     diagonal_pair,
     make_biproduct,
     nfold_biproduct,
     orthonormal_columns,
 )
-from .errors import ContradictionError, ResidualError, ShapeMismatchError
+from .errors import ContradictionError, FieldMismatchError, ResidualError, ShapeMismatchError
 from .matcat import (
     Morphism,
     Obj,
     UNIT,
     approx_eq,
     basis_column,
+    column_block,
     embed,
     frobenius_distance,
 )
-from .reports import ERROR, FAIL, INFEASIBLE, NO_SAMPLE, PASS, Report, worse
+from .reports import ERROR, FAIL, INFEASIBLE, NO_SAMPLE, PASS, Report
 from .sampling import random_morphism
 from .scalars import DEFAULT_TOL, Field, Scalar, TolerancePolicy
 from .scalars import inv as scalar_inv
@@ -46,40 +48,66 @@ def _require_vector(u: Morphism) -> None:
         raise ShapeMismatchError("vectors are morphisms out of the unit object")
 
 
-def inner_product(u: Morphism, v: Morphism) -> Scalar:
-    """<u, v> = v-dagger . u, a 1x1 morphism lowered to a scalar."""
+def hermitian_form(u: Morphism, v: Morphism) -> Morphism:
+    """<u, v> = v-dagger . u, a 1x1 morphism: a unit-object endomorphism."""
     _require_vector(u)
     _require_vector(v)
     if u.cod != v.cod:
         raise ShapeMismatchError("inner product needs a common ambient object")
-    return (v.dagger() @ u).scalar()
+    return v.dagger() @ u
 
 
-def scale(u: Morphism, a: Scalar) -> Morphism:
-    """Right scalar action on a vector: compose with the 1x1 morphism."""
-    return u @ Morphism.single(a)
+def inner_product(u: Morphism, v: Morphism) -> Scalar:
+    """<u, v> = v-dagger . u, a 1x1 morphism lowered to a scalar."""
+    return hermitian_form(u, v).scalar()
 
 
 @dataclass(frozen=True)
 class Subspace:
-    """An orthoclosed subspace, given by an orthonormal spanning list."""
+    """An orthoclosed subspace, given by an isometry B: Obj(k) -> ambient
+    whose columns are its orthonormal basis (B is the dagger mono that
+    realises the subspace).  Every operation on a subspace is a
+    composite with B or B-dagger."""
 
-    field: Field
-    ambient: Obj
-    onb: tuple[Morphism, ...]
+    isometry: Morphism
+
+    @classmethod
+    def of_columns(cls, field: Field, ambient: Obj, columns: Sequence[Morphism]) -> "Subspace":
+        """The subspace with the given basis columns, side by side in one
+        block; no columns give the zero subspace of `ambient`.  Nothing
+        checks that they are orthonormal: `orthonormality_residual`
+        measures it."""
+        if not columns:
+            return cls(Morphism.zero(field, Obj(0), ambient))
+        b = column_block(columns)
+        if b.field is not field:
+            raise FieldMismatchError(f"{b.field.value} basis of a {field.value} subspace")
+        if b.cod != ambient:
+            raise ShapeMismatchError("basis columns do not lie in the ambient object")
+        return cls(b)
+
+    @property
+    def field(self) -> Field:
+        return self.isometry.field
+
+    @property
+    def ambient(self) -> Obj:
+        return self.isometry.cod
 
     @property
     def dim(self) -> int:
-        return len(self.onb)
+        return self.isometry.dom.dim
 
     def orthonormality_residual(self) -> float:
-        worst = 0.0
-        for i, e in enumerate(self.onb):
-            for j, f in enumerate(self.onb):
-                g = inner_product(e, f)
-                target = 1.0 if i == j else 0.0
-                worst = worse(worst, abs(g.w - target), abs(g.x), abs(g.y), abs(g.z))
-        return worst
+        """Largest component of B-dagger . B - I, whose entry (i, j) is
+        <e_j, e_i> - delta_ij; NaN if any column holds a NaN."""
+        b = self.isometry
+        if not b.dom.dim:
+            return 0.0
+        gram = np.array((b.dagger() @ b).entries)
+        diagonal = np.arange(b.dom.dim)
+        gram[diagonal, diagonal, 0] -= 1.0
+        return float(np.abs(gram).max())  # max() propagates a NaN
 
 
 def gram_schmidt(
@@ -99,36 +127,42 @@ def gram_schmidt(
     for v in vectors:
         _require_vector(v)
     onb = orthonormal_columns(vectors, drop_eps=drop_eps, tol=tol)
-    return Subspace(field, ambient, tuple(onb))
+    return Subspace.of_columns(field, ambient, onb)
+
+
+def onb_expansion(u: Morphism, basis: Subspace) -> tuple[Morphism, Morphism]:
+    """The coefficients c = B-dagger . u of u in an orthonormal basis B,
+    as a column, and the reconstruction sum e_1.c_1 + ... + e_n.c_n,
+    assembled via the derived addition."""
+    _require_vector(u)
+    b = basis.isometry
+    coeffs = b.dagger() @ u
+    recon = Morphism.zero(u.field, UNIT, u.cod)
+    for j in range(basis.dim):
+        recon = derived_add(recon, b.col(j) @ coeffs.row(j))
+    return coeffs, recon
 
 
 def onb_expand(
     u: Morphism, basis: Subspace, tol: TolerancePolicy = DEFAULT_TOL
 ) -> list[Scalar]:
-    """Coefficients of u in an orthonormal basis: c_i = e_i-dagger . u,
-    with the reconstruction sum e_1.c_1 + ... + e_n.c_n re-assembled via
-    the derived addition and checked against u."""
-    _require_vector(u)
-    coeffs = [(e.dagger() @ u).scalar() for e in basis.onb]
-    recon = Morphism.zero(u.field, UNIT, u.cod)
-    for e, c in zip(basis.onb, coeffs):
-        recon = derived_add(recon, scale(e, c))
+    """Coefficients of u in an orthonormal basis, c_i = e_i-dagger . u,
+    checked by the reconstruction sum of `onb_expansion` against u."""
+    coeffs, recon = onb_expansion(u, basis)
     residual = frobenius_distance(u, recon)
     if residual > tol.bound(u.norm(), recon.norm()):
         raise ResidualError("basis does not span the expanded vector", residual)
-    return coeffs
+    return [coeffs.entry(i, 0) for i in range(basis.dim)]
 
 
 def coordinate_basis(field: Field, x: Obj) -> Subspace:
-    return Subspace(field, x, tuple(basis_column(field, x, k) for k in range(x.dim)))
+    return Subspace(Morphism.identity(field, x))
 
 
 def subspace_to_dagger_mono(m: Subspace) -> Morphism:
     """The isometry whose image realises the subspace; the empty span
     yields the morphism out of the zero object."""
-    if not m.onb:
-        return Morphism.zero(m.field, Obj(0), m.ambient)
-    return copairing(list(m.onb))
+    return m.isometry
 
 
 def projection_of_subspace(m: Subspace) -> Morphism:
@@ -137,10 +171,7 @@ def projection_of_subspace(m: Subspace) -> Morphism:
 
 
 def orthocomplement(m: Subspace, tol: TolerancePolicy = DEFAULT_TOL) -> Subspace:
-    comp = complement_h3(subspace_to_dagger_mono(m), tol)
-    return Subspace(
-        m.field, m.ambient, tuple(comp.col(j) for j in range(comp.dom.dim))
-    )
+    return Subspace(complement_h3(m.isometry, tol))
 
 
 def functor_v(
@@ -150,17 +181,13 @@ def functor_v(
     tol: TolerancePolicy = DEFAULT_TOL,
 ) -> Morphism:
     """Matrix of the column action u -> f . u in chosen orthonormal
-    bases; entry (i, j) is the 1x1 composition e_i-dagger . f . e_j."""
-    if basis_dom.ambient != f.dom or basis_cod.ambient != f.cod:
+    bases: the composite B_cod-dagger . f . B_dom, whose entry (i, j) is
+    e_i-dagger . f . e_j."""
+    if basis_dom.ambient.dim != f.dom.dim or basis_cod.ambient.dim != f.cod.dim:
         raise ShapeMismatchError("bases do not match the morphism's endpoints")
     if basis_dom.dim != f.dom.dim or basis_cod.dim != f.cod.dim:
         raise ShapeMismatchError("bases must span the domain and codomain")
-    rows = []
-    for ei in basis_cod.onb:
-        rows.append([(ei.dagger() @ f @ ej).scalar() for ej in basis_dom.onb])
-    if not rows:
-        return Morphism.zero(f.field, Obj(basis_dom.dim), Obj(0))
-    return Morphism.from_scalars(f.field, rows)
+    return basis_cod.isometry.dagger() @ f @ basis_dom.isometry
 
 
 def rank_object(field: Field, n: int) -> tuple[Obj, list[Morphism]]:
@@ -257,7 +284,16 @@ def faithfulness_check(
         y = Obj(int(rng.choice(dims)))
         f = random_morphism(field, x, y, rng)
         g = random_morphism(field, x, y, rng)
-        if frobenius_distance(f, g) <= 1e-6:
+        distance = frobenius_distance(f, g)
+        if not math.isfinite(distance):  # a NaN pair is neither equal nor separated
+            return Report(
+                "functor-faithful",
+                field.value,
+                FAIL,
+                distance,
+                details={"reason": "non-finite distance"},
+            )
+        if distance <= 1e-6:
             continue
         found = None
         for j in range(x.dim):
@@ -270,7 +306,7 @@ def faithfulness_check(
                 "functor-faithful",
                 field.value,
                 FAIL,
-                frobenius_distance(f, g),
+                distance,
                 witness=f,
                 details={"reason": "no separating column"},
             )

@@ -15,7 +15,7 @@ from daggerlab.errors import DomainError
 from daggerlab.matcat import Morphism, Obj
 from daggerlab.reports import ERROR, FAIL, INFEASIBLE, PASS, worse
 from daggerlab.sampling import random_coordinate_projection
-from daggerlab.scalars import Field, Scalar
+from daggerlab.scalars import DEFAULT_TOL, Field, Scalar
 
 
 def _nan_after_first(fn):
@@ -192,3 +192,35 @@ def test_every_check_reports_under_its_one_declared_id(field):
     run_order = [line.split()[1] for line in stream.getvalue().splitlines()]
     assert run_order == [cid for cid in lemma_ids if cid.startswith("reconstruct.")]
     assert [r.to_json() for r in reports] == [lemma_reports[r.axiom].to_json() for r in reports]
+
+
+def _nan_morphism(field, dom, cod, rng):
+    return Morphism.from_real(field, np.full((cod.dim, dom.dim), math.nan))
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX, Field.QUATERNION])
+def test_nan_columns_fail_the_copairing_biconditional(monkeypatch, field):
+    # both sides of the biconditional read False on NaN columns, so they "agree"
+    cfg = CampaignConfig(field=field, seed=42, trials=20)
+    assert campaigns.check_copairing_biconditional(cfg).status == PASS
+    monkeypatch.setattr(campaigns, "random_morphism", _nan_morphism)
+    report = campaigns.check_copairing_biconditional(cfg)
+    assert (report.axiom, report.status) == ("reconstruct.copairing-isometry-biconditional", FAIL)
+    assert math.isnan(report.residual)
+
+
+def test_h2_complements_the_legs_once_per_cocone(monkeypatch):
+    cfg = CampaignConfig(field=Field.COMPLEX, seed=42, trials=6)
+    expected = campaigns.check_h2_directed_colimits(cfg).to_json()
+    calls = []
+    projection = axioms.ColimitCocone.complement_projection
+
+    def counting(cocone, tol=DEFAULT_TOL):
+        calls.append(cocone)
+        return projection(cocone, tol)
+
+    monkeypatch.setattr(axioms.ColimitCocone, "complement_projection", counting)
+    assert campaigns.check_h2_directed_colimits(cfg).to_json() == expected
+    # six diagrams with two competing cocones each: one complement for
+    # both, and one in jointly_epic_check
+    assert len(calls) == 12 and len({id(c) for c in calls}) == 6

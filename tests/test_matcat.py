@@ -418,3 +418,31 @@ def test_from_components_checks_the_shape():
         matcat.from_components(Field.COMPLEX, Obj(2), Obj(3), comps)
     with pytest.raises(ShapeMismatchError):
         matcat.from_components(Field.QUATERNION, Obj(3), Obj(2), comps)
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS)
+def test_rows_and_column_norms_match_the_per_column_morphisms(field):
+    rng = np.random.default_rng(97)
+    for m, n in [(0, 3), (3, 0), (1, 1), (4, 2), (2, 5)]:
+        f = random_morphism(field, Obj(n), Obj(m), rng)
+        g = random_morphism(field, Obj(n), Obj(m), rng)
+        for i in range(m):
+            row = f.row(i)
+            assert (row.dom.dim, row.cod.dim) == (n, 1)
+            assert all(row.entry(0, j) == f.entry(i, j) for j in range(n))
+        norms = matcat.column_norms(f)
+        distances = matcat.column_distances(f, g)
+        assert len(norms) == len(distances) == n
+        for j in range(n):
+            assert abs(norms[j] - f.col(j).norm()) <= 1e-12
+            assert abs(distances[j] - frobenius_distance(f.col(j), g.col(j))) <= 1e-12
+
+
+def test_column_distances_check_their_operands_and_keep_nan():
+    f = Morphism.from_real(Field.REAL, [[1.0, np.nan], [0.0, 0.0]])
+    assert np.isnan(matcat.column_norms(f)).tolist() == [False, True]
+    assert np.isnan(matcat.column_distances(f, f)).tolist() == [False, True]
+    with pytest.raises(ShapeMismatchError):
+        matcat.column_distances(f, Morphism.identity(Field.REAL, Obj(3)))
+    with pytest.raises(FieldMismatchError):
+        matcat.column_distances(f, Morphism.identity(Field.COMPLEX, Obj(2)))

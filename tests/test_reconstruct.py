@@ -5,8 +5,13 @@ import numpy as np
 import pytest
 
 from daggerlab.biproduct import derived_add
-from daggerlab import reconstruct
-from daggerlab.errors import ContradictionError, ResidualError, ShapeMismatchError
+from daggerlab import matcat, reconstruct
+from daggerlab.errors import (
+    ContradictionError,
+    FieldMismatchError,
+    ResidualError,
+    ShapeMismatchError,
+)
 from daggerlab.matcat import (
     Morphism,
     Obj,
@@ -27,15 +32,15 @@ from daggerlab.reconstruct import (
     gram_schmidt,
     inner_product,
     onb_expand,
+    onb_expansion,
     orthocomplement,
     projection_of_subspace,
     rank_object,
     scalar_field_witness,
-    scale,
     subspace_to_dagger_mono,
 )
-from daggerlab.reports import ERROR, NO_SAMPLE
-from daggerlab.sampling import random_morphism, random_scalar, random_unitary
+from daggerlab.reports import ERROR, NO_SAMPLE, worse
+from daggerlab.sampling import random_dagger_mono, random_morphism, random_scalar, random_unitary
 from daggerlab.scalars import ALL_FIELDS, Field, Scalar, conj, distance, mul, norm
 
 RT2 = 2.0 ** -0.5
@@ -69,7 +74,7 @@ def test_gram_schmidt_examples():
     v = Morphism.from_real(Field.REAL, [[1], [1]])
     sub = gram_schmidt([v])
     assert sub.dim == 1
-    assert np.allclose(np.abs(sub.onb[0].entries[..., 0].ravel()), [RT2, RT2])
+    assert np.allclose(np.abs(sub.isometry.col(0).entries[..., 0].ravel()), [RT2, RT2])
 
     sub2 = gram_schmidt([v, v])
     assert sub2.dim == 1  # dependent duplicate dropped
@@ -77,7 +82,7 @@ def test_gram_schmidt_examples():
     i = Scalar(Field.QUATERNION, 0, 1, 0, 0)
     j = Scalar(Field.QUATERNION, 0, 0, 1, 0)
     subq = gram_schmidt([Morphism.column(Field.QUATERNION, [i, j])])
-    ip = inner_product(subq.onb[0], subq.onb[0])
+    ip = inner_product(subq.isometry.col(0), subq.isometry.col(0))
     assert abs(ip.w - 1.0) < 1e-12 and abs(ip.x) + abs(ip.y) + abs(ip.z) < 1e-12
 
 
@@ -95,16 +100,16 @@ def test_onb_expand_examples():
     assert coeffs[0].to_json() == [3.0, 0.0]
     assert coeffs[1].to_json() == [0.0, 4.0]
 
-    e1 = basis.onb[0]
+    e1 = basis.isometry.col(0)
     assert [c.to_json() for c in onb_expand(e1, basis)] == [[1.0, 0.0], [0.0, 0.0]]
 
-    hadamard = Subspace(
+    hadamard = Subspace.of_columns(
         Field.REAL,
         Obj(2),
-        (
+        [
             Morphism.from_real(Field.REAL, [[RT2], [RT2]]),
             Morphism.from_real(Field.REAL, [[RT2], [-RT2]]),
-        ),
+        ],
     )
     ones = Morphism.from_real(Field.REAL, [[1], [1]])
     coeffs = onb_expand(ones, hadamard)
@@ -113,7 +118,7 @@ def test_onb_expand_examples():
 
 
 def test_onb_expand_non_spanning_raises():
-    short = Subspace(Field.REAL, Obj(2), (basis_column(Field.REAL, Obj(2), 0),))
+    short = Subspace.of_columns(Field.REAL, Obj(2), [basis_column(Field.REAL, Obj(2), 0)])
     u = Morphism.from_real(Field.REAL, [[1], [1]])
     with pytest.raises(ResidualError) as err:
         onb_expand(u, short)
@@ -121,15 +126,15 @@ def test_onb_expand_non_spanning_raises():
 
 
 def test_subspace_to_dagger_mono():
-    plane = Subspace(
+    plane = Subspace.of_columns(
         Field.REAL,
         Obj(3),
-        (basis_column(Field.REAL, Obj(3), 0), basis_column(Field.REAL, Obj(3), 1)),
+        [basis_column(Field.REAL, Obj(3), 0), basis_column(Field.REAL, Obj(3), 1)],
     )
     h = subspace_to_dagger_mono(plane)
     assert h.dom.dim == 2 and h.cod.dim == 3 and is_dagger_mono(h)
 
-    empty = Subspace(Field.REAL, Obj(3), ())
+    empty = Subspace.of_columns(Field.REAL, Obj(3), [])
     z = subspace_to_dagger_mono(empty)
     assert z.dom.dim == 0 and z.cod.dim == 3
 
@@ -139,7 +144,7 @@ def test_subspace_to_dagger_mono():
 
 
 def test_projection_of_subspace():
-    line = Subspace(Field.REAL, Obj(2), (basis_column(Field.REAL, Obj(2), 0),))
+    line = Subspace.of_columns(Field.REAL, Obj(2), [basis_column(Field.REAL, Obj(2), 0)])
     assert np.allclose(projection_of_subspace(line).entries[..., 0], [[1, 0], [0, 0]])
 
     full = coordinate_basis(Field.COMPLEX, Obj(2))
@@ -166,9 +171,9 @@ def test_orthocomplement_splits(field):
         assert sub.dim + perp.dim == x.dim
         p, q = projection_of_subspace(sub), projection_of_subspace(perp)
         assert approx_eq(derived_add(p, q), Morphism.identity(field, x))
-        for e in sub.onb:
+        for e in map(sub.isometry.col, range(sub.dim)):
             assert approx_eq(p @ e, e)
-        for e in perp.onb:
+        for e in map(perp.isometry.col, range(perp.dim)):
             assert (p @ e).norm() < 1e-9
 
 
@@ -188,8 +193,8 @@ def test_functor_v_rotated_bases_change_of_basis_oracle():
     f = random_morphism(Field.COMPLEX, Obj(3), Obj(3), rng)
     bu = random_unitary(Field.COMPLEX, Obj(3), rng)
     bv = random_unitary(Field.COMPLEX, Obj(3), rng)
-    basis_dom = Subspace(Field.COMPLEX, Obj(3), tuple(bu.col(j) for j in range(3)))
-    basis_cod = Subspace(Field.COMPLEX, Obj(3), tuple(bv.col(j) for j in range(3)))
+    basis_dom = Subspace.of_columns(Field.COMPLEX, Obj(3), [bu.col(j) for j in range(3)])
+    basis_cod = Subspace.of_columns(Field.COMPLEX, Obj(3), [bv.col(j) for j in range(3)])
     rep = functor_v(f, basis_dom, basis_cod)
     oracle = bv.dagger() @ f @ bu
     assert approx_eq(rep, oracle)
@@ -204,8 +209,8 @@ def test_functor_v_dagger_and_additive(field):
         g = random_morphism(field, x, y, rng)
         bu = random_unitary(field, x, rng)
         bv = random_unitary(field, y, rng)
-        bx = Subspace(field, x, tuple(bu.col(j) for j in range(x.dim)))
-        by = Subspace(field, y, tuple(bv.col(j) for j in range(y.dim)))
+        bx = Subspace.of_columns(field, x, [bu.col(j) for j in range(x.dim)])
+        by = Subspace.of_columns(field, y, [bv.col(j) for j in range(y.dim)])
         vf = functor_v(f, bx, by)
         assert frobenius_distance(functor_v(f.dagger(), by, bx), vf.dagger()) <= 1e-9
         assert frobenius_distance(
@@ -299,7 +304,7 @@ def test_hermitian_form_laws(field):
         u = random_morphism(field, UNIT, x, rng)
         v = random_morphism(field, UNIT, x, rng)
         alpha = random_scalar(field, rng)
-        lhs = Morphism.single(inner_product(scale(u, alpha), v))
+        lhs = Morphism.single(inner_product(u @ Morphism.single(alpha), v))
         rhs = endo.mul(endo.lift(alpha), Morphism.single(inner_product(u, v)))
         assert approx_eq(lhs, rhs)
         assert distance(inner_product(u, v), conj(inner_product(v, u))) <= 1e-12
@@ -342,5 +347,166 @@ def test_copairing_biconditional(field):
             cols = tuple(m.col(j) for j in range(n))
         else:
             cols = tuple(random_morphism(field, UNIT, x, rng) for _ in range(n))
-        sub = Subspace(field, x, cols)
+        sub = Subspace.of_columns(field, x, list(cols))
         assert (sub.orthonormality_residual() <= 1e-6) == is_dagger_mono(copairing(list(cols)))
+
+
+def test_faithfulness_check_with_nan_morphisms_fails(monkeypatch):
+    # NaN distances are not separations: the run must not pass on them
+    def nan_morphism(field, dom, cod, rng):
+        return Morphism.from_real(field, np.full((cod.dim, dom.dim), np.nan))
+
+    monkeypatch.setattr(reconstruct, "random_morphism", nan_morphism)
+    report = faithfulness_check(Field.COMPLEX, trials=20, rng=np.random.default_rng(42))
+    assert (report.axiom, report.status) == ("functor-faithful", "fail")
+    assert np.isnan(report.residual)
+    assert "separated" not in report.details
+
+
+# -- the entrywise code that subspaces-as-isometries replaced, kept as oracles
+
+
+def _functor_v_entrywise(f, basis_dom, basis_cod):
+    cols_dom = [basis_dom.isometry.col(j) for j in range(basis_dom.dim)]
+    rows = [
+        [(basis_cod.isometry.col(i).dagger() @ f @ e).scalar() for e in cols_dom]
+        for i in range(basis_cod.dim)
+    ]
+    if not rows:
+        return Morphism.zero(f.field, Obj(basis_dom.dim), Obj(0))
+    return Morphism.from_scalars(f.field, rows)
+
+
+def _orthonormality_residual_entrywise(sub):
+    worst = 0.0
+    for i in range(sub.dim):
+        for j in range(sub.dim):
+            g = inner_product(sub.isometry.col(i), sub.isometry.col(j))
+            target = 1.0 if i == j else 0.0
+            worst = worse(worst, abs(g.w - target), abs(g.x), abs(g.y), abs(g.z))
+    return worst
+
+
+def _onb_expand_entrywise(u, basis):
+    coeffs, recon = [], Morphism.zero(u.field, UNIT, u.cod)
+    for j in range(basis.dim):
+        e = basis.isometry.col(j)
+        c = (e.dagger() @ u).scalar()
+        coeffs.append(c)
+        recon = derived_add(recon, e @ Morphism.single(c))
+    return coeffs, recon
+
+
+DIMS = range(7)
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS)
+def test_functor_v_matches_the_entrywise_matrix(field):
+    rng = np.random.default_rng(73)
+    for m in DIMS:
+        for n in DIMS:
+            f = random_morphism(field, Obj(m), Obj(n), rng)
+            for bd, bc in [
+                (coordinate_basis(field, Obj(m)), coordinate_basis(field, Obj(n))),
+                (Subspace(random_unitary(field, Obj(m), rng)),
+                 Subspace(random_unitary(field, Obj(n), rng))),
+            ]:
+                rep = functor_v(f, bd, bc)
+                assert (rep.dom.dim, rep.cod.dim) == (m, n)
+                assert frobenius_distance(rep, _functor_v_entrywise(f, bd, bc)) <= 1e-12
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS)
+def test_orthonormality_residual_matches_the_entrywise_loop(field):
+    rng = np.random.default_rng(79)
+    for x in map(Obj, DIMS):
+        for k in range(x.dim + 1):
+            for sub in [
+                Subspace(random_dagger_mono(field, Obj(k), x, rng)),
+                Subspace.of_columns(field, x, [random_morphism(field, UNIT, x, rng)
+                                               for _ in range(k)]),
+            ]:
+                got, want = sub.orthonormality_residual(), _orthonormality_residual_entrywise(sub)
+                assert abs(got - want) <= 1e-12
+        empty = Subspace.of_columns(field, x, [])
+        assert empty.dim == 0 and empty.ambient == x and empty.orthonormality_residual() == 0.0
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS)
+def test_orthonormality_residual_is_nan_on_a_nan_column(field):
+    x = Obj(3)
+    cols = [basis_column(field, x, 0), Morphism.from_real(field, [[np.nan], [0.0], [0.0]])]
+    sub = Subspace.of_columns(field, x, cols)
+    assert np.isnan(sub.orthonormality_residual())
+    assert np.isnan(_orthonormality_residual_entrywise(sub))
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS)
+def test_onb_expand_matches_the_entrywise_expansion(field):
+    rng = np.random.default_rng(83)
+    for x in map(Obj, DIMS):
+        basis = Subspace(random_unitary(field, x, rng))
+        u = random_morphism(field, UNIT, x, rng)
+        want, want_recon = _onb_expand_entrywise(u, basis)
+        got = onb_expand(u, basis)
+        assert len(got) == x.dim
+        assert all(distance(a, b) <= 1e-12 for a, b in zip(got, want))
+        coeffs, recon = onb_expansion(u, basis)
+        assert (coeffs.dom.dim, coeffs.cod.dim) == (1, x.dim)
+        assert frobenius_distance(recon, want_recon) <= 1e-12
+
+
+def test_onb_expansion_sums_through_derived_additions(monkeypatch):
+    calls = []
+
+    def counting_add(f, g):
+        calls.append(1)
+        return derived_add(f, g)
+
+    monkeypatch.setattr(reconstruct, "derived_add", counting_add)
+    basis = coordinate_basis(Field.QUATERNION, Obj(4))
+    onb_expansion(basis_column(Field.QUATERNION, Obj(4), 2), basis)
+    assert len(calls) == 4
+
+
+def test_functor_v_is_one_composite(monkeypatch):
+    rng = np.random.default_rng(89)
+    f = random_morphism(Field.QUATERNION, Obj(4), Obj(5), rng)
+    bd = Subspace(random_unitary(Field.QUATERNION, Obj(4), rng))
+    bc = Subspace(random_unitary(Field.QUATERNION, Obj(5), rng))
+    calls = {"compose": 0, "Scalar": 0}
+    compose, scalar_init = matcat.compose, Scalar.__init__
+
+    def counting_compose(g, h):
+        calls["compose"] += 1
+        return compose(g, h)
+
+    def counting_scalar(self, *args, **kwargs):
+        calls["Scalar"] += 1
+        scalar_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(matcat, "compose", counting_compose)
+    monkeypatch.setattr(Scalar, "__init__", counting_scalar)
+    rep = functor_v(f, bd, bc)
+    assert calls == {"compose": 2, "Scalar": 0}
+    assert frobenius_distance(rep, bc.isometry.dagger() @ f @ bd.isometry) == 0.0
+
+
+def test_functor_v_rejects_bases_of_other_objects():
+    f = Morphism.identity(Field.REAL, Obj(2))
+    with pytest.raises(ShapeMismatchError):
+        functor_v(f, coordinate_basis(Field.REAL, Obj(3)), coordinate_basis(Field.REAL, Obj(2)))
+    line = Subspace.of_columns(Field.REAL, Obj(2), [basis_column(Field.REAL, Obj(2), 0)])
+    with pytest.raises(ShapeMismatchError):
+        functor_v(f, line, coordinate_basis(Field.REAL, Obj(2)))
+
+
+def test_subspace_of_columns_checks_field_and_ambient():
+    e = basis_column(Field.REAL, Obj(2), 0)
+    with pytest.raises(FieldMismatchError):
+        Subspace.of_columns(Field.COMPLEX, Obj(2), [e])
+    with pytest.raises(ShapeMismatchError):
+        Subspace.of_columns(Field.REAL, Obj(3), [e])
+    sub = Subspace.of_columns(Field.REAL, Obj(2), [e, basis_column(Field.REAL, Obj(2), 1)])
+    assert sub.field is Field.REAL and sub.ambient == Obj(2) and sub.dim == 2
+    assert subspace_to_dagger_mono(sub) is sub.isometry
