@@ -46,6 +46,7 @@ from .matcat import (
     is_dagger_iso,
     is_dagger_mono,
     native_stack,
+    unit_multiple_coordinates,
 )
 from .reports import FAIL, INFEASIBLE, PASS, Report, worse
 from .sampling import random_morphism, random_rank1_projection, random_rank1_projections
@@ -581,42 +582,34 @@ def jointly_epic_check(
     trials: int = 20,
     rng: np.random.Generator | None = None,
     tol: TolerancePolicy = DEFAULT_TOL,
+    p_perp: Morphism | None = None,
 ) -> bool:
     """Legs are jointly epic iff their columns span the apex.
 
     Checked two ways: the real span rank of the leg columns (counting
     each column together with its imaginary-unit right-multiples), and
     random morphism pairs built to agree on every leg, which must then
-    agree outright.
+    agree outright.  The pairs differ by a morphism supported on
+    `p_perp`, the cocone's complement projection; it is computed here
+    only when the caller does not pass it.
     """
     rng = np.random.default_rng(0) if rng is None else rng
     field = cocone.field
     apex = cocone.apex
-    w = field.width
-    columns = [
-        leg.col(j) for leg in cocone.legs.values() for j in range(leg.dom.dim)
-    ]
-    if not columns:
+    legs = list(cocone.legs.values())
+    if not any(leg.dom.dim for leg in legs):
         return apex.dim == 0
 
-    units = [Scalar(field, 1.0)]
-    if w >= 2:
-        units.append(Scalar(field, 0.0, 1.0))
-    if w == 4:
-        units += [Scalar(field, 0, 0, 1.0), Scalar(field, 0, 0, 0, 1.0)]
-    real_vectors = []
-    for c in columns:
-        for q in units:
-            real_vectors.append((c @ Morphism.single(q)).entries[..., :w].ravel())
-    rank = int(np.linalg.matrix_rank(np.array(real_vectors).T, tol=SVD_RANK_EPS))
-    spans = rank == apex.dim * w
+    real_vectors = unit_multiple_coordinates(copairing(legs))
+    rank = int(np.linalg.matrix_rank(real_vectors.T, tol=SVD_RANK_EPS))
+    spans = rank == apex.dim * field.width
 
-    p_perp = cocone.complement_projection(tol)
+    if p_perp is None:
+        p_perp = cocone.complement_projection(tol)
     agree = True
-    y = Obj(apex.dim)
     for _ in range(trials):
-        f = random_morphism(field, apex, y, rng)
-        d = random_morphism(field, apex, y, rng) @ p_perp
+        f = random_morphism(field, apex, apex, rng)
+        d = random_morphism(field, apex, apex, rng) @ p_perp
         g = derived_add(f, d)
         # g agrees with f on every leg by construction
         if not approx_eq(f, g, tol):

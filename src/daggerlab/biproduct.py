@@ -8,11 +8,12 @@ entrywise sum appears only inside test oracles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
 
-from .errors import DomainError, ShapeMismatchError
+from .errors import DomainError, FieldMismatchError, ShapeMismatchError
 from .matcat import (
     Morphism,
     Obj,
@@ -179,26 +180,53 @@ def orthonormal_columns(
     Extends the (assumed orthonormal) `against` prefix by unit columns
     spanning `vectors`; candidates whose residual norm falls below
     `drop_eps` are treated as dependent and dropped.  The basis so far
-    is one column block Q = [against..., accepted...].  Each candidate u
-    is projected out of it twice, each pass forming Q . ((Q-dagger . u) .
-    -1) as native products (`matcat.range_component`) and adding it to u
-    through one derived addition; two passes keep the columns orthogonal
-    to rounding level ("twice is enough": Giraud, Langou & Rozloznik,
-    Comput. Math. Appl. 50, 2005).  The subtraction cancels most of u,
-    which over H magnifies the rounding drift between the halves of each
-    native 2x2 block, so each pass ends with `project_to_field`.  Q . c
-    composes the coefficients on the right and normalisation divides on
-    the right, so the quaternionic right-module structure is respected
-    throughout.  Mixed fields raise FieldMismatchError and mixed
-    codomains ShapeMismatchError.
+    is one column block Q = [against..., accepted...], and Q-dagger is
+    formed at most once per accepted column.  Each candidate u is
+    projected out of it twice, each pass forming Q . ((Q-dagger . u) .
+    -1) as native products (`matcat.range_component`) and adding it to
+    u through one derived addition; two passes keep the columns
+    orthogonal to rounding level ("twice is enough": Giraud, Langou &
+    Rozloznik, Comput. Math. Appl. 50, 2005).  The subtraction cancels
+    most of u, which over H magnifies the rounding drift between the
+    halves of each native 2x2 block, so each pass ends with
+    `project_to_field`.  Q . c composes the coefficients on the right
+    and normalisation divides on the right, so the quaternionic
+    right-module structure is respected throughout.
+
+    Once Q has as many columns as the ambient dimension and is finite,
+    it is unitary to rounding, so every later candidate's residual is
+    at rounding level and would be dropped: the loop stops there.  A
+    NaN column is accepted (its length is not below `drop_eps`) and
+    makes every later residual NaN, so a non-finite basis never stops
+    the loop.  Every input is checked first: mixed fields raise
+    FieldMismatchError, and mixed codomains or an input that is not a
+    column ShapeMismatchError.
     """
+    inputs = [*against, *vectors]
+    if not inputs:
+        return []
+    field, ambient = inputs[0].field, inputs[0].cod.dim
+    for v in inputs:
+        if v.field is not field:
+            raise FieldMismatchError(f"{v.field.value} column among {field.value} columns")
+        if v.cod.dim != ambient or v.dom.dim != 1:
+            raise ShapeMismatchError(
+                f"Gram-Schmidt needs columns into dimension {ambient}, "
+                f"not {v.dom.dim}->{v.cod.dim}"
+            )
+    minus_one = _MINUS_ONE[field]
     q = column_block(against) if against else None
+    q_dagger = None  # the dagger of q, formed when a candidate first needs it
+    size = len(against)
+    finite = q is None or math.isfinite(q.norm())
     accepted: list[Morphism] = []
     for v in vectors:
+        if size >= ambient and finite:
+            break
         u = v
         if q is not None:
-            q_dagger = q.dagger()
-            minus_one = _MINUS_ONE[u.field]
+            if q_dagger is None:
+                q_dagger = q.dagger()
             for _ in range(2):  # re-orthogonalise once against rounding
                 u = derived_add(u, range_component(q, q_dagger, u, minus_one))
                 u = project_to_field(u)
@@ -208,4 +236,7 @@ def orthonormal_columns(
         unit = scaled(u, 1.0 / length)
         accepted.append(unit)
         q = unit if q is None else column_block([q, unit])
+        q_dagger = None
+        size += 1
+        finite = finite and math.isfinite(length)
     return accepted

@@ -389,9 +389,9 @@ def check_h2_directed_colimits(cfg: CampaignConfig, rng: np.random.Generator) ->
         diagram = axioms.random_directed_diagram(cfg.field, rng)
         cocone = axioms.finite_directed_colimit(diagram, cfg.tol)
         worst = worse(worst, cocone.commutation_residual(diagram))
-        if not axioms.jointly_epic_check(cocone, trials=4, rng=rng, tol=cfg.tol):
-            return _report(cfg, FAIL, worst, details={"reason": "legs not jointly epic"})
         p_perp = cocone.complement_projection(cfg.tol)
+        if not axioms.jointly_epic_check(cocone, trials=4, rng=rng, tol=cfg.tol, p_perp=p_perp):
+            return _report(cfg, FAIL, worst, details={"reason": "legs not jointly epic"})
         for _ in range(2):  # two competing cocones per diagram
             extra = int(rng.integers(0, 3))
             m = random_dagger_mono(cfg.field, cocone.apex, Obj(cocone.apex.dim + extra), rng)

@@ -29,7 +29,6 @@ left/right ambiguity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -38,17 +37,50 @@ from .errors import ContradictionError, DomainError, FieldMismatchError, ShapeMi
 from .scalars import DEFAULT_TOL, Field, Scalar, TolerancePolicy
 
 
-@dataclass(frozen=True)
 class Obj:
     """Object of the category: a dimension.  dim 0 is the zero object,
-    dim 1 the dagger simple unit."""
+    dim 1 the dagger simple unit.
 
-    dim: int
+    Interned: Obj(n) is one shared immutable instance per n, so every
+    block construction gets its objects from a dict lookup.  Equality,
+    hash and repr are those of a frozen dataclass with one field `dim`.
+    """
 
-    def __post_init__(self):
-        if self.dim < 0:
-            raise DomainError(f"object dimension must be a natural number, not {self.dim}")
+    __slots__ = ("dim",)
 
+    def __new__(cls, dim: int) -> "Obj":
+        obj = _OBJS.get(dim)
+        if obj is None:
+            if dim < 0:
+                raise DomainError(f"object dimension must be a natural number, not {dim}")
+            obj = object.__new__(cls)
+            _set_dim(obj, dim)
+            _OBJS[dim] = obj
+        return obj
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Obj is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Obj is immutable")
+
+    def __reduce__(self):
+        return Obj, (self.dim,)
+
+    def __eq__(self, other):
+        if other.__class__ is Obj:
+            return self.dim == other.dim
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.dim,))
+
+    def __repr__(self) -> str:
+        return f"Obj(dim={self.dim!r})"
+
+
+_OBJS: dict[int, Obj] = {}
+_set_dim = Obj.dim.__set__
 
 ZERO_OBJ = Obj(0)
 UNIT = Obj(1)
@@ -151,7 +183,16 @@ class Morphism:
 
     @classmethod
     def identity(cls, field: Field, obj: Obj) -> "Morphism":
-        return _wrap(field, obj, obj, np.eye(_block(field) * obj.dim, dtype=_dtype(field)))
+        """Cached per (field, dimension) and read-only, so no caller can
+        corrupt the shared array; the cache holds at most 256 entries."""
+        key = (field, obj.dim)
+        ident = _IDENTITIES.get(key)
+        if ident is None:
+            if len(_IDENTITIES) >= _IDENTITIES_MAX:
+                _IDENTITIES.clear()
+            a = np.eye(_block(field) * obj.dim, dtype=_dtype(field))
+            ident = _IDENTITIES[key] = read_only(_wrap(field, obj, obj, a))
+        return ident
 
     @classmethod
     def from_real(cls, field: Field, mat: np.ndarray | Sequence[Sequence[float]]) -> "Morphism":
@@ -215,15 +256,19 @@ class Morphism:
         return self.entry(0, 0)
 
     def entry(self, i: int, j: int) -> Scalar:
+        _check_index("row", i, self.cod)
+        _check_index("column", j, self.dom)
         top = self._a[_block(self.field) * i, _span(self.field, j, 1)]
         return Scalar(self.field, *(c for z in top for c in (z.real, z.imag)))
 
     def col(self, j: int) -> "Morphism":
-        """j-th column as a morphism from the unit object."""
+        """j-th column as a morphism from the unit object (a view)."""
+        _check_index("column", j, self.dom)
         return _wrap(self.field, UNIT, self.cod, self._a[:, _span(self.field, j, 1)])
 
     def row(self, i: int) -> "Morphism":
-        """i-th row as a morphism into the unit object."""
+        """i-th row as a morphism into the unit object (a view)."""
+        _check_index("row", i, self.cod)
         return _wrap(self.field, self.dom, UNIT, self._a[_span(self.field, i, 1), :])
 
     # -- algebra ----------------------------------------------------------
@@ -282,6 +327,15 @@ _set_cod = Morphism.cod.__set__
 _set_a = Morphism._a.__set__
 
 
+_IDENTITIES: dict[tuple[Field, int], Morphism] = {}
+_IDENTITIES_MAX = 256
+
+
+def _check_index(kind: str, k: int, obj: Obj) -> None:
+    if not 0 <= k < obj.dim:
+        raise ShapeMismatchError(f"{kind} index {k} out of range for dimension {obj.dim}")
+
+
 def _wrap(field: Field, dom: Obj, cod: Obj, a: np.ndarray) -> Morphism:
     """Morphism around a native array, without boundary checks."""
     m = object.__new__(Morphism)
@@ -316,7 +370,7 @@ def embed(
     for row, col, m in parts:
         if m.field is not field:
             raise FieldMismatchError(f"{m.field.value} block in a {field.value} matrix")
-        if row + m.cod.dim > cod.dim or col + m.dom.dim > dom.dim:
+        if row < 0 or col < 0 or row + m.cod.dim > cod.dim or col + m.dom.dim > dom.dim:
             raise ShapeMismatchError("block does not fit in the target matrix")
         a[_span(field, row, m.cod.dim), _span(field, col, m.dom.dim)] = m._a
     return _wrap(field, dom, cod, a)
@@ -522,6 +576,23 @@ def unit_columns(stack: np.ndarray, drop_eps: float) -> np.ndarray:
     return stack[keep] * (1.0 / lengths[keep])[:, None, None]
 
 
+def unit_multiple_coordinates(m: Morphism) -> np.ndarray:
+    """Real coordinates of every column of m and of its right multiples
+    by the field's imaginary units: row j * width + u holds the
+    (cod * width) leading components of m.col(j) . e_u, entry by entry,
+    where e_0 = 1 and e_1, e_2, e_3 = i, j, k as far as the width goes.
+    Over R, C and H these rows span m's columns as a real vector space.
+    The products are one batched product of the native columns by the
+    native units; each multiplies by a unit, so every coordinate is
+    exact."""
+    field = m.field
+    w, s = field.width, _block(field)
+    columns = m._a.reshape(m._a.shape[0], m.dom.dim, s).swapaxes(0, 1)
+    units = _native(field, np.eye(w)[:, None, None, :])
+    products = columns[:, None] @ units
+    return _components(field, products)[..., :w].reshape(m.dom.dim * w, m.cod.dim * w)
+
+
 def outer_products(stack: np.ndarray) -> np.ndarray:
     """v . v-dagger for each column v of a stack of native arrays: one
     batched product."""
@@ -608,8 +679,9 @@ def is_projection(p: Morphism, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
 
 
 def basis_column(field: Field, X: Obj, k: int) -> Morphism:
-    """k-th canonical basis column as a morphism from the unit object."""
-    return embed(field, UNIT, X, [(k, 0, Morphism.identity(field, UNIT))])
+    """k-th canonical basis column as a morphism from the unit object: a
+    read-only view of column k of the cached identity of X."""
+    return Morphism.identity(field, X).col(k)
 
 
 def is_dagger_simple(

@@ -24,7 +24,7 @@ from daggerlab.axioms import (
     strict_sqrt_complex,
     subset_diagram,
 )
-from daggerlab.biproduct import Biproduct, derived_add, verify_biproduct
+from daggerlab.biproduct import Biproduct, copairing, derived_add, verify_biproduct
 from daggerlab import axioms, matcat
 from daggerlab.errors import (
     ContradictionError,
@@ -731,3 +731,67 @@ def test_mediating_rejects_wrong_cocone():
     bogus = {n: random_morphism(Field.REAL, d.objects[n], Obj(4), rng) for n in d.nodes}
     with pytest.raises(DomainError):
         mediating_dagger_mono(cocone, bogus)
+
+
+def _span_rank_by_scalars(cocone):
+    """The real span rank as jointly_epic_check once built it: one Scalar,
+    one 1x1 morphism and one composition per column and imaginary unit."""
+    field, w = cocone.field, cocone.field.width
+    units = [Scalar(field, 1.0)]
+    if w >= 2:
+        units.append(Scalar(field, 0.0, 1.0))
+    if w == 4:
+        units += [Scalar(field, 0, 0, 1.0), Scalar(field, 0, 0, 0, 1.0)]
+    columns = [leg.col(j) for leg in cocone.legs.values() for j in range(leg.dom.dim)]
+    vectors = [(c @ Morphism.single(q)).entries[..., :w].ravel() for c in columns for q in units]
+    return np.array(vectors), int(np.linalg.matrix_rank(np.array(vectors).T, tol=axioms.SVD_RANK_EPS))
+
+
+def _span_rank_by_block(cocone):
+    block = copairing(list(cocone.legs.values()))
+    vectors = matcat.unit_multiple_coordinates(block)
+    return vectors, int(np.linalg.matrix_rank(vectors.T, tol=axioms.SVD_RANK_EPS))
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS)
+def test_span_vectors_from_one_block_match_the_per_column_oracle(field):
+    rng = np.random.default_rng(53)
+    cocones = [finite_directed_colimit(random_directed_diagram(field, rng)) for _ in range(12)]
+    short = basis_column(field, Obj(2), 0)
+    cocones.append(ColimitCocone(field, Obj(2), {"only": short}, "only"))
+    for cocone in cocones:
+        got, got_rank = _span_rank_by_block(cocone)
+        want, want_rank = _span_rank_by_scalars(cocone)
+        assert np.array_equal(got, want) and got_rank == want_rank
+    assert want_rank == field.width  # the short leg spans one of two dimensions
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS)
+def test_jointly_epic_check_draws_the_same_probe_stream(field):
+    rng = np.random.default_rng(59)
+    cocones = [finite_directed_colimit(random_directed_diagram(field, rng)) for _ in range(4)]
+    cocones.append(ColimitCocone(field, Obj(2), {"only": basis_column(field, Obj(2), 0)}, "only"))
+    for cocone in cocones:
+        rng, mirror = np.random.default_rng(61), np.random.default_rng(61)
+        spans = jointly_epic_check(cocone, trials=3, rng=rng)
+        assert spans == (_span_rank_by_scalars(cocone)[1] == cocone.apex.dim * field.width)
+        for _ in range(2 * 3):  # two apex -> apex morphisms per probe
+            random_morphism(field, cocone.apex, cocone.apex, mirror)
+        assert rng.random() == mirror.random()
+
+
+def test_jointly_epic_check_uses_a_given_complement(monkeypatch):
+    cocone = finite_directed_colimit(subset_diagram(["a", "b", "c"], Field.COMPLEX))
+    p_perp = cocone.complement_projection()
+    calls = []
+    projection = ColimitCocone.complement_projection
+
+    def counting(self, tol=DEFAULT_TOL):
+        calls.append(self)
+        return projection(self, tol)
+
+    monkeypatch.setattr(ColimitCocone, "complement_projection", counting)
+    given = jointly_epic_check(cocone, trials=3, rng=np.random.default_rng(5), p_perp=p_perp)
+    assert not calls
+    computed = jointly_epic_check(cocone, trials=3, rng=np.random.default_rng(5))
+    assert calls == [cocone] and given is computed is True

@@ -21,19 +21,26 @@ from daggerlab.biproduct import (
     pairing,
     verify_biproduct,
 )
-from daggerlab import biproduct
+from daggerlab import axioms, biproduct
+from daggerlab.axioms import complement_h3
 from daggerlab.errors import DomainError, FieldMismatchError, ShapeMismatchError
 from daggerlab.matcat import (
     Morphism,
     Obj,
     UNIT,
     approx_eq,
+    basis_column,
+    column_block,
+    column_sq_norm,
     frobenius_distance,
     is_dagger_iso,
     is_dagger_mono,
+    project_to_field,
+    range_component,
+    scaled,
 )
-from daggerlab.sampling import random_morphism, random_unitary
-from daggerlab.scalars import ALL_FIELDS, Field, Scalar
+from daggerlab.sampling import random_dagger_mono, random_morphism, random_unitary
+from daggerlab.scalars import ALL_FIELDS, DEFAULT_TOL, Field, Scalar, real_sqrt
 
 
 def test_make_biproduct_examples():
@@ -363,8 +370,10 @@ def test_diagonal_pair_is_cached_and_read_only():
                 m._a[0, 0] = 7.0
 
 
-def test_diagonal_pair_cache_is_bounded():
-    biproduct._DIAGONAL_PAIRS.clear()
+def test_diagonal_pair_cache_is_bounded(monkeypatch):
+    # a small bound exercises the same eviction without building pairs of dimension 260
+    monkeypatch.setattr(biproduct, "_DIAGONAL_PAIRS", {})
+    monkeypatch.setattr(biproduct, "_DIAGONAL_PAIRS_MAX", 4)
     pairs = [diagonal_pair(Field.REAL, Obj(n)) for n in range(biproduct._DIAGONAL_PAIRS_MAX + 5)]
     assert len(biproduct._DIAGONAL_PAIRS) <= biproduct._DIAGONAL_PAIRS_MAX
     for n, dp in enumerate(pairs):
@@ -382,24 +391,28 @@ def test_oplus_and_copairing_reject_mixed_fields():
         copairing([r, c])
 
 
-@pytest.mark.parametrize("against_count", [0, 1])
+@pytest.mark.parametrize("against_count", [0, 1, 3])
 def test_orthonormal_columns_reject_mixed_fields_and_codomains(against_count):
+    # the three vectors, or the prefix, span the ambient before a trailing odd input
     rng = np.random.default_rng(8)
     x = Obj(3)
-    against = [random_unitary(Field.COMPLEX, x, rng).col(0)][:against_count]
-    vectors = [random_morphism(Field.COMPLEX, UNIT, x, rng) for _ in range(2)]
+    unitary = random_unitary(Field.COMPLEX, x, rng)
+    against = [unitary.col(j) for j in range(against_count)]
+    vectors = [random_morphism(Field.COMPLEX, UNIT, x, rng) for _ in range(3)]
     real = random_morphism(Field.REAL, UNIT, x, rng)
     quaternion = random_morphism(Field.QUATERNION, UNIT, x, rng)
     longer = random_morphism(Field.COMPLEX, UNIT, Obj(4), rng)
+    wide = random_morphism(Field.COMPLEX, Obj(2), x, rng)
     for odd in (real, quaternion):
         with pytest.raises(FieldMismatchError):
             orthonormal_columns([*vectors, odd], against=against)
         with pytest.raises(FieldMismatchError):
             orthonormal_columns([odd, *vectors], against=against)
-    with pytest.raises(ShapeMismatchError):
-        orthonormal_columns([*vectors, longer], against=against)
-    with pytest.raises(ShapeMismatchError):
-        orthonormal_columns([longer, *vectors], against=against)
+    for odd in (longer, wide):
+        with pytest.raises(ShapeMismatchError):
+            orthonormal_columns([*vectors, odd], against=against)
+        with pytest.raises(ShapeMismatchError):
+            orthonormal_columns([odd, *vectors], against=against)
     if against:
         # a mixed prefix, and a prefix that differs from every vector
         with pytest.raises(FieldMismatchError):
@@ -410,3 +423,108 @@ def test_orthonormal_columns_reject_mixed_fields_and_codomains(against_count):
             orthonormal_columns([real], against=against)
         with pytest.raises(ShapeMismatchError):
             orthonormal_columns([longer], against=against)
+
+
+def _orthonormal_columns_full_scan(vectors, against=(), drop_eps=biproduct.DROP_EPS,
+                                   tol=DEFAULT_TOL):
+    """Gram-Schmidt as it ran before the stop rule: every candidate is
+    projected twice, also once the basis spans the ambient, and Q-dagger
+    is formed once per candidate."""
+    q = column_block(against) if against else None
+    accepted = []
+    for v in vectors:
+        u = v
+        if q is not None:
+            q_dagger = q.dagger()
+            minus_one = biproduct._MINUS_ONE[u.field]
+            for _ in range(2):
+                u = derived_add(u, range_component(q, q_dagger, u, minus_one))
+                u = project_to_field(u)
+        length = real_sqrt(column_sq_norm(u), tol)
+        if length < drop_eps:
+            continue
+        unit = scaled(u, 1.0 / length)
+        accepted.append(unit)
+        q = unit if q is None else column_block([q, unit])
+    return accepted
+
+
+def _assert_same_bits(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.field, g.dom, g.cod) == (w.field, w.dom, w.cod)
+        assert np.array_equal(g._a, w._a, equal_nan=True)
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS)
+def test_orthonormal_columns_match_the_full_scan_bitwise(field):
+    rng = np.random.default_rng(97)
+    for n in range(9):
+        x = Obj(n)
+        u = random_unitary(field, x, rng)
+        vectors = [random_morphism(field, UNIT, x, rng) for _ in range(n + 3)]
+        if n:
+            vectors.insert(1, vectors[0])  # dependent before the span is full
+        for k in range(n + 1):
+            against = [u.col(j) for j in range(k)]
+            _assert_same_bits(orthonormal_columns(vectors, against=against),
+                              _orthonormal_columns_full_scan(vectors, against=against))
+
+
+def _leg_columns(cocone):
+    return [leg.col(j) for leg in cocone.legs.values() for j in range(leg.dom.dim)]
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS)
+def test_complements_match_the_full_scan_bitwise(monkeypatch, field):
+    rng = np.random.default_rng(41)
+    isometries = [random_dagger_mono(field, Obj(a), Obj(n), rng)
+                  for n in range(9) for a in range(n + 1)]
+    cocones = [axioms.finite_directed_colimit(axioms.random_directed_diagram(field, rng))
+               for _ in range(6)]
+    got = [complement_h3(f) for f in isometries]
+    got_legs = [orthonormal_columns(_leg_columns(c)) for c in cocones]
+    got_projections = [c.complement_projection() for c in cocones]
+    monkeypatch.setattr(axioms, "orthonormal_columns", _orthonormal_columns_full_scan)
+    for f, g in zip(isometries, got):
+        _assert_same_bits([g], [complement_h3(f)])
+    for c, g, p in zip(cocones, got_legs, got_projections):
+        _assert_same_bits(g, _orthonormal_columns_full_scan(_leg_columns(c)))
+        _assert_same_bits([p], [c.complement_projection()])
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS)
+def test_orthonormal_columns_stop_projecting_once_the_ambient_is_spanned(monkeypatch, field):
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return range_component(*args)
+
+    monkeypatch.setattr(biproduct, "range_component", counting)
+    rng = np.random.default_rng(29)
+    x = Obj(3)
+    vectors = [random_morphism(field, UNIT, x, rng) for _ in range(7)]
+    calls.clear()
+    assert len(orthonormal_columns(vectors)) == 3
+    assert len(calls) == 2 * 2  # two passes for the second and third candidates only
+    u = random_unitary(field, x, rng)
+    calls.clear()
+    assert orthonormal_columns(vectors, against=[u.col(j) for j in range(3)]) == []
+    assert not calls
+    # the zero object is spanned by no columns
+    assert orthonormal_columns([random_morphism(field, UNIT, Obj(0), rng)]) == []
+    assert not calls
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS)
+def test_a_nan_basis_never_stops_the_scan(field):
+    rng = np.random.default_rng(37)
+    x = Obj(2)
+    nan = Morphism.from_real(field, [[np.nan], [0.0]])
+    vectors = [random_morphism(field, UNIT, x, rng) for _ in range(3)]
+    for vs, against in (([nan, *vectors], []), ([vectors[0], nan, *vectors[1:]], []),
+                        (vectors, [nan, basis_column(field, x, 1)])):
+        got = orthonormal_columns(vs, against=against)
+        _assert_same_bits(got, _orthonormal_columns_full_scan(vs, against=against))
+        assert len(got) == len(vs)  # every candidate after the NaN is NaN, and kept

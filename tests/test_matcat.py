@@ -446,3 +446,119 @@ def test_column_distances_check_their_operands_and_keep_nan():
         matcat.column_distances(f, Morphism.identity(Field.REAL, Obj(3)))
     with pytest.raises(FieldMismatchError):
         matcat.column_distances(f, Morphism.identity(Field.COMPLEX, Obj(2)))
+
+
+def test_objects_are_interned_with_dataclass_equality_hash_and_repr():
+    import copy
+    import pickle
+
+    for n in (0, 1, 2, 7):
+        o = Obj(n)
+        assert Obj(n) is o and Obj(dim=n) is o
+        assert o == Obj(n) and o != Obj(n + 1) and o != n
+        assert hash(o) == hash((n,)) and repr(o) == f"Obj(dim={n})"
+        assert copy.deepcopy(o) is o and pickle.loads(pickle.dumps(o)) is o
+    assert matcat.ZERO_OBJ is Obj(0) and UNIT is Obj(1)
+    # block constructions reuse the shared objects
+    f = Morphism.zero(Field.REAL, Obj(2), Obj(3))
+    assert matcat.direct_sum(f, f).dom is Obj(4)
+    assert matcat.column_block([f, f]).dom is Obj(4)
+    o = Obj(5)
+    with pytest.raises(AttributeError):
+        o.dim = 6
+    with pytest.raises(AttributeError):
+        del o.dim
+    assert Obj(5).dim == 5
+
+
+def test_identities_are_cached_shared_and_read_only():
+    for field in ALL_FIELDS:
+        for n in range(4):
+            ident = Morphism.identity(field, Obj(n))
+            assert Morphism.identity(field, Obj(n)) is ident
+            assert ident.dom is Obj(n) and ident.cod is Obj(n)
+            s = 2 if field is Field.QUATERNION else 1
+            assert np.array_equal(ident._a, np.eye(s * n))
+            assert not ident._a.flags.writeable
+            if n:
+                with pytest.raises(ValueError):
+                    ident._a[0, 0] = 7.0
+                # a basis column is a read-only view of the shared identity
+                col = basis_column(field, Obj(n), n - 1)
+                assert np.shares_memory(col._a, ident._a) and not col._a.flags.writeable
+    assert Morphism.identity(Field.REAL, Obj(2)) is not Morphism.identity(Field.COMPLEX, Obj(2))
+
+
+def test_identity_cache_is_bounded(monkeypatch):
+    monkeypatch.setattr(matcat, "_IDENTITIES", {})
+    monkeypatch.setattr(matcat, "_IDENTITIES_MAX", 4)
+    idents = [Morphism.identity(Field.COMPLEX, Obj(n)) for n in range(11)]
+    assert len(matcat._IDENTITIES) <= 4
+    for n, ident in enumerate(idents):
+        again = Morphism.identity(Field.COMPLEX, Obj(n))
+        assert again.dom == Obj(n) and np.array_equal(again._a, ident._a)
+    assert len(matcat._IDENTITIES) <= 4
+
+
+def test_basis_columns_are_the_embedded_units():
+    for field in ALL_FIELDS:
+        for n in range(1, 5):
+            x = Obj(n)
+            for k in range(n):
+                want = embed(field, UNIT, x, [(k, 0, Morphism.single(Scalar(field, 1.0)))])
+                got = basis_column(field, x, k)
+                assert (got.dom, got.cod) == (UNIT, x)
+                assert got._a.dtype == want._a.dtype and np.array_equal(got._a, want._a)
+
+
+def test_out_of_range_indices_are_shape_mismatches():
+    for field in ALL_FIELDS:
+        m = Morphism.from_real(field, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])  # 3 -> 2
+        for j in (-1, -3, 3, 7):
+            with pytest.raises(ShapeMismatchError):
+                m.col(j)
+        for i in (-1, 2, 5):
+            with pytest.raises(ShapeMismatchError):
+                m.row(i)
+        for i, j in ((5, 0), (2, 0), (0, 3), (-1, 0), (0, -1)):
+            with pytest.raises(ShapeMismatchError):
+                m.entry(i, j)
+        assert m.entry(1, 2) == Scalar(field, 6.0)
+        for k in (-1, -3, 3):
+            with pytest.raises(ShapeMismatchError):
+                basis_column(field, Obj(3), k)
+        with pytest.raises(ShapeMismatchError):
+            basis_column(field, Obj(0), 0)
+        one = Morphism.identity(field, UNIT)
+        for row, col in ((-1, 0), (0, -1)):
+            with pytest.raises(ShapeMismatchError):
+                embed(field, Obj(2), Obj(2), [(row, col, one)])
+
+
+def _unit_multiples_by_scalars(m):
+    """The real span vectors as built one column and one unit at a time:
+    a Scalar, a 1x1 morphism and a composition each."""
+    field, w = m.field, m.field.width
+    units = [Scalar(field, *(1.0 if c == u else 0.0 for c in range(4))) for u in range(w)]
+    vectors = [
+        (m.col(j) @ Morphism.single(q)).entries[..., :w].ravel()
+        for j in range(m.dom.dim)
+        for q in units
+    ]
+    return np.array(vectors).reshape(m.dom.dim * w, m.cod.dim * w)
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS)
+def test_unit_multiple_coordinates_match_the_per_column_products(field):
+    rng = np.random.default_rng(61)
+    for cod in range(5):
+        for dom in range(5):
+            m = random_morphism(field, Obj(dom), Obj(cod), rng)
+            got = matcat.unit_multiple_coordinates(m)
+            want = _unit_multiples_by_scalars(m)
+            assert got.shape == want.shape == (dom * field.width, cod * field.width)
+            assert np.array_equal(got, want)
+    nan = Morphism.from_real(field, [[np.nan, 1.0], [0.0, 2.0]])
+    got = matcat.unit_multiple_coordinates(nan)
+    assert np.array_equal(got, _unit_multiples_by_scalars(nan), equal_nan=True)
+    assert np.isnan(got[:field.width]).any() and not np.isnan(got[field.width:]).any()
