@@ -49,7 +49,12 @@ from .matcat import (
     unit_multiple_coordinates,
 )
 from .reports import FAIL, INFEASIBLE, PASS, Report, worse
-from .sampling import random_morphism, random_rank1_projection, random_rank1_projections
+from .sampling import (
+    random_morphism,
+    random_rank1_projection,
+    random_rank1_projections,
+    random_rank1_subprojection,
+)
 from .scalars import DEFAULT_TOL, Field, Scalar, TolerancePolicy, real_sqrt
 
 EIGENVALUE_CLUSTER_EPS = 1e-7  # eigenvalues closer than this interpolate as one node
@@ -146,8 +151,11 @@ class StrictSqrtCertificate:
 
 def _cluster_indices(eigs: np.ndarray, eps: float) -> list[list[int]]:
     """Group indices of unit-circle eigenvalues closer than eps, walking
-    them in angle order.  No merge across the branch cut at -1: the
-    principal square root is discontinuous there."""
+    them in angle order around the whole circle.  The walk starts just
+    after the branch cut at -1, so the last group is merged into the
+    first when they lie within eps: a repeated -1 computed as -1 + i e
+    and -1 - i e is one eigenvalue, and two nodes with the roots +i and
+    -i would split its eigenspace."""
     unit = eigs / np.abs(eigs)
     order = np.argsort(np.angle(unit))
     groups: list[list[int]] = [[int(order[0])]]
@@ -156,6 +164,8 @@ def _cluster_indices(eigs: np.ndarray, eps: float) -> list[list[int]]:
             groups[-1].append(int(idx))
         else:
             groups.append([int(idx)])
+    if len(groups) > 1 and abs(unit[groups[0][0]] - unit[groups[-1][-1]]) <= eps:
+        groups[0] = groups.pop() + groups[0]
     return groups
 
 
@@ -276,9 +286,14 @@ def is_strict_sqrt(
 ) -> bool:
     """Check v^2 = u together with the commutation biconditional on three
     projection families: coordinate projections, random rank-1
-    projections, and (over C) the spectral projections of u and random
-    unions of them.  All of them are one stack of native arrays, and
-    each side of the biconditional is tested on the whole stack at once
+    projections, and (over C) the spectral projections of u, random
+    unions of them, and two random rank-1 projections inside each
+    spectral projection of rank >= 2.  Those commute with u, so a strict
+    root must commute with them too; without them a root that is not a
+    function of u on a repeated eigenvalue passes whenever the spectral
+    projections are all it is tested on there.  A simple spectrum draws
+    none.  All projections are one stack of native arrays, and each
+    side of the biconditional is tested on the whole stack at once
     (`matcat.commuting`)."""
     if u.dom != u.cod or v.dom != v.cod or u.dom != v.dom:
         raise ShapeMismatchError("strictness check needs endomorphisms of one object")
@@ -308,7 +323,13 @@ def is_strict_sqrt(
                 for p in pick[1:]:
                     acc = derived_add(acc, p)
                 unions.append(acc)
-        blocks.append(native_stack(spectral + unions))
+        inside = [
+            random_rank1_subprojection(p, rng)
+            for p in spectral
+            if round(np.trace(p.complex_view()).real) >= 2
+            for _ in range(2)
+        ]
+        blocks.append(native_stack(spectral + unions + inside))
 
     projections = np.concatenate(blocks)
     return bool(np.array_equal(

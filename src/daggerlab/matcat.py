@@ -29,6 +29,7 @@ left/right ambiguity.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -44,11 +45,20 @@ class Obj:
     Interned: Obj(n) is one shared immutable instance per n, so every
     block construction gets its objects from a dict lookup.  Equality,
     hash and repr are those of a frozen dataclass with one field `dim`.
+    The dimension is any integer type (`operator.index`) and is stored
+    as an int, so Obj(np.int64(n)) is Obj(n).
     """
 
     __slots__ = ("dim",)
 
     def __new__(cls, dim: int) -> "Obj":
+        if dim.__class__ is not int:
+            try:
+                dim = operator.index(dim)
+            except TypeError:
+                raise DomainError(
+                    f"object dimension must be a natural number, not {dim!r}"
+                ) from None
         obj = _OBJS.get(dim)
         if obj is None:
             if dim < 0:
@@ -641,10 +651,43 @@ def project_to_field(m: Morphism) -> Morphism:
     """
     if m.field is not Field.QUATERNION:
         return m
-    x = m._a
+    return _wrap(m.field, m.dom, m.cod, _quaternion_part(m._a))
+
+
+def _quaternion_part(x: np.ndarray) -> np.ndarray:
+    """The complex adjoint array nearest to x: each 2x2 block averaged
+    with its conjugate mirror."""
     a = (x[0::2, 0::2] + x[1::2, 1::2].conj()) / 2
     b = (x[0::2, 1::2] - x[1::2, 0::2].conj()) / 2
-    return _wrap(m.field, m.dom, m.cod, _adjoint(a, b))
+    return _adjoint(a, b)
+
+
+def isometry_factor(m: Morphism, drop_eps: float) -> Morphism | None:
+    """The isometry Q of m = Q R with R upper triangular with a positive
+    real diagonal, or None when some |R_jj| < drop_eps.
+
+    Q is unique, so it is the basis right Gram-Schmidt builds from m's
+    columns, and |R_jj| is the residual length Gram-Schmidt compares
+    with its drop threshold.  It is computed by one Householder QR of
+    the native array, whose column j is then multiplied by the phase
+    R_jj / |R_jj| (Mezzadri, Notices AMS 54, 2007).  Over H the
+    quaternionic R is upper triangular with a positive real diagonal in
+    the complex adjoint form too, so the complex Q is the adjoint of
+    the quaternionic one up to rounding, which `project_to_field`'s
+    averaging removes.  A single column is divided by its length as
+    `unit_columns` does."""
+    if m.dom.dim == 1:
+        units = unit_columns(m._a[None], drop_eps)
+        return _wrap(m.field, m.dom, m.cod, units[0]) if len(units) else None
+    q, r = np.linalg.qr(m._a)
+    diagonal = np.diagonal(r)
+    lengths = np.abs(diagonal)
+    if (lengths < drop_eps).any():
+        return None
+    q *= diagonal / lengths
+    if m.field is Field.QUATERNION:
+        q = _quaternion_part(q)
+    return _wrap(m.field, m.dom, m.cod, q)
 
 
 def read_only(m: Morphism) -> Morphism:

@@ -9,15 +9,16 @@ from __future__ import annotations
 import numpy as np
 import numpy.random  # loaded here, not lazily by the first draw
 
-from .biproduct import DROP_EPS, orthonormal_columns
+from .biproduct import DROP_EPS
 from .errors import DomainError, NoMorphismError
 from .matcat import (
     Morphism,
     Obj,
-    column_block,
+    UNIT,
     component_stack,
     compose,
     from_components,
+    isometry_factor,
     outer_products,
     unit_columns,
 )
@@ -40,18 +41,18 @@ def random_morphism(
 def random_dagger_mono(
     field: Field, dom: Obj, cod: Obj, rng: np.random.Generator
 ) -> Morphism:
-    """Random isometry dom -> cod, built by orthonormalising the columns
-    of a Gaussian matrix and returned as one block of the accepted
-    columns.  Requires dom.dim <= cod.dim."""
+    """Random isometry dom -> cod: the Q factor of a Gaussian matrix,
+    the basis that Gram-Schmidt would build from its columns, taken by
+    one QR (`matcat.isometry_factor`).  A matrix with a column that
+    Gram-Schmidt would drop is drawn again.  Requires dom.dim <= cod.dim."""
     if dom.dim > cod.dim:
         raise NoMorphismError(f"no isometry from dimension {dom.dim} into {cod.dim}")
     if dom.dim == 0:
         return Morphism.zero(field, dom, cod)
     while True:
-        m = random_morphism(field, dom, cod, rng)
-        cols = orthonormal_columns([m.col(j) for j in range(dom.dim)])
-        if len(cols) == dom.dim:  # Gaussian columns are a.s. independent
-            return column_block(cols)
+        q = isometry_factor(random_morphism(field, dom, cod, rng), DROP_EPS)
+        if q is not None:  # Gaussian columns are a.s. independent
+            return q
 
 
 def random_unitary(field: Field, obj: Obj, rng: np.random.Generator) -> Morphism:
@@ -94,6 +95,16 @@ def random_rank1_projections(
     while len(units) < count:
         units = np.concatenate([units, draw(count - len(units))])
     return outer_products(units)
+
+
+def random_rank1_subprojection(p: Morphism, rng: np.random.Generator) -> Morphism:
+    """w . w-dagger for a random unit column w in the range of the
+    projection p: p applied to a Gaussian column, divided by its length.
+    A column that Gram-Schmidt would drop is drawn again."""
+    while True:
+        w = isometry_factor(compose(p, random_morphism(p.field, UNIT, p.cod, rng)), DROP_EPS)
+        if w is not None:
+            return compose(w, w.dagger())
 
 
 def random_coordinate_projection(

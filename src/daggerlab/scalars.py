@@ -26,6 +26,12 @@ class Field(enum.Enum):
     COMPLEX = "C"
     QUATERNION = "H"
 
+    # Members are singletons compared by identity, so hashing by
+    # identity is consistent with equality and, unlike Enum's hash of
+    # the member name, costs no Python call in every dict keyed by a
+    # field.
+    __hash__ = object.__hash__
+
     @property
     def width(self) -> int:
         """Number of real components a scalar of this field carries."""

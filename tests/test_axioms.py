@@ -211,7 +211,9 @@ def test_sqrt_campaign_random_unitaries():
 def _is_strict_sqrt_one_projection_at_a_time(u, v, projection_samples, rng, tol=DEFAULT_TOL):
     """The strictness check as it was before the projections were
     stacked: each projection is a morphism, drawn one at a time, and each
-    commutation is two compositions and approx_eq."""
+    commutation is two compositions and approx_eq.  Inside each spectral
+    projection p of rank >= 2 it draws two unit columns p . g / |p . g|
+    for Gaussian columns g."""
     if not (matcat.is_dagger_iso(u, tol) and matcat.is_dagger_iso(v, tol)):
         return False
     if not approx_eq(v @ v, u, tol):
@@ -237,6 +239,12 @@ def _is_strict_sqrt_one_projection_at_a_time(u, v, projection_samples, rng, tol=
                 for p in pick[1:]:
                     acc = derived_add(acc, p)
                 projections.append(acc)
+        for p in specs:
+            if round(np.trace(p.complex_view()).real) >= 2:
+                for _ in range(2):
+                    w = p @ random_morphism(u.field, UNIT, u.dom, rng)
+                    w = matcat.scaled(w, 1.0 / np.sqrt(matcat.column_sq_norm(w)))
+                    projections.append(w @ w.dagger())
     return all(commutes(p, u) == commutes(p, v) for p in projections)
 
 
@@ -276,6 +284,52 @@ def test_stacked_strictness_agrees_with_one_projection_at_a_time(field):
             assert old_rng.random() == new_rng.random(), name  # the same draws
             if strict is not None:
                 assert want == strict, name
+
+
+def _hidden(spectrum, rng):
+    """A unitary with the given eigenvalues in a random basis, and the basis."""
+    w = random_unitary(Field.COMPLEX, Obj(len(spectrum)), rng)
+    return w @ Morphism.from_complex(np.diag(np.array(spectrum, complex))) @ w.dagger(), w
+
+
+def test_non_polynomial_root_is_refuted_in_every_basis():
+    # v is +1 and -1 on the eigenvalue 1 of u, so v fails to commute
+    # with most rank-1 projections inside that eigenspace, whichever way
+    # the computed -1 pair falls around the branch cut
+    turn = np.array([[0.0, -1.0], [1.0, 0.0]])
+    v0 = np.zeros((4, 4))
+    v0[:2, :2], v0[2:, 2:] = np.diag([1.0, -1.0]), turn
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        u, w = _hidden([1, 1, -1, -1], rng)
+        v = w @ Morphism.from_real(Field.COMPLEX, v0) @ w.dagger()
+        assert approx_eq(v @ v, u)
+        assert not is_strict_sqrt(u, v, 50, rng), seed
+
+
+@pytest.mark.parametrize("spectrum", [[1, 1, -1, -1], [-1, -1, -1, 1j], [1, 1, 1j, 1j]])
+def test_synthesised_root_of_a_repeated_spectrum_is_strict_in_every_basis(spectrum):
+    # a repeated -1 is one node, whichever side of the cut its computed
+    # copies fall on, so the root is a scalar on each eigenspace and
+    # commutes with every rank-1 projection inside it
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        u, w = _hidden(spectrum, rng)
+        root = strict_sqrt_complex(u).root
+        for value in set(spectrum):
+            columns = [w.col(k) for k, x in enumerate(spectrum) if x == value]
+            g = copairing(columns) @ random_morphism(Field.COMPLEX, UNIT, Obj(len(columns)), rng)
+            g = matcat.scaled(g, 1.0 / g.norm())
+            p = g @ g.dagger()
+            assert approx_eq(p @ root, root @ p), (seed, value)
+        assert is_strict_sqrt(u, root, 50, rng), seed
+
+
+def test_repeated_minus_one_is_one_cluster_across_the_cut():
+    eps = axioms.EIGENVALUE_CLUSTER_EPS
+    for spread in (0.0, 1e-15, 1e-9, 0.4 * eps):
+        eigs = np.exp(1j * np.array([np.pi - spread, 0.5, -np.pi + spread]))
+        assert sorted(map(sorted, axioms._cluster_indices(eigs, eps))) == [[0, 2], [1]]
 
 
 def test_strict_sqrt_branch_cut_straddle():

@@ -1,5 +1,7 @@
 """The matrix dagger category: composition, dagger, morphism classes."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -218,6 +220,21 @@ def test_objects_are_natural_numbers():
     assert Obj(0).dim == 0
     with pytest.raises(DomainError):
         Obj(-1)
+
+
+@pytest.mark.parametrize("dim", [2.5, 3.0, "3", None, np.float64(2.0)])
+def test_objects_reject_non_integer_dimensions(dim):
+    with pytest.raises(DomainError):
+        Obj(dim)
+
+
+def test_numpy_integer_dimensions_intern_as_int():
+    n = 1_000_013  # not interned by any other test
+    first = Obj(np.int64(n))
+    assert type(first.dim) is int and first is Obj(n) is Obj(np.int32(n))
+    assert json.dumps(Obj(n).dim) == str(n)
+    with pytest.raises(DomainError):
+        Obj(np.int64(-2))
 
 
 def test_views_are_read_only():

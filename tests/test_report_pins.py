@@ -20,23 +20,23 @@ def _dims(first, last):
 
 PINS = [
     (["lemmas", "--field", "C", "--trials", "20"],
-     "74507a5a550de80c027de5276cf6b82f91ebc107b2448dd3751d2fc57c813529", 0),
+     "9b842899edeafc3a798bfb2bf316a28389f24e405e411b1d31f8d4774983edfb", 0),
     (["lemmas", "--field", "R", "--trials", "20"],
-     "1b5ff7029d15dcfe005d80835d54493d9f13851640f1c810ae821f05f09bd7a5", 0),
+     "8d9020bd99b7ccbbe57672462b483458dc8156f0fe06869c7f6966ca87219169", 0),
     (["lemmas", "--field", "H", "--trials", "30"],
-     "732b404cf811ef07c9c5d52b2884719f93d510c131712e91478ab27279de559a", 0),
+     "eef299e024a156d4cfa3ba85992d78af7477e9b86f30a71c58ddcdc551d988e6", 0),
     (["lemmas", "--field", "C", "--trials", "1", "--seed", "12"],
-     "21ccb8de6b36edebe753d53759bca24dc6072e307427bd7697f82c9696cf4a3e", 3),
+     "9a201647d97967e94609025de36606fcf33dff779c393cd3bebb371281b5b6cb", 3),
     (["reconstruct", "--field", "C", "--trials", "20"],
-     "ec0fab813b0cf20435d3923100333644f56a11957786a6d4574ce51b72152243", 0),
+     "c0c12d065979d530e5856b93cac6fc1f91436cbf8156ca4b20ae715d9a5c7392", 0),
     (["reconstruct", "--field", "H", "--trials", "20"],
-     "e2e6bd37655131face3841649df6c37181b9ab0ef11b70a3d8879efa58d5926e", 0),
+     "6b5bb4d543eedb6b98fcc2118c133cc3126e9733a45d7c0b3b7c89b75c5e42d2", 0),
     (["verify-axioms", "--field", "R", "--dims", _dims(0, 12), "--trials", "5"],
-     "7be57e57edc7910f742fd389553fae41c6c9f63e228019cd23ad3e1d7bc9b6fd", 1),
+     "bfb42d00ed30137450b97aace7d79b8d9cc3c59a93a3c1ea0fa6bc5b4db76dac", 1),
     (["verify-axioms", "--field", "H", "--dims", _dims(0, 8), "--trials", "5"],
-     "b77e2381f21b8627ed12e8a730ef8a90c95469aa8cfd664ea60ca3ef31ed9d4d", 1),
+     "ac8bf87d4f5e0d22ff0fe8da24dabe3b7b47612a2639f4089c826dcc47f18db4", 1),
     (["verify-axioms", "--field", "C", "--dims", _dims(0, 6), "--trials", "5"],
-     "36b30ad39f55adfc62a44bbdbb90472eac7a09215a601adad2112672c1bbbbfd", 0),
+     "493873ea27823f144dc70b7b22917a86d2644f99b12a05138b6b8b93db11156d", 0),
     (["verify-axioms", "--field", "C", "--dims", "1,2", "--trials", "2",
       "--tol-abs", "0", "--tol-rel", "0"],
      "03d3c3990ff0f166dfaa16d80209e0836117ece5ab8a3be3ea996edec0764865", 3),

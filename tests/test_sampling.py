@@ -1,10 +1,11 @@
 """Samplers: the batched rank-1 block against one draw at a time, the
-native isometry sampler, and the errors on impossible requests."""
+QR isometry sampler against column-by-column Gram-Schmidt, and the
+errors on impossible requests."""
 
 import numpy as np
 import pytest
 
-from daggerlab import biproduct, matcat
+from daggerlab import biproduct, matcat, sampling
 from daggerlab.errors import DomainError, NoMorphismError
 from daggerlab.matcat import Morphism, Obj, UNIT, ZERO_OBJ, native_stack
 from daggerlab.sampling import (
@@ -12,9 +13,10 @@ from daggerlab.sampling import (
     random_morphism,
     random_rank1_projection,
     random_rank1_projections,
+    random_rank1_subprojection,
     random_unit_column,
 )
-from daggerlab.scalars import ALL_FIELDS, Field
+from daggerlab.scalars import ALL_FIELDS, Field, TolerancePolicy
 
 
 class QueueRng:
@@ -110,10 +112,84 @@ def test_random_dagger_mono_composes_only_inside_derived_additions(monkeypatch, 
     random_dagger_mono(field, UNIT, Obj(4), rng)
     assert calls == {"compose": 0, "Morphism": 0, "derived_add": 0}
     m = random_dagger_mono(field, Obj(3), Obj(5), rng)
-    # two Gram-Schmidt passes for each column after the first, and each
-    # derived addition is codiagonal . (f (+) g) . diagonal
-    assert calls == {"compose": 2 * 2 * 2, "Morphism": 0, "derived_add": 2 * 2}
+    # one QR of the native array: no Gram-Schmidt pass, so no derived addition
+    assert calls == {"compose": 0, "Morphism": 0, "derived_add": 0}
     assert matcat.is_dagger_mono(m)
+
+
+def _gram_schmidt_dagger_mono(field, dom, cod, rng):
+    """The isometry sampler as it was before one QR: the Gaussian columns
+    orthonormalised one at a time by `orthonormal_columns` (CGS2 through
+    derived additions), redrawn while a column is dropped."""
+    if dom.dim == 0:
+        return Morphism.zero(field, dom, cod)
+    while True:
+        m = sampling.random_morphism(field, dom, cod, rng)
+        cols = biproduct.orthonormal_columns([m.col(j) for j in range(dom.dim)])
+        if len(cols) == dom.dim:
+            return matcat.column_block(cols)
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS)
+def test_qr_isometry_is_the_gram_schmidt_isometry(field):
+    worst = 0.0
+    for n in range(1, 9):
+        for k in range(1, n + 1):
+            for seed in range(20):
+                gs_rng, qr_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                want = _gram_schmidt_dagger_mono(field, Obj(k), Obj(n), gs_rng)
+                got = random_dagger_mono(field, Obj(k), Obj(n), qr_rng)
+                assert (got.field, got.dom, got.cod) == (field, Obj(k), Obj(n))
+                worst = max(worst, float(np.abs(got._a - want._a).max()))
+                assert gs_rng.random() == qr_rng.random()  # the same draws
+                if k == 1:  # a unit column is bitwise the Gram-Schmidt one
+                    assert got._a.tobytes() == want._a.tobytes()
+    assert worst <= 1e-13
+
+
+def test_qr_isometry_over_h_is_exactly_quaternionic():
+    rng = np.random.default_rng(11)
+    for n in range(1, 9):
+        for k in range(1, n + 1):
+            m = random_dagger_mono(Field.QUATERNION, Obj(k), Obj(n), rng)
+            assert matcat.project_to_field(m)._a.tobytes() == m._a.tobytes()
+            assert matcat.is_dagger_mono(m, TolerancePolicy(1e-14, 0.0))
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS)
+@pytest.mark.parametrize("sampler", [random_dagger_mono, _gram_schmidt_dagger_mono])
+def test_rank_deficient_block_is_drawn_once_more(monkeypatch, field, sampler):
+    draws = []
+
+    def deficient_first(field, dom, cod, rng, scale=1.0):
+        m = random_morphism(field, dom, cod, rng, scale)
+        if not draws:  # the third column repeats the first
+            e = np.array(m.entries)
+            e[:, 2] = e[:, 0]
+            m = Morphism(field, dom, cod, e)
+        draws.append(m)
+        return m
+
+    monkeypatch.setattr(sampling, "random_morphism", deficient_first)
+    rng = np.random.default_rng(5)
+    got = sampler(field, Obj(3), Obj(4), rng)
+    assert len(draws) == 2
+    monkeypatch.undo()
+    rng = np.random.default_rng(5)
+    random_morphism(field, Obj(3), Obj(4), rng)  # the dropped draw
+    want = _gram_schmidt_dagger_mono(field, Obj(3), Obj(4), rng)
+    assert np.abs(got._a - want._a).max() <= 1e-13
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS)
+def test_rank1_subprojection_lies_inside_the_projection(field):
+    rng = np.random.default_rng(8)
+    inside = random_dagger_mono(field, Obj(2), Obj(4), rng)
+    p = inside @ inside.dagger()
+    q = random_rank1_subprojection(p, rng)
+    assert matcat.is_projection(q)
+    assert matcat.approx_eq(p @ q, q) and matcat.approx_eq(q @ p, q)
+    assert abs(q.norm() - 1.0) <= 1e-12  # rank 1
 
 
 def test_samplers_reject_impossible_isometries():

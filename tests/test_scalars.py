@@ -1,6 +1,7 @@
 """Scalar arithmetic: involution, products, inverses, centrality."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -142,3 +143,27 @@ def test_field_names():
     assert [Field.from_name(name) for name in "RCH"] == list(ALL_FIELDS)
     with pytest.raises(DomainError):
         Field.from_name("Q")
+
+
+def test_field_keyed_lookups_make_no_python_call():
+    from daggerlab import biproduct, matcat
+
+    matcat.Morphism.identity(Field.COMPLEX, matcat.Obj(3))
+    biproduct.diagonal_pair(Field.QUATERNION, matcat.Obj(2))
+    seen = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            seen.append(frame.f_code.co_filename)
+
+    sys.setprofile(profile)
+    try:
+        for field in ALL_FIELDS:
+            _ = field.width, {field: 1}[field], hash(field)
+        matcat.Morphism.identity(Field.COMPLEX, matcat.Obj(3))
+        biproduct.diagonal_pair(Field.QUATERNION, matcat.Obj(2))
+    finally:
+        sys.setprofile(None)
+    assert not [f for f in seen if f.endswith("enum.py")]
+    assert {Field.REAL: 1}[Field.from_name("R")] == 1
+    assert len({*ALL_FIELDS, *ALL_FIELDS}) == 3
