@@ -40,20 +40,21 @@ from .matcat import (
     basis_column,
     commutator_matrix,
     commuting,
-    compose,
     diagonal_commutator_support,
     frobenius_distance,
     is_dagger_iso,
     is_dagger_mono,
     native_stack,
     unit_multiple_coordinates,
+    unstack,
 )
 from .reports import FAIL, INFEASIBLE, PASS, Report, worse
 from .sampling import (
+    probe_projections,
+    random_dagger_mono,
     random_morphism,
-    random_rank1_projection,
-    random_rank1_projections,
     random_rank1_subprojection,
+    random_unitary,
 )
 from .scalars import DEFAULT_TOL, Field, Scalar, TolerancePolicy, real_sqrt
 
@@ -134,6 +135,35 @@ def normalize_h4b(u: Morphism, tol: TolerancePolicy = DEFAULT_TOL) -> Scalar:
     return Scalar(u.field, 1.0 / real_sqrt(n2.w, tol))
 
 
+def is_dagger_simple(
+    field: Field,
+    X: Obj,
+    trials: int = 8,
+    rng: np.random.Generator | None = None,
+    tol: TolerancePolicy = DEFAULT_TOL,
+) -> bool:
+    """True iff every nonzero isometry into X is unitary; holds exactly
+    for dimension 1.  The dimension verdict is cross-validated on random
+    isometries with domain dimensions sweeping 1..X.dim."""
+    if X.dim == 0:
+        return False
+    rng = np.random.default_rng(0) if rng is None else rng
+    all_unitary = True
+    for t in range(trials):
+        a = Obj(1 + t % X.dim)
+        m = random_dagger_mono(field, a, X, rng)
+        if m.norm() <= tol.abs_eps:
+            continue
+        if not (a.dim == X.dim and is_dagger_iso(m, tol)):
+            all_unitary = False
+    verdict = X.dim == 1
+    if verdict != all_unitary:
+        raise ContradictionError(
+            "sampled isometries contradict the dimension verdict"
+        )
+    return verdict
+
+
 # ---------------------------------------------------------------------------
 # (H5)  strict square roots over the complex field
 # ---------------------------------------------------------------------------
@@ -192,11 +222,7 @@ def _leja_order(nodes: list[complex]) -> list[complex]:
     return ordered
 
 
-def strict_sqrt_complex(
-    u: Morphism,
-    tol: TolerancePolicy = DEFAULT_TOL,
-    cluster_eps: float = EIGENVALUE_CLUSTER_EPS,
-) -> StrictSqrtCertificate:
+def strict_sqrt_complex(u: Morphism, tol: TolerancePolicy = DEFAULT_TOL) -> StrictSqrtCertificate:
     """Strict square root of a complex unitary.
 
     Eigenvalues are clustered, each representative gets its principal
@@ -219,7 +245,7 @@ def strict_sqrt_complex(
     eigs = np.linalg.eigvals(uc)
     if np.max(np.abs(np.abs(eigs) - 1.0)) > 1e3 * tol.abs_eps:
         raise DomainError("spectrum is not on the unit circle")
-    nodes = _leja_order(_cluster_unit_eigenvalues(eigs, cluster_eps))
+    nodes = _leja_order(_cluster_unit_eigenvalues(eigs, EIGENVALUE_CLUSTER_EPS))
     values = [complex(np.exp(0.5j * np.angle(lam))) for lam in nodes]
 
     # Newton divided differences, then a Horner evaluation at the matrix.
@@ -244,9 +270,7 @@ def strict_sqrt_complex(
     return StrictSqrtCertificate(root, data, residual)
 
 
-def spectral_projections(
-    u: Morphism, cluster_eps: float = EIGENVALUE_CLUSTER_EPS
-) -> list[Morphism]:
+def spectral_projections(u: Morphism) -> list[Morphism]:
     """Orthogonal projections onto the clustered eigenspaces of a complex
     unitary.
 
@@ -266,7 +290,7 @@ def spectral_projections(
     if u.dom.dim == 0:
         return []
     eigs, vecs = np.linalg.eig(u.complex_view())
-    clusters = _cluster_indices(eigs, cluster_eps)
+    clusters = _cluster_indices(eigs, EIGENVALUE_CLUSTER_EPS)
     q, _ = np.linalg.qr(vecs[:, [i for idx in clusters for i in idx]])
     out = []
     start = 0
@@ -305,14 +329,7 @@ def is_strict_sqrt(
     if u.dom.dim == 0:
         return True
 
-    coordinate = [
-        compose(basis_column(u.field, u.dom, k), basis_column(u.field, u.dom, k).dagger())
-        for k in range(u.dom.dim)
-    ]
-    blocks = [
-        native_stack(coordinate),
-        random_rank1_projections(u.field, u.dom, projection_samples, rng),
-    ]
+    blocks = [probe_projections(u.field, u.dom, projection_samples, rng)]
     if u.field is Field.COMPLEX:
         spectral = spectral_projections(u)
         unions = []
@@ -424,11 +441,7 @@ def refute_h5_scalar_case(
         raise DomainError("the scalar-forcing argument needs dimension >= 2")
     rng = np.random.default_rng(0) if rng is None else rng
     x = Obj(dim)
-    projections = [
-        compose(basis_column(field, x, k), basis_column(field, x, k).dagger())
-        for k in range(dim)
-    ]
-    projections += [random_rank1_projection(field, x, rng) for _ in range(dim + 3)]
+    projections = unstack(field, x, x, probe_projections(field, x, dim + 3, rng))
     nullity, null_basis = _commutant_of_projections(field, dim, projections)
     if nullity != 1:
         return Report(
@@ -572,8 +585,12 @@ def finite_directed_colimit(
     d: DirectedDiagram, tol: TolerancePolicy = DEFAULT_TOL
 ) -> ColimitCocone:
     """Colimit of a finite directed diagram of isometries: the object at
-    the greatest node, with the composite arrows as legs."""
-    d.validate(tol)
+    the greatest node, with the composite arrows as legs.  A diagram
+    whose arrows are not isometries, or do not compose, to within `tol`
+    (a NaN residual included) is rejected."""
+    residual = d.validate(tol)
+    if not residual <= tol.bound(1.0, 1.0):
+        raise DomainError(f"not a diagram of isometries: residual {residual:.3e}")
     top = d.greatest()
     legs = {n: d.arrow(n, top) for n in d.nodes}
     return ColimitCocone(d.field, d.objects[top], legs, top)
@@ -667,20 +684,13 @@ def subset_diagram(labels: Sequence[Hashable], field: Field) -> DirectedDiagram:
     return DirectedDiagram(field, tuple(nodes), leq, objects, arrows)
 
 
-def random_directed_diagram(
-    field: Field,
-    rng: np.random.Generator,
-    max_nodes: int = 6,
-    max_base: int = 6,
-) -> DirectedDiagram:
-    """Random finite directed diagram: a union-closed family of subsets
-    (hence directed, with the full union on top), realised by selection
-    injections and disguised by a random unitary change of basis at
-    every node."""
-    from .sampling import random_unitary
-
+def random_directed_diagram(field: Field, rng: np.random.Generator) -> DirectedDiagram:
+    """Random finite directed diagram: a union-closed family of at most 6
+    subsets of at most 6 labels (hence directed, with the full union on
+    top), realised by selection injections and disguised by a random
+    unitary change of basis at every node."""
     while True:
-        base = int(rng.integers(1, max_base + 1))
+        base = int(rng.integers(1, 7))
         seeds = []
         for _ in range(int(rng.integers(1, 4))):
             mask = rng.random(base) < 0.6
@@ -697,7 +707,7 @@ def random_directed_diagram(
                 if u not in family:
                     family.add(u)
                     grew = True
-        if len(family) <= max_nodes:
+        if len(family) <= 6:
             break
     nodes = tuple(sorted(family, key=lambda s: (len(s), sorted(s))))
     objects = {n: Obj(len(n)) for n in nodes}

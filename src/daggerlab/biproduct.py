@@ -8,6 +8,7 @@ entrywise sum appears only inside test oracles.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import accumulate
@@ -15,6 +16,7 @@ from typing import Sequence
 
 from .errors import DomainError, FieldMismatchError, ShapeMismatchError
 from .matcat import (
+    DROP_EPS,
     Morphism,
     Obj,
     column_block,
@@ -32,8 +34,6 @@ from .scalars import ALL_FIELDS, DEFAULT_TOL, Field, Scalar, TolerancePolicy, re
 
 # -1 as a 1x1 morphism: the Gram-Schmidt step subtracts Q . c as Q . (c . -1)
 _MINUS_ONE = {f: read_only(Morphism.single(Scalar(f, -1.0))) for f in ALL_FIELDS}
-# Gram-Schmidt treats a candidate shorter than this after projection as dependent
-DROP_EPS = 1e-8
 
 
 def oplus_obj(a: Obj, b: Obj) -> Obj:
@@ -129,24 +129,20 @@ class DiagonalPair:
     codiagonal: Morphism
 
 
-_DIAGONAL_PAIRS: dict[tuple[Field, int], DiagonalPair] = {}
-_DIAGONAL_PAIRS_MAX = 256
-
-
 def diagonal_pair(field: Field, x: Obj) -> DiagonalPair:
-    """Cached per (field, dimension): every derived addition asks for
-    two.  The key is the dimension, not the Obj, because hashing and
-    comparing the dataclass cost more than the rest of a lookup.  The
-    shared morphisms are read-only, so no caller can corrupt them."""
-    key = (field, x.dim)
-    pair = _DIAGONAL_PAIRS.get(key)
-    if pair is None:
-        if len(_DIAGONAL_PAIRS) >= _DIAGONAL_PAIRS_MAX:
-            _DIAGONAL_PAIRS.clear()
-        ident = Morphism.identity(field, x)
-        diag = read_only(pairing([ident, ident]))
-        pair = _DIAGONAL_PAIRS[key] = DiagonalPair(x, diag, read_only(diag.dagger()))
-    return pair
+    """Cached per (field, dimension) by `_diagonal_pair`: every derived
+    addition asks for two."""
+    return _diagonal_pair(field, x.dim)
+
+
+@functools.lru_cache(maxsize=256)
+def _diagonal_pair(field: Field, dim: int) -> DiagonalPair:
+    """The key is the dimension, not the Obj, because an int hashes
+    faster.  The shared morphisms are read-only, so no caller can
+    corrupt them."""
+    ident = Morphism.identity(field, Obj(dim))
+    diag = read_only(pairing([ident, ident]))
+    return DiagonalPair(ident.dom, diag, read_only(diag.dagger()))
 
 
 def derived_add(f: Morphism, g: Morphism) -> Morphism:
@@ -172,14 +168,13 @@ def nfold_biproduct(x: Obj, n: int, field: Field) -> list[Morphism]:
 def orthonormal_columns(
     vectors: Sequence[Morphism],
     against: Sequence[Morphism] = (),
-    drop_eps: float = DROP_EPS,
     tol: TolerancePolicy = DEFAULT_TOL,
 ) -> list[Morphism]:
     """Right Gram-Schmidt over the ambient field, in blocks (CGS2).
 
     Extends the (assumed orthonormal) `against` prefix by unit columns
     spanning `vectors`; candidates whose residual norm falls below
-    `drop_eps` are treated as dependent and dropped.  The basis so far
+    DROP_EPS are treated as dependent and dropped.  The basis so far
     is one column block Q = [against..., accepted...], and Q-dagger is
     formed at most once per accepted column.  Each candidate u is
     projected out of it twice, each pass forming Q . ((Q-dagger . u) .
@@ -196,7 +191,7 @@ def orthonormal_columns(
     Once Q has as many columns as the ambient dimension and is finite,
     it is unitary to rounding, so every later candidate's residual is
     at rounding level and would be dropped: the loop stops there.  A
-    NaN column is accepted (its length is not below `drop_eps`) and
+    NaN column is accepted (its length is not below DROP_EPS) and
     makes every later residual NaN, so a non-finite basis never stops
     the loop.  Every input is checked first: mixed fields raise
     FieldMismatchError, and mixed codomains or an input that is not a
@@ -231,7 +226,7 @@ def orthonormal_columns(
                 u = derived_add(u, range_component(q, q_dagger, u, minus_one))
                 u = project_to_field(u)
         length = real_sqrt(column_sq_norm(u), tol)
-        if length < drop_eps:
+        if length < DROP_EPS:
             continue
         unit = scaled(u, 1.0 / length)
         accepted.append(unit)

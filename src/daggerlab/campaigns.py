@@ -46,12 +46,12 @@ from .matcat import (
     Morphism,
     Obj,
     UNIT,
+    column_block,
     column_distances,
     column_norms,
     frobenius_distance,
     is_dagger_iso,
     is_dagger_mono,
-    is_dagger_simple,
 )
 from .reports import ERROR, FAIL, INFEASIBLE, NO_SAMPLE, PASS, Report, worse
 from .sampling import (
@@ -247,10 +247,10 @@ def check_small_objects_distinct(cfg: CampaignConfig, rng: np.random.Generator) 
 @check("matcat.dagger-simple-is-dimension-one")
 def check_dagger_simple_dimension(cfg: CampaignConfig, rng: np.random.Generator) -> Report:
     ok = (
-        is_dagger_simple(cfg.field, UNIT, trials=8, rng=rng, tol=cfg.tol)
-        and not is_dagger_simple(cfg.field, Obj(0), trials=4, rng=rng, tol=cfg.tol)
-        and not is_dagger_simple(cfg.field, Obj(2), trials=8, rng=rng, tol=cfg.tol)
-        and not is_dagger_simple(cfg.field, Obj(3), trials=8, rng=rng, tol=cfg.tol)
+        axioms.is_dagger_simple(cfg.field, UNIT, trials=8, rng=rng, tol=cfg.tol)
+        and not axioms.is_dagger_simple(cfg.field, Obj(0), trials=4, rng=rng, tol=cfg.tol)
+        and not axioms.is_dagger_simple(cfg.field, Obj(2), trials=8, rng=rng, tol=cfg.tol)
+        and not axioms.is_dagger_simple(cfg.field, Obj(3), trials=8, rng=rng, tol=cfg.tol)
     )
     return _report(cfg, PASS if ok else FAIL, 0.0)
 
@@ -516,10 +516,6 @@ def check_h5_refutation(cfg: CampaignConfig, rng: np.random.Generator) -> Report
 # ---------------------------------------------------------------------------
 
 
-def _random_onb(cfg: CampaignConfig, x: Obj, rng: np.random.Generator) -> reconstruct.Subspace:
-    return reconstruct.Subspace(random_unitary(cfg.field, x, rng))
-
-
 @law("reconstruct.hermitian-form-laws", 300, 100.0)
 def check_hermitian_form_laws(cfg: CampaignConfig, rng: np.random.Generator):
     endo = reconstruct.EndoField(cfg.field)
@@ -567,15 +563,14 @@ def check_copairing_biconditional(cfg: CampaignConfig, rng: np.random.Generator)
         x = _random_shape(rng, 1, 6)
         n = int(rng.integers(1, x.dim + 1))
         if trial % 2 == 0:
-            sub = reconstruct.Subspace(random_dagger_mono(cfg.field, Obj(n), x, rng))
+            b = random_dagger_mono(cfg.field, Obj(n), x, rng)
         else:
-            cols = [random_morphism(cfg.field, UNIT, x, rng) for _ in range(n)]
-            sub = reconstruct.Subspace.of_columns(cfg.field, x, cols)
-        residual = sub.orthonormality_residual()
+            b = column_block([random_morphism(cfg.field, UNIT, x, rng) for _ in range(n)])
+        residual = reconstruct.orthonormality_residual(b)
         if not math.isfinite(residual):  # neither side of the biconditional can be read
             return _report(cfg, FAIL, residual, details={"reason": "non-finite residual"})
         orthonormal = residual <= 1e-6
-        isometric = is_dagger_mono(sub.isometry, cfg.tol)
+        isometric = is_dagger_mono(b, cfg.tol)
         if orthonormal != isometric:
             return _report(cfg, FAIL, residual,
                            details={"orthonormal": orthonormal, "isometric": isometric})
@@ -588,9 +583,9 @@ def check_onb_is_full_biproduct(cfg: CampaignConfig, rng: np.random.Generator):
     from the n-fold unit biproduct, and expansion in it reconstructs
     every vector."""
     x = _random_shape(rng, 1, 6)
-    basis = _random_onb(cfg, x, rng)
-    if not is_dagger_iso(basis.isometry, cfg.tol):
-        return _report(cfg, FAIL, 0.0, basis.isometry)
+    basis = random_unitary(cfg.field, x, rng)
+    if not is_dagger_iso(basis, cfg.tol):
+        return _report(cfg, FAIL, 0.0, basis)
     u = random_morphism(cfg.field, UNIT, x, rng)
     _, recon = reconstruct.onb_expansion(u, basis)
     return (frobenius_distance(u, recon),)
@@ -603,8 +598,8 @@ def check_isometry_image_splits(cfg: CampaignConfig, rng: np.random.Generator):
     x = _random_shape(rng, 1, 6)
     a = Obj(int(rng.integers(0, x.dim + 1)))
     h = random_dagger_mono(cfg.field, a, x, rng)
-    bd = reconstruct.coordinate_basis(cfg.field, a)
-    bx = reconstruct.coordinate_basis(cfg.field, x)
+    bd = Morphism.identity(cfg.field, a)
+    bx = Morphism.identity(cfg.field, x)
     vh = reconstruct.functor_v(h, bd, bx, cfg.tol)
     comp = axioms.complement_h3(h, cfg.tol)
     ident = Morphism.identity(cfg.field, x)
@@ -624,14 +619,14 @@ def check_orthomodularity(cfg: CampaignConfig, rng: np.random.Generator):
     vs = [random_morphism(cfg.field, UNIT, x, rng) for _ in range(k)]
     sub = reconstruct.gram_schmidt(vs, field=cfg.field, ambient=x, tol=cfg.tol)
     perp = reconstruct.orthocomplement(sub, cfg.tol)
-    if sub.dim + perp.dim != x.dim:
-        return _report(cfg, FAIL, 0.0, details={"dims": [sub.dim, perp.dim, x.dim]})
+    if sub.dom.dim + perp.dom.dim != x.dim:
+        return _report(cfg, FAIL, 0.0, details={"dims": [sub.dom.dim, perp.dom.dim, x.dim]})
     p, q = reconstruct.projection_of_subspace(sub), reconstruct.projection_of_subspace(perp)
     # one residual per basis column, read from one product each
     return (
         [frobenius_distance(derived_add(p, q), Morphism.identity(cfg.field, x))]
-        + column_distances(p @ sub.isometry, sub.isometry)
-        + column_norms(p @ perp.isometry)
+        + column_distances(p @ sub, sub)
+        + column_norms(p @ perp)
     )
 
 
@@ -669,10 +664,10 @@ def check_functor_dagger_additive(cfg: CampaignConfig, rng: np.random.Generator)
     f = random_morphism(cfg.field, x, y, rng)
     g = random_morphism(cfg.field, x, y, rng)
     h = random_morphism(cfg.field, y, z, rng)
-    bx, by, bz = (_random_onb(cfg, o, rng) for o in (x, y, z))
+    bx, by, bz = (random_unitary(cfg.field, o, rng) for o in (x, y, z))
     vf = reconstruct.functor_v(f, bx, by, cfg.tol)
-    coord_x = reconstruct.coordinate_basis(cfg.field, x)
-    coord_y = reconstruct.coordinate_basis(cfg.field, y)
+    coord_x = Morphism.identity(cfg.field, x)
+    coord_y = Morphism.identity(cfg.field, y)
     return (
         frobenius_distance(reconstruct.functor_v(f.dagger(), by, bx, cfg.tol), vf.dagger()),
         frobenius_distance(reconstruct.functor_v(derived_add(f, g), bx, by, cfg.tol),
@@ -717,8 +712,8 @@ def check_rank_objects(cfg: CampaignConfig, rng: np.random.Generator) -> Report:
         x, onb = reconstruct.rank_object(cfg.field, n)
         if x.dim != n or len(onb) != n:
             return _report(cfg, FAIL, 0.0, details={"rank": n})
-        sub = reconstruct.Subspace.of_columns(cfg.field, x, onb)
-        worst = worse(worst, sub.orthonormality_residual())
+        if onb:
+            worst = worse(worst, reconstruct.orthonormality_residual(column_block(onb)))
     return _verdict(cfg, worst)
 
 

@@ -17,10 +17,11 @@ transpose.  Its Frobenius norm counts every quaternion entry twice, so
 boundary is a (cod, dom, 4) array of quaternion components: the
 constructor takes it, `entries` derives it, and the JSON format stores
 it.  A caller that works on many morphisms at once may take a stack of
-their native arrays (`native_stack`, or `component_stack` from drawn
-components), which it only slices, concatenates, multiplies and
-subtracts, and hand it back to `stack_norms`, `unit_columns`,
-`outer_products`, `commuting` and `unstack`.
+their native arrays (`native_stack`, `coordinate_projections`, or
+`component_stack` from drawn components), which it only slices,
+concatenates, multiplies and subtracts, and hand it back to
+`stack_norms`, `unit_columns`, `outer_products`, `commuting` and
+`unstack`.
 Scalars act on columns from the right (a 1x1 morphism composed after
 the column), which keeps the quaternionic module structure free of
 left/right ambiguity.
@@ -28,13 +29,14 @@ left/right ambiguity.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ContradictionError, DomainError, FieldMismatchError, ShapeMismatchError
+from .errors import DomainError, FieldMismatchError, ShapeMismatchError
 from .scalars import DEFAULT_TOL, Field, Scalar, TolerancePolicy
 
 
@@ -193,16 +195,9 @@ class Morphism:
 
     @classmethod
     def identity(cls, field: Field, obj: Obj) -> "Morphism":
-        """Cached per (field, dimension) and read-only, so no caller can
-        corrupt the shared array; the cache holds at most 256 entries."""
-        key = (field, obj.dim)
-        ident = _IDENTITIES.get(key)
-        if ident is None:
-            if len(_IDENTITIES) >= _IDENTITIES_MAX:
-                _IDENTITIES.clear()
-            a = np.eye(_block(field) * obj.dim, dtype=_dtype(field))
-            ident = _IDENTITIES[key] = read_only(_wrap(field, obj, obj, a))
-        return ident
+        """Cached per (field, dimension) by `_identity` and read-only, so
+        no caller can corrupt the shared array."""
+        return _identity(field, obj.dim)
 
     @classmethod
     def from_real(cls, field: Field, mat: np.ndarray | Sequence[Sequence[float]]) -> "Morphism":
@@ -337,8 +332,12 @@ _set_cod = Morphism.cod.__set__
 _set_a = Morphism._a.__set__
 
 
-_IDENTITIES: dict[tuple[Field, int], Morphism] = {}
-_IDENTITIES_MAX = 256
+@functools.lru_cache(maxsize=256)
+def _identity(field: Field, dim: int) -> Morphism:
+    """The identity of Obj(dim), keyed by the dimension rather than the
+    Obj because an int hashes faster."""
+    x = Obj(dim)
+    return read_only(_wrap(field, x, x, np.eye(_block(field) * dim, dtype=_dtype(field))))
 
 
 def _check_index(kind: str, k: int, obj: Obj) -> None:
@@ -499,13 +498,25 @@ def unstack(field: Field, dom: Obj, cod: Obj, stack: np.ndarray) -> list[Morphis
     return [_wrap(field, dom, cod, a) for a in stack]
 
 
-def _check_projections(field: Field, dim: int, projections: Sequence[Morphism]) -> None:
+def coordinate_projections(field: Field, dim: int) -> np.ndarray:
+    """Stacked native arrays of the dim coordinate projections
+    e_k . e_k-dagger of Obj(dim): 0/1 diagonals, so every entry is exact."""
+    s = _block(field)
+    blocks = np.repeat(np.eye(dim), s, axis=1)  # row k is 1 on the native block of e_k
+    return blocks[:, :, None] * np.eye(s * dim, dtype=_dtype(field))
+
+
+def _projection_stack(field: Field, dim: int, projections: Sequence[Morphism]) -> np.ndarray:
+    """The native arrays of endomorphisms of Obj(dim) over `field`, one
+    stack with a leading axis of len(projections) even when that is 0."""
     x = Obj(dim)
     for p in projections:
         if p.field is not field:
             raise FieldMismatchError(f"{p.field.value} projection over {field.value}")
         if p.dom != x or p.cod != x:
             raise ShapeMismatchError(f"projection is not an endomorphism of dimension {dim}")
+    side = _block(field) * dim
+    return np.array([p._a for p in projections], _dtype(field)).reshape(-1, side, side)
 
 
 def commutator_matrix(
@@ -521,23 +532,23 @@ def commutator_matrix(
     Coordinate k = (i * dim + j) * width + c is component c of entry
     (i, j): column k is the image of the unit endomorphism with that
     component 1, and row k of a block reads that component of the image.
-    The units of the chosen columns are one stacked native array, so a
-    block costs one batched product on each side of p.  Each product
-    multiplies by a unit entry and adds exact zeros, so every block
-    entry is exact.
+    The projections and the units of the chosen columns are two stacked
+    native arrays, so the whole map costs one batched product on each
+    side.  Each product multiplies by a unit entry and adds exact zeros,
+    so every entry is exact.
     """
-    _check_projections(field, dim, projections)
+    p = _projection_stack(field, dim, projections)[:, None]
     w = field.width
     n = dim * dim * w
     columns = np.arange(n) if columns is None else np.asarray(columns)
     units = np.zeros((columns.size, dim, dim, 4))
     units[(np.arange(columns.size), *np.unravel_index(columns, (dim, dim, w)))] = 1.0
     stack = _native(field, units)
-    out = np.empty((len(projections) * n, columns.size))
-    for k, p in enumerate(projections):
-        image = _components(field, p._a @ stack - stack @ p._a)[..., :w]
-        out[k * n:(k + 1) * n] = image.reshape(columns.size, n).T
-    return out
+    image = p @ stack
+    image -= stack @ p  # in place: one block of products fewer alive at once
+    image = _components(field, image)[..., :w]
+    image = image.reshape(len(projections), columns.size, n).swapaxes(1, 2)
+    return image.reshape(len(projections) * n, columns.size)
 
 
 def diagonal_commutator_support(
@@ -555,16 +566,12 @@ def diagonal_commutator_support(
     over the projections and a mask over the n coordinates, in the
     order of `commutator_matrix`'s columns.
     """
-    _check_projections(field, dim, projections)
-    s = _block(field)
-    diagonal = np.zeros(len(projections), bool)
-    forced = np.zeros((dim, dim), bool)
-    for k, p in enumerate(projections):
-        d = np.diagonal(p._a)
-        if np.count_nonzero(p._a) == np.count_nonzero(d) and not d.imag.any():
-            diagonal[k] = True
-            d = d[::s].real
-            forced |= d[:, None] != d[None, :]
+    stack = _projection_stack(field, dim, projections)
+    d = np.diagonal(stack, axis1=1, axis2=2)
+    off_diagonal_zero = np.count_nonzero(stack, axis=(1, 2)) == np.count_nonzero(d, axis=1)
+    diagonal = off_diagonal_zero & ~d.imag.any(axis=1)
+    d = d[diagonal, ::_block(field)].real
+    forced = (d[:, :, None] != d[:, None, :]).any(axis=0)
     return diagonal, np.repeat(forced.ravel(), field.width)
 
 
@@ -575,14 +582,19 @@ def component_stack(field: Field, comps: np.ndarray) -> np.ndarray:
     return _native(field, comps)
 
 
-def unit_columns(stack: np.ndarray, drop_eps: float) -> np.ndarray:
+# Gram-Schmidt and the samplers treat a column shorter than this, after
+# projection, as dependent
+DROP_EPS = 1e-8
+
+
+def unit_columns(stack: np.ndarray) -> np.ndarray:
     """The columns of a stack of native (cod, 1) arrays that are at least
-    drop_eps long, each divided by its length, in order.  Each length is
+    DROP_EPS long, each divided by its length, in order.  Each length is
     reckoned as for one column: `column_sq_norm`, its square root with
     real_sqrt's clamp at 0, and then the product with 1 / length."""
     sq = (stack.conj().swapaxes(-1, -2) @ stack)[:, 0, 0].real
     lengths = np.sqrt(np.maximum(sq, 0.0))
-    keep = ~(lengths < drop_eps)
+    keep = ~(lengths < DROP_EPS)
     return stack[keep] * (1.0 / lengths[keep])[:, None, None]
 
 
@@ -662,9 +674,9 @@ def _quaternion_part(x: np.ndarray) -> np.ndarray:
     return _adjoint(a, b)
 
 
-def isometry_factor(m: Morphism, drop_eps: float) -> Morphism | None:
+def isometry_factor(m: Morphism) -> Morphism | None:
     """The isometry Q of m = Q R with R upper triangular with a positive
-    real diagonal, or None when some |R_jj| < drop_eps.
+    real diagonal, or None when some |R_jj| < DROP_EPS.
 
     Q is unique, so it is the basis right Gram-Schmidt builds from m's
     columns, and |R_jj| is the residual length Gram-Schmidt compares
@@ -677,12 +689,12 @@ def isometry_factor(m: Morphism, drop_eps: float) -> Morphism | None:
     averaging removes.  A single column is divided by its length as
     `unit_columns` does."""
     if m.dom.dim == 1:
-        units = unit_columns(m._a[None], drop_eps)
+        units = unit_columns(m._a[None])
         return _wrap(m.field, m.dom, m.cod, units[0]) if len(units) else None
     q, r = np.linalg.qr(m._a)
     diagonal = np.diagonal(r)
     lengths = np.abs(diagonal)
-    if (lengths < drop_eps).any():
+    if (lengths < DROP_EPS).any():
         return None
     q *= diagonal / lengths
     if m.field is Field.QUATERNION:
@@ -725,34 +737,3 @@ def basis_column(field: Field, X: Obj, k: int) -> Morphism:
     """k-th canonical basis column as a morphism from the unit object: a
     read-only view of column k of the cached identity of X."""
     return Morphism.identity(field, X).col(k)
-
-
-def is_dagger_simple(
-    field: Field,
-    X: Obj,
-    trials: int = 8,
-    rng: np.random.Generator | None = None,
-    tol: TolerancePolicy = DEFAULT_TOL,
-) -> bool:
-    """True iff every nonzero isometry into X is unitary; holds exactly
-    for dimension 1.  The dimension verdict is cross-validated on random
-    isometries with domain dimensions sweeping 1..X.dim."""
-    if X.dim == 0:
-        return False
-    from .sampling import random_dagger_mono  # deferred: sampling imports this module
-
-    rng = np.random.default_rng(0) if rng is None else rng
-    all_unitary = True
-    for t in range(trials):
-        a = Obj(1 + t % X.dim)
-        m = random_dagger_mono(field, a, X, rng)
-        if m.norm() <= tol.abs_eps:
-            continue
-        if not (a.dim == X.dim and is_dagger_iso(m, tol)):
-            all_unitary = False
-    verdict = X.dim == 1
-    if verdict != all_unitary:
-        raise ContradictionError(
-            "sampled isometries contradict the dimension verdict"
-        )
-    return verdict

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeMismatchError, UnsupportedFieldError
-from .matcat import Morphism, Obj, basis_column, compose, native_stack, stack_norms, unstack
-from .sampling import random_rank1_projection
+from .matcat import Morphism, Obj, native_stack, stack_norms, unstack
+from .sampling import probe_projections
 from .scalars import DEFAULT_TOL, Field, TolerancePolicy
 
 SPAN_RANK_EPS = 1e-8  # singular values below this (relative) fraction do not count
@@ -75,14 +75,8 @@ def projection_generators(
         raise ShapeMismatchError("generators need dimension >= 1")
     if count < 0:
         raise DomainError(f"cannot draw {count} random generators")
-    rng = np.random.default_rng(seed)
     x = Obj(dim)
-    gens = [
-        compose(basis_column(field, x, k), basis_column(field, x, k).dagger())
-        for k in range(dim)
-    ]
-    gens += [random_rank1_projection(field, x, rng) for _ in range(count)]
-    return gens
+    return unstack(field, x, x, probe_projections(field, x, count, np.random.default_rng(seed)))
 
 
 def _close(
@@ -173,7 +167,7 @@ def word_closure(
     return unstack(field, obj, obj, words)
 
 
-def real_span_rank(words: list[Morphism], eps: float = SPAN_RANK_EPS) -> int:
+def real_span_rank(words: list[Morphism]) -> int:
     """Rank of the real-linear span of complex matrices, viewed as
     vectors of stacked real and imaginary parts."""
     if not words:
@@ -184,7 +178,7 @@ def real_span_rank(words: list[Morphism], eps: float = SPAN_RANK_EPS) -> int:
     s = np.linalg.svd(rows, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.count_nonzero(s > eps * s[0]))
+    return int(np.count_nonzero(s > SPAN_RANK_EPS * s[0]))
 
 
 def build_word_basis(

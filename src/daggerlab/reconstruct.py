@@ -12,8 +12,6 @@ for quaternions hold by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -25,11 +23,12 @@ from .biproduct import (
     nfold_biproduct,
     orthonormal_columns,
 )
-from .errors import ContradictionError, FieldMismatchError, ResidualError, ShapeMismatchError
+from .errors import ContradictionError, ResidualError, ShapeMismatchError
 from .matcat import (
     Morphism,
     Obj,
     UNIT,
+    ZERO_OBJ,
     approx_eq,
     basis_column,
     column_block,
@@ -62,132 +61,87 @@ def inner_product(u: Morphism, v: Morphism) -> Scalar:
     return hermitian_form(u, v).scalar()
 
 
-@dataclass(frozen=True)
-class Subspace:
-    """An orthoclosed subspace, given by an isometry B: Obj(k) -> ambient
-    whose columns are its orthonormal basis (B is the dagger mono that
-    realises the subspace).  Every operation on a subspace is a
-    composite with B or B-dagger."""
+# A subspace of X is held as its isometry B: Obj(k) -> X, the dagger mono
+# whose columns are an orthonormal basis of it.  Every operation on a
+# subspace is a composite with B or B-dagger; the zero subspace is
+# Morphism.zero(field, ZERO_OBJ, X).
 
-    isometry: Morphism
 
-    @classmethod
-    def of_columns(cls, field: Field, ambient: Obj, columns: Sequence[Morphism]) -> "Subspace":
-        """The subspace with the given basis columns, side by side in one
-        block; no columns give the zero subspace of `ambient`.  Nothing
-        checks that they are orthonormal: `orthonormality_residual`
-        measures it."""
-        if not columns:
-            return cls(Morphism.zero(field, Obj(0), ambient))
-        b = column_block(columns)
-        if b.field is not field:
-            raise FieldMismatchError(f"{b.field.value} basis of a {field.value} subspace")
-        if b.cod != ambient:
-            raise ShapeMismatchError("basis columns do not lie in the ambient object")
-        return cls(b)
-
-    @property
-    def field(self) -> Field:
-        return self.isometry.field
-
-    @property
-    def ambient(self) -> Obj:
-        return self.isometry.cod
-
-    @property
-    def dim(self) -> int:
-        return self.isometry.dom.dim
-
-    def orthonormality_residual(self) -> float:
-        """Largest component of B-dagger . B - I, whose entry (i, j) is
-        <e_j, e_i> - delta_ij; NaN if any column holds a NaN."""
-        b = self.isometry
-        if not b.dom.dim:
-            return 0.0
-        gram = np.array((b.dagger() @ b).entries)
-        diagonal = np.arange(b.dom.dim)
-        gram[diagonal, diagonal, 0] -= 1.0
-        return float(np.abs(gram).max())  # max() propagates a NaN
+def orthonormality_residual(b: Morphism) -> float:
+    """Largest component of B-dagger . B - I, whose entry (i, j) is
+    <e_j, e_i> - delta_ij for the columns e of b; NaN if any column
+    holds a NaN."""
+    if not b.dom.dim:
+        return 0.0
+    gram = np.array((b.dagger() @ b).entries)
+    diagonal = np.arange(b.dom.dim)
+    gram[diagonal, diagonal, 0] -= 1.0
+    return float(np.abs(gram).max())  # max() propagates a NaN
 
 
 def gram_schmidt(
     vectors: list[Morphism],
     field: Field | None = None,
     ambient: Obj | None = None,
-    drop_eps: float = 1e-8,
     tol: TolerancePolicy = DEFAULT_TOL,
-) -> Subspace:
-    """Orthonormalise a list of vectors into a subspace, dropping
-    near-dependent ones; quaternionic normalisation divides on the
-    right."""
+) -> Morphism:
+    """Orthonormalise a list of vectors into the isometry of the subspace
+    they span, dropping near-dependent ones; quaternionic normalisation
+    divides on the right."""
     if vectors:
         field, ambient = vectors[0].field, vectors[0].cod
     if field is None or ambient is None:
         raise ShapeMismatchError("empty vector list needs explicit field and ambient")
     for v in vectors:
         _require_vector(v)
-    onb = orthonormal_columns(vectors, drop_eps=drop_eps, tol=tol)
-    return Subspace.of_columns(field, ambient, onb)
+    onb = orthonormal_columns(vectors, tol=tol)
+    return column_block(onb) if onb else Morphism.zero(field, ZERO_OBJ, ambient)
 
 
-def onb_expansion(u: Morphism, basis: Subspace) -> tuple[Morphism, Morphism]:
+def onb_expansion(u: Morphism, b: Morphism) -> tuple[Morphism, Morphism]:
     """The coefficients c = B-dagger . u of u in an orthonormal basis B,
     as a column, and the reconstruction sum e_1.c_1 + ... + e_n.c_n,
     assembled via the derived addition."""
     _require_vector(u)
-    b = basis.isometry
     coeffs = b.dagger() @ u
     recon = Morphism.zero(u.field, UNIT, u.cod)
-    for j in range(basis.dim):
+    for j in range(b.dom.dim):
         recon = derived_add(recon, b.col(j) @ coeffs.row(j))
     return coeffs, recon
 
 
-def onb_expand(
-    u: Morphism, basis: Subspace, tol: TolerancePolicy = DEFAULT_TOL
-) -> list[Scalar]:
-    """Coefficients of u in an orthonormal basis, c_i = e_i-dagger . u,
+def onb_expand(u: Morphism, b: Morphism, tol: TolerancePolicy = DEFAULT_TOL) -> list[Scalar]:
+    """Coefficients of u in an orthonormal basis B, c_i = e_i-dagger . u,
     checked by the reconstruction sum of `onb_expansion` against u."""
-    coeffs, recon = onb_expansion(u, basis)
+    coeffs, recon = onb_expansion(u, b)
     residual = frobenius_distance(u, recon)
     if residual > tol.bound(u.norm(), recon.norm()):
         raise ResidualError("basis does not span the expanded vector", residual)
-    return [coeffs.entry(i, 0) for i in range(basis.dim)]
+    return [coeffs.entry(i, 0) for i in range(b.dom.dim)]
 
 
-def coordinate_basis(field: Field, x: Obj) -> Subspace:
-    return Subspace(Morphism.identity(field, x))
+def projection_of_subspace(b: Morphism) -> Morphism:
+    return b @ b.dagger()
 
 
-def subspace_to_dagger_mono(m: Subspace) -> Morphism:
-    """The isometry whose image realises the subspace; the empty span
-    yields the morphism out of the zero object."""
-    return m.isometry
-
-
-def projection_of_subspace(m: Subspace) -> Morphism:
-    h = subspace_to_dagger_mono(m)
-    return h @ h.dagger()
-
-
-def orthocomplement(m: Subspace, tol: TolerancePolicy = DEFAULT_TOL) -> Subspace:
-    return Subspace(complement_h3(m.isometry, tol))
+def orthocomplement(b: Morphism, tol: TolerancePolicy = DEFAULT_TOL) -> Morphism:
+    return complement_h3(b, tol)
 
 
 def functor_v(
     f: Morphism,
-    basis_dom: Subspace,
-    basis_cod: Subspace,
+    basis_dom: Morphism,
+    basis_cod: Morphism,
     tol: TolerancePolicy = DEFAULT_TOL,
 ) -> Morphism:
     """Matrix of the column action u -> f . u in chosen orthonormal
     bases: the composite B_cod-dagger . f . B_dom, whose entry (i, j) is
     e_i-dagger . f . e_j."""
-    if basis_dom.ambient.dim != f.dom.dim or basis_cod.ambient.dim != f.cod.dim:
+    if basis_dom.cod.dim != f.dom.dim or basis_cod.cod.dim != f.cod.dim:
         raise ShapeMismatchError("bases do not match the morphism's endpoints")
-    if basis_dom.dim != f.dom.dim or basis_cod.dim != f.cod.dim:
+    if basis_dom.dom.dim != f.dom.dim or basis_cod.dom.dim != f.cod.dim:
         raise ShapeMismatchError("bases must span the domain and codomain")
-    return basis_cod.isometry.dagger() @ f @ basis_dom.isometry
+    return basis_cod.dagger() @ f @ basis_dom
 
 
 def rank_object(field: Field, n: int) -> tuple[Obj, list[Morphism]]:

@@ -9,7 +9,6 @@ from __future__ import annotations
 import numpy as np
 import numpy.random  # loaded here, not lazily by the first draw
 
-from .biproduct import DROP_EPS
 from .errors import DomainError, NoMorphismError
 from .matcat import (
     Morphism,
@@ -17,6 +16,7 @@ from .matcat import (
     UNIT,
     component_stack,
     compose,
+    coordinate_projections,
     from_components,
     isometry_factor,
     outer_products,
@@ -25,16 +25,14 @@ from .matcat import (
 from .scalars import Field, Scalar
 
 
-def random_scalar(field: Field, rng: np.random.Generator, scale: float = 1.0) -> Scalar:
+def random_scalar(field: Field, rng: np.random.Generator) -> Scalar:
     comps = np.zeros(4)
-    comps[: field.width] = rng.normal(0.0, scale, field.width)
+    comps[: field.width] = rng.normal(0.0, 1.0, field.width)
     return Scalar(field, *comps)
 
 
-def random_morphism(
-    field: Field, dom: Obj, cod: Obj, rng: np.random.Generator, scale: float = 1.0
-) -> Morphism:
-    comps = rng.normal(0.0, scale, (cod.dim, dom.dim, field.width))
+def random_morphism(field: Field, dom: Obj, cod: Obj, rng: np.random.Generator) -> Morphism:
+    comps = rng.normal(0.0, 1.0, (cod.dim, dom.dim, field.width))
     return from_components(field, dom, cod, comps)
 
 
@@ -50,7 +48,7 @@ def random_dagger_mono(
     if dom.dim == 0:
         return Morphism.zero(field, dom, cod)
     while True:
-        q = isometry_factor(random_morphism(field, dom, cod, rng), DROP_EPS)
+        q = isometry_factor(random_morphism(field, dom, cod, rng))
         if q is not None:  # Gaussian columns are a.s. independent
             return q
 
@@ -65,17 +63,12 @@ def random_unit_column(field: Field, obj: Obj, rng: np.random.Generator) -> Morp
     return random_dagger_mono(field, Obj(1), obj, rng)
 
 
-def random_rank1_projection(field: Field, obj: Obj, rng: np.random.Generator) -> Morphism:
-    """v . v-dagger for a random unit column v."""
-    v = random_unit_column(field, obj, rng)
-    return compose(v, v.dagger())
-
-
 def random_rank1_projections(
     field: Field, obj: Obj, count: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Stacked native arrays of `count` random rank-1 projections, the
-    same ones as `count` calls of `random_rank1_projection` in a row.
+    """Stacked native arrays of `count` random rank-1 projections v .
+    v-dagger, the same ones as for `count` calls of `random_unit_column`
+    in a row.
 
     The Gaussian columns are drawn as one block, the same stream as one
     column at a time.  A column that Gram-Schmidt would drop (shorter
@@ -89,7 +82,7 @@ def random_rank1_projections(
 
     def draw(n: int) -> np.ndarray:
         columns = component_stack(field, rng.normal(0.0, 1.0, (n, obj.dim, 1, field.width)))
-        return unit_columns(columns, DROP_EPS)
+        return unit_columns(columns)
 
     units = draw(count)
     while len(units) < count:
@@ -97,12 +90,24 @@ def random_rank1_projections(
     return outer_products(units)
 
 
+def probe_projections(
+    field: Field, obj: Obj, count: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Stacked native arrays of the coordinate projections of obj
+    followed by `count` random rank-1 projections: the family on which
+    the H5 checks and the projection words test commutation."""
+    return np.concatenate([
+        coordinate_projections(field, obj.dim),
+        random_rank1_projections(field, obj, count, rng),
+    ])
+
+
 def random_rank1_subprojection(p: Morphism, rng: np.random.Generator) -> Morphism:
     """w . w-dagger for a random unit column w in the range of the
     projection p: p applied to a Gaussian column, divided by its length.
     A column that Gram-Schmidt would drop is drawn again."""
     while True:
-        w = isometry_factor(compose(p, random_morphism(p.field, UNIT, p.cod, rng)), DROP_EPS)
+        w = isometry_factor(compose(p, random_morphism(p.field, UNIT, p.cod, rng)))
         if w is not None:
             return compose(w, w.dagger())
 

@@ -2,6 +2,7 @@
 square roots and their refutation, finite directed colimits."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -47,12 +48,18 @@ from daggerlab.sampling import (
     random_dagger_mono,
     random_coordinate_projection,
     random_morphism,
-    random_rank1_projection,
+    random_unit_column,
     random_unitary,
 )
 from daggerlab.scalars import ALL_FIELDS, DEFAULT_TOL, Field, Scalar
 
 RT2 = 2.0 ** -0.5
+
+
+def _rank1_projection(field, x, rng):
+    """v . v-dagger for one random unit column v: the one-at-a-time draw."""
+    v = random_unit_column(field, x, rng)
+    return v @ v.dagger()
 
 
 # -- H1 ----------------------------------------------------------------
@@ -228,7 +235,7 @@ def _is_strict_sqrt_one_projection_at_a_time(u, v, projection_samples, rng, tol=
         basis_column(u.field, u.dom, k) @ basis_column(u.field, u.dom, k).dagger()
         for k in range(u.dom.dim)
     ]
-    projections += [random_rank1_projection(u.field, u.dom, rng) for _ in range(projection_samples)]
+    projections += [_rank1_projection(u.field, u.dom, rng) for _ in range(projection_samples)]
     if u.field is Field.COMPLEX:
         specs = spectral_projections(u)
         projections += specs
@@ -457,7 +464,7 @@ def _coordinate_projections(field, dim):
 def test_commutator_matrix_is_byte_identical_to_the_per_basis_map(field, dim):
     rng = np.random.default_rng(dim)
     projections = _coordinate_projections(field, dim)
-    projections += [random_rank1_projection(field, Obj(dim), rng) for _ in range(dim + 3)]
+    projections += [_rank1_projection(field, Obj(dim), rng) for _ in range(dim + 3)]
     batched = matcat.commutator_matrix(field, dim, projections)
     reference = _per_basis_commutator_matrix(field, dim, projections)
     assert batched.shape == reference.shape
@@ -537,7 +544,7 @@ def test_commutant_of_coordinate_projections_is_the_diagonal(field, dim):
 def test_commutant_makes_no_compositions_or_morphisms(monkeypatch, field):
     dim, rng = 4, np.random.default_rng(3)
     projections = _coordinate_projections(field, dim)
-    projections += [random_rank1_projection(field, Obj(dim), rng) for _ in range(dim + 3)]
+    projections += [_rank1_projection(field, Obj(dim), rng) for _ in range(dim + 3)]
     calls = {"compose": 0, "Morphism": 0}
     compose, init = matcat.compose, Morphism.__init__
 
@@ -550,7 +557,6 @@ def test_commutant_makes_no_compositions_or_morphisms(monkeypatch, field):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(matcat, "compose", counting_compose)
-    monkeypatch.setattr(axioms, "compose", counting_compose)
     monkeypatch.setattr(Morphism, "__init__", counting_init)
     Morphism.from_json(projections[0].to_json()) @ projections[0]
     assert calls == {"compose": 1, "Morphism": 1}  # the counters see both paths
@@ -572,7 +578,7 @@ def _full_svd_commutant(field, dim, projections):
 
 def _projection_set(kind, field, dim, rng):
     x = Obj(dim)
-    rank1 = lambda: [random_rank1_projection(field, x, rng) for _ in range(dim + 3)]
+    rank1 = lambda: [_rank1_projection(field, x, rng) for _ in range(dim + 3)]
     if kind == "coordinate+rank1":
         return _coordinate_projections(field, dim) + rank1()
     if kind == "rank1":
@@ -740,6 +746,20 @@ def test_non_functorial_diagram_rejected():
     arrows[(1, 3)] = Morphism.from_real(Field.REAL, [[0], [0], [1]])
     bad = DirectedDiagram(d.field, d.nodes, d.leq, d.objects, arrows)
     assert bad.validate() > 0.5
+    with pytest.raises(DomainError):
+        finite_directed_colimit(bad)
+
+
+@pytest.mark.parametrize("factor", [1.5, math.nan])
+@pytest.mark.parametrize("field", ALL_FIELDS)
+def test_diagram_with_a_non_isometric_arrow_rejected(field, factor):
+    d = _chain_diagram(field)
+    arrows = {k: matcat.scaled(a, factor) if k == (1, 2) else a for k, a in d.arrows.items()}
+    arrows[(1, 3)] = arrows[(2, 3)] @ arrows[(1, 2)]  # still functorial
+    bad = DirectedDiagram(d.field, d.nodes, d.leq, d.objects, arrows)
+    assert not bad.validate() <= 0.5  # 1.25, or NaN
+    with pytest.raises(DomainError):
+        finite_directed_colimit(bad)
 
 
 @pytest.mark.parametrize("field", ALL_FIELDS)

@@ -370,16 +370,20 @@ def test_diagonal_pair_is_cached_and_read_only():
                 m._a[0, 0] = 7.0
 
 
-def test_diagonal_pair_cache_is_bounded(monkeypatch):
-    # a small bound exercises the same eviction without building pairs of dimension 260
-    monkeypatch.setattr(biproduct, "_DIAGONAL_PAIRS", {})
-    monkeypatch.setattr(biproduct, "_DIAGONAL_PAIRS_MAX", 4)
-    pairs = [diagonal_pair(Field.REAL, Obj(n)) for n in range(biproduct._DIAGONAL_PAIRS_MAX + 5)]
-    assert len(biproduct._DIAGONAL_PAIRS) <= biproduct._DIAGONAL_PAIRS_MAX
-    for n, dp in enumerate(pairs):
-        again = diagonal_pair(Field.REAL, Obj(n))
-        assert again.object == Obj(n)
+def test_diagonal_pair_cache_is_bounded():
+    cache = biproduct._diagonal_pair
+    assert cache.cache_info().maxsize == 256
+    cache.cache_clear()
+    # 3 fields x 87 dimensions: five more pairs than the cache holds
+    keys = [(field, n) for n in range(87) for field in ALL_FIELDS]
+    pairs = [diagonal_pair(field, Obj(n)) for field, n in keys]
+    assert cache.cache_info().currsize == 256
+    for (field, n), dp in zip(keys, pairs):
+        again = diagonal_pair(field, Obj(n))
+        assert again.object is Obj(n)
         assert frobenius_distance(again.diagonal, dp.diagonal) == 0.0
+    assert cache.cache_info().currsize == 256
+    cache.cache_clear()
 
 
 def test_oplus_and_copairing_reject_mixed_fields():

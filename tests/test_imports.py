@@ -1,0 +1,99 @@
+"""Import hygiene of the package, read from its source with `ast`: every
+import sits at module level, and the package's modules import each other
+without a cycle."""
+
+import ast
+from pathlib import Path
+
+import daggerlab
+
+PACKAGE = Path(daggerlab.__file__).parent
+
+
+def _sources():
+    return {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _function_imports(source):
+    """Line numbers of the imports inside a function body."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            lines += [inner.lineno for inner in ast.walk(node)
+                      if isinstance(inner, (ast.Import, ast.ImportFrom))]
+    return sorted(set(lines))
+
+
+def _package_imports(source, modules):
+    """The package modules a module's source imports, relatively
+    (`from .x import y`, `from . import x`) or by absolute name."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1:
+                names = [node.module] if node.module else [a.name for a in node.names]
+            elif node.module and node.module.startswith("daggerlab"):
+                names = node.module.split(".")[1:2] or [a.name for a in node.names]
+            else:
+                continue
+        elif isinstance(node, ast.Import):
+            names = [a.name.split(".")[1] for a in node.names
+                     if a.name.startswith("daggerlab.")]
+        else:
+            continue
+        found |= {name.split(".")[0] for name in names} & modules
+    return found
+
+
+def _cycle(graph):
+    """One import cycle as a list of modules, or None."""
+    state = {}
+
+    def visit(node, path):
+        state[node] = "open"
+        for nxt in sorted(graph[node]):
+            if state.get(nxt) == "open":
+                return path[path.index(nxt):] + [nxt]
+            if nxt not in state:
+                found = visit(nxt, path + [nxt])
+                if found:
+                    return found
+        state[node] = "done"
+        return None
+
+    for node in sorted(graph):
+        if node not in state:
+            found = visit(node, [node])
+            if found:
+                return found
+    return None
+
+
+def _graph(sources):
+    modules = set(sources)
+    return {name: _package_imports(src, modules) for name, src in sources.items()}
+
+
+def test_no_import_inside_a_function():
+    deferred = {name: lines for name, src in _sources().items()
+                if (lines := _function_imports(src))}
+    assert deferred == {}
+
+
+def test_package_modules_import_without_a_cycle():
+    graph = _graph(_sources())
+    assert graph["matcat"] == {"errors", "scalars"}
+    assert _cycle(graph) is None
+
+
+def test_the_scan_sees_deferred_imports_and_cycles():
+    sources = {
+        "a": "from .b import f\n",
+        "b": "import numpy\n\ndef f():\n    from . import c\n",
+        "c": "from daggerlab.a import g\nimport daggerlab.b\n",
+    }
+    assert _function_imports(sources["b"]) == [4]
+    graph = _graph(sources)
+    assert graph == {"a": {"b"}, "b": {"c"}, "c": {"a", "b"}}
+    assert _cycle(graph) == ["a", "b", "c", "a"]
+    assert _cycle({"a": {"b"}, "b": set()}) is None

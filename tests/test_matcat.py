@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from daggerlab import matcat
+from daggerlab import axioms, matcat
+from daggerlab.axioms import is_dagger_simple
 from daggerlab.errors import ContradictionError, DomainError, FieldMismatchError, ShapeMismatchError
 from daggerlab.matcat import (
     Morphism,
@@ -20,10 +21,9 @@ from daggerlab.matcat import (
     frobenius_distance,
     is_dagger_iso,
     is_dagger_mono,
-    is_dagger_simple,
     is_projection,
 )
-from daggerlab.sampling import random_dagger_mono, random_morphism, random_rank1_projection
+from daggerlab.sampling import random_dagger_mono, random_morphism, random_rank1_projections
 from daggerlab.scalars import ALL_FIELDS, Field, Scalar, mul
 
 RT2 = 2.0 ** -0.5
@@ -142,7 +142,7 @@ def test_dagger_simple_is_dimension_one(field):
 
 def test_dagger_simple_contradiction_is_a_package_error(monkeypatch):
     # a unit object whose isometries all test non-unitary contradicts dim 1
-    monkeypatch.setattr(matcat, "is_dagger_iso", lambda *args, **kwargs: False)
+    monkeypatch.setattr(axioms, "is_dagger_iso", lambda *args, **kwargs: False)
     with pytest.raises(ContradictionError):
         is_dagger_simple(Field.REAL, UNIT, trials=2)
 
@@ -325,7 +325,7 @@ def test_diagonal_support_reads_the_exact_diagonal():
     field, dim = Field.QUATERNION, 3
     x = Obj(dim)
     mask = Morphism.from_real(field, np.diag([1.0, 0.0, 1.0]))
-    rank1 = random_rank1_projection(field, x, np.random.default_rng(0))
+    rank1 = matcat.unstack(field, x, x, random_rank1_projections(field, x, 1, np.random.default_rng(0)))[0]
     diagonal, forced = matcat.diagonal_commutator_support(
         field, dim, [Morphism.identity(field, x), mask, rank1])
     assert diagonal.tolist() == [True, True, False]
@@ -411,7 +411,7 @@ def test_commuting_applies_the_approx_eq_rule_to_each_projection(field):
     rng = np.random.default_rng(3)
     x = Obj(3)
     u = random_dagger_mono(field, x, x, rng)
-    projections = [random_rank1_projection(field, x, rng) for _ in range(5)]
+    projections = matcat.unstack(field, x, x, random_rank1_projections(field, x, 5, rng))
     projections += [Morphism.identity(field, x), Morphism.zero(field, x, x),
                     Morphism.from_real(field, np.diag([1.0, 0.0, 0.0]))]
     diagonal = Morphism.from_real(field, np.diag([2.0, 3.0, 3.0]))
@@ -506,15 +506,20 @@ def test_identities_are_cached_shared_and_read_only():
     assert Morphism.identity(Field.REAL, Obj(2)) is not Morphism.identity(Field.COMPLEX, Obj(2))
 
 
-def test_identity_cache_is_bounded(monkeypatch):
-    monkeypatch.setattr(matcat, "_IDENTITIES", {})
-    monkeypatch.setattr(matcat, "_IDENTITIES_MAX", 4)
-    idents = [Morphism.identity(Field.COMPLEX, Obj(n)) for n in range(11)]
-    assert len(matcat._IDENTITIES) <= 4
-    for n, ident in enumerate(idents):
-        again = Morphism.identity(Field.COMPLEX, Obj(n))
-        assert again.dom == Obj(n) and np.array_equal(again._a, ident._a)
-    assert len(matcat._IDENTITIES) <= 4
+def test_identity_cache_is_bounded():
+    cache = matcat._identity
+    assert cache.cache_info().maxsize == 256
+    cache.cache_clear()
+    # 3 fields x 87 dimensions: five more identities than the cache holds
+    keys = [(field, n) for n in range(87) for field in ALL_FIELDS]
+    idents = [Morphism.identity(field, Obj(n)) for field, n in keys]
+    assert cache.cache_info().currsize == 256
+    for (field, n), ident in zip(keys, idents):
+        again = Morphism.identity(field, Obj(n))
+        assert again.dom is Obj(n) and np.array_equal(again._a, ident._a)
+        assert not again._a.flags.writeable
+    assert cache.cache_info().currsize == 256
+    cache.cache_clear()
 
 
 def test_basis_columns_are_the_embedded_units():

@@ -272,7 +272,6 @@ def test_closure_makes_no_compositions_or_morphisms_per_candidate(monkeypatch):
         return wrap(*args)
 
     monkeypatch.setattr(matcat, "compose", counting_compose)
-    monkeypatch.setattr(projspan, "compose", counting_compose)
     monkeypatch.setattr(Morphism, "__init__", counting_init)
     monkeypatch.setattr(matcat, "_wrap", counting_wrap)
     Morphism.from_json(gens[0].to_json()) @ gens[0]

@@ -1,5 +1,5 @@
-"""Scalar-field reconstruction, Hermitian structure, bases, subspaces,
-and the column-action functor."""
+"""Scalar-field reconstruction, Hermitian structure, bases, subspaces
+(held as their isometries), and the column-action functor."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from daggerlab.biproduct import derived_add
 from daggerlab import matcat, reconstruct
 from daggerlab.errors import (
     ContradictionError,
-    FieldMismatchError,
     ResidualError,
     ShapeMismatchError,
 )
@@ -16,17 +15,17 @@ from daggerlab.matcat import (
     Morphism,
     Obj,
     UNIT,
+    ZERO_OBJ,
     approx_eq,
     basis_column,
+    column_block,
     frobenius_distance,
     is_dagger_iso,
     is_dagger_mono,
 )
 from daggerlab.reconstruct import (
     EndoField,
-    Subspace,
     center_sqrt_minus_one_test,
-    coordinate_basis,
     faithfulness_check,
     functor_v,
     gram_schmidt,
@@ -34,10 +33,10 @@ from daggerlab.reconstruct import (
     onb_expand,
     onb_expansion,
     orthocomplement,
+    orthonormality_residual,
     projection_of_subspace,
     rank_object,
     scalar_field_witness,
-    subspace_to_dagger_mono,
 )
 from daggerlab.reports import ERROR, NO_SAMPLE, worse
 from daggerlab.sampling import random_dagger_mono, random_morphism, random_scalar, random_unitary
@@ -73,44 +72,37 @@ def test_scalar_field_witness(field):
 def test_gram_schmidt_examples():
     v = Morphism.from_real(Field.REAL, [[1], [1]])
     sub = gram_schmidt([v])
-    assert sub.dim == 1
-    assert np.allclose(np.abs(sub.isometry.col(0).entries[..., 0].ravel()), [RT2, RT2])
+    assert (sub.dom.dim, sub.cod.dim) == (1, 2) and is_dagger_mono(sub)
+    assert np.allclose(np.abs(sub.entries[..., 0]), [[RT2], [RT2]])
 
     sub2 = gram_schmidt([v, v])
-    assert sub2.dim == 1  # dependent duplicate dropped
+    assert sub2.dom.dim == 1  # dependent duplicate dropped
 
     i = Scalar(Field.QUATERNION, 0, 1, 0, 0)
     j = Scalar(Field.QUATERNION, 0, 0, 1, 0)
     subq = gram_schmidt([Morphism.column(Field.QUATERNION, [i, j])])
-    ip = inner_product(subq.isometry.col(0), subq.isometry.col(0))
+    ip = inner_product(subq.col(0), subq.col(0))
     assert abs(ip.w - 1.0) < 1e-12 and abs(ip.x) + abs(ip.y) + abs(ip.z) < 1e-12
 
 
 def test_gram_schmidt_empty_needs_context():
     sub = gram_schmidt([], field=Field.COMPLEX, ambient=Obj(3))
-    assert sub.dim == 0 and sub.ambient.dim == 3
+    assert sub.field is Field.COMPLEX and sub.dom is ZERO_OBJ and sub.cod is Obj(3)
     with pytest.raises(ShapeMismatchError):
         gram_schmidt([])
 
 
 def test_onb_expand_examples():
-    basis = coordinate_basis(Field.COMPLEX, Obj(2))
+    basis = Morphism.identity(Field.COMPLEX, Obj(2))
     u = Morphism.from_complex([[3.0 + 0j], [4.0j]])
     coeffs = onb_expand(u, basis)
     assert coeffs[0].to_json() == [3.0, 0.0]
     assert coeffs[1].to_json() == [0.0, 4.0]
 
-    e1 = basis.isometry.col(0)
+    e1 = basis.col(0)
     assert [c.to_json() for c in onb_expand(e1, basis)] == [[1.0, 0.0], [0.0, 0.0]]
 
-    hadamard = Subspace.of_columns(
-        Field.REAL,
-        Obj(2),
-        [
-            Morphism.from_real(Field.REAL, [[RT2], [RT2]]),
-            Morphism.from_real(Field.REAL, [[RT2], [-RT2]]),
-        ],
-    )
+    hadamard = Morphism.from_real(Field.REAL, [[RT2, RT2], [RT2, -RT2]])
     ones = Morphism.from_real(Field.REAL, [[1], [1]])
     coeffs = onb_expand(ones, hadamard)
     assert abs(coeffs[0].w - 2.0 ** 0.5) < 1e-12
@@ -118,36 +110,18 @@ def test_onb_expand_examples():
 
 
 def test_onb_expand_non_spanning_raises():
-    short = Subspace.of_columns(Field.REAL, Obj(2), [basis_column(Field.REAL, Obj(2), 0)])
+    short = basis_column(Field.REAL, Obj(2), 0)
     u = Morphism.from_real(Field.REAL, [[1], [1]])
     with pytest.raises(ResidualError) as err:
         onb_expand(u, short)
     assert err.value.residual > 0.5
 
 
-def test_subspace_to_dagger_mono():
-    plane = Subspace.of_columns(
-        Field.REAL,
-        Obj(3),
-        [basis_column(Field.REAL, Obj(3), 0), basis_column(Field.REAL, Obj(3), 1)],
-    )
-    h = subspace_to_dagger_mono(plane)
-    assert h.dom.dim == 2 and h.cod.dim == 3 and is_dagger_mono(h)
-
-    empty = Subspace.of_columns(Field.REAL, Obj(3), [])
-    z = subspace_to_dagger_mono(empty)
-    assert z.dom.dim == 0 and z.cod.dim == 3
-
-    line = gram_schmidt([Morphism.from_real(Field.REAL, [[1], [1]])])
-    h = subspace_to_dagger_mono(line)
-    assert np.allclose(np.abs(h.entries[..., 0]), [[RT2], [RT2]])
-
-
 def test_projection_of_subspace():
-    line = Subspace.of_columns(Field.REAL, Obj(2), [basis_column(Field.REAL, Obj(2), 0)])
+    line = basis_column(Field.REAL, Obj(2), 0)
     assert np.allclose(projection_of_subspace(line).entries[..., 0], [[1, 0], [0, 0]])
 
-    full = coordinate_basis(Field.COMPLEX, Obj(2))
+    full = Morphism.identity(Field.COMPLEX, Obj(2))
     assert approx_eq(
         projection_of_subspace(full), Morphism.identity(Field.COMPLEX, Obj(2))
     )
@@ -168,23 +142,23 @@ def test_orthocomplement_splits(field):
             field=field, ambient=x,
         )
         perp = orthocomplement(sub)
-        assert sub.dim + perp.dim == x.dim
+        assert sub.dom.dim + perp.dom.dim == x.dim
         p, q = projection_of_subspace(sub), projection_of_subspace(perp)
         assert approx_eq(derived_add(p, q), Morphism.identity(field, x))
-        for e in map(sub.isometry.col, range(sub.dim)):
+        for e in map(sub.col, range(sub.dom.dim)):
             assert approx_eq(p @ e, e)
-        for e in map(perp.isometry.col, range(perp.dim)):
+        for e in map(perp.col, range(perp.dom.dim)):
             assert (p @ e).norm() < 1e-9
 
 
 def test_functor_v_coordinate_bases_is_identity_representation():
     rng = np.random.default_rng(37)
     f = random_morphism(Field.COMPLEX, Obj(2), Obj(3), rng)
-    rep = functor_v(f, coordinate_basis(Field.COMPLEX, Obj(2)), coordinate_basis(Field.COMPLEX, Obj(3)))
+    rep = functor_v(f, Morphism.identity(Field.COMPLEX, Obj(2)), Morphism.identity(Field.COMPLEX, Obj(3)))
     assert frobenius_distance(rep, f) < 1e-12
 
     ident = Morphism.identity(Field.COMPLEX, Obj(3))
-    rep_id = functor_v(ident, coordinate_basis(Field.COMPLEX, Obj(3)), coordinate_basis(Field.COMPLEX, Obj(3)))
+    rep_id = functor_v(ident, ident, ident)
     assert frobenius_distance(rep_id, ident) < 1e-12
 
 
@@ -193,8 +167,8 @@ def test_functor_v_rotated_bases_change_of_basis_oracle():
     f = random_morphism(Field.COMPLEX, Obj(3), Obj(3), rng)
     bu = random_unitary(Field.COMPLEX, Obj(3), rng)
     bv = random_unitary(Field.COMPLEX, Obj(3), rng)
-    basis_dom = Subspace.of_columns(Field.COMPLEX, Obj(3), [bu.col(j) for j in range(3)])
-    basis_cod = Subspace.of_columns(Field.COMPLEX, Obj(3), [bv.col(j) for j in range(3)])
+    basis_dom = column_block([bu.col(j) for j in range(3)])
+    basis_cod = column_block([bv.col(j) for j in range(3)])
     rep = functor_v(f, basis_dom, basis_cod)
     oracle = bv.dagger() @ f @ bu
     assert approx_eq(rep, oracle)
@@ -209,8 +183,8 @@ def test_functor_v_dagger_and_additive(field):
         g = random_morphism(field, x, y, rng)
         bu = random_unitary(field, x, rng)
         bv = random_unitary(field, y, rng)
-        bx = Subspace.of_columns(field, x, [bu.col(j) for j in range(x.dim)])
-        by = Subspace.of_columns(field, y, [bv.col(j) for j in range(y.dim)])
+        bx = column_block([bu.col(j) for j in range(x.dim)])
+        by = column_block([bv.col(j) for j in range(y.dim)])
         vf = functor_v(f, bx, by)
         assert frobenius_distance(functor_v(f.dagger(), by, bx), vf.dagger()) <= 1e-9
         assert frobenius_distance(
@@ -347,8 +321,8 @@ def test_copairing_biconditional(field):
             cols = tuple(m.col(j) for j in range(n))
         else:
             cols = tuple(random_morphism(field, UNIT, x, rng) for _ in range(n))
-        sub = Subspace.of_columns(field, x, list(cols))
-        assert (sub.orthonormality_residual() <= 1e-6) == is_dagger_mono(copairing(list(cols)))
+        b = column_block(list(cols))
+        assert (orthonormality_residual(b) <= 1e-6) == is_dagger_mono(copairing(list(cols)))
 
 
 def test_faithfulness_check_with_nan_morphisms_fails(monkeypatch):
@@ -367,21 +341,21 @@ def test_faithfulness_check_with_nan_morphisms_fails(monkeypatch):
 
 
 def _functor_v_entrywise(f, basis_dom, basis_cod):
-    cols_dom = [basis_dom.isometry.col(j) for j in range(basis_dom.dim)]
+    cols_dom = [basis_dom.col(j) for j in range(basis_dom.dom.dim)]
     rows = [
-        [(basis_cod.isometry.col(i).dagger() @ f @ e).scalar() for e in cols_dom]
-        for i in range(basis_cod.dim)
+        [(basis_cod.col(i).dagger() @ f @ e).scalar() for e in cols_dom]
+        for i in range(basis_cod.dom.dim)
     ]
     if not rows:
-        return Morphism.zero(f.field, Obj(basis_dom.dim), Obj(0))
+        return Morphism.zero(f.field, basis_dom.dom, Obj(0))
     return Morphism.from_scalars(f.field, rows)
 
 
-def _orthonormality_residual_entrywise(sub):
+def _orthonormality_residual_entrywise(b):
     worst = 0.0
-    for i in range(sub.dim):
-        for j in range(sub.dim):
-            g = inner_product(sub.isometry.col(i), sub.isometry.col(j))
+    for i in range(b.dom.dim):
+        for j in range(b.dom.dim):
+            g = inner_product(b.col(i), b.col(j))
             target = 1.0 if i == j else 0.0
             worst = worse(worst, abs(g.w - target), abs(g.x), abs(g.y), abs(g.z))
     return worst
@@ -389,8 +363,8 @@ def _orthonormality_residual_entrywise(sub):
 
 def _onb_expand_entrywise(u, basis):
     coeffs, recon = [], Morphism.zero(u.field, UNIT, u.cod)
-    for j in range(basis.dim):
-        e = basis.isometry.col(j)
+    for j in range(basis.dom.dim):
+        e = basis.col(j)
         c = (e.dagger() @ u).scalar()
         coeffs.append(c)
         recon = derived_add(recon, e @ Morphism.single(c))
@@ -407,9 +381,8 @@ def test_functor_v_matches_the_entrywise_matrix(field):
         for n in DIMS:
             f = random_morphism(field, Obj(m), Obj(n), rng)
             for bd, bc in [
-                (coordinate_basis(field, Obj(m)), coordinate_basis(field, Obj(n))),
-                (Subspace(random_unitary(field, Obj(m), rng)),
-                 Subspace(random_unitary(field, Obj(n), rng))),
+                (Morphism.identity(field, Obj(m)), Morphism.identity(field, Obj(n))),
+                (random_unitary(field, Obj(m), rng), random_unitary(field, Obj(n), rng)),
             ]:
                 rep = functor_v(f, bd, bc)
                 assert (rep.dom.dim, rep.cod.dim) == (m, n)
@@ -421,31 +394,29 @@ def test_orthonormality_residual_matches_the_entrywise_loop(field):
     rng = np.random.default_rng(79)
     for x in map(Obj, DIMS):
         for k in range(x.dim + 1):
-            for sub in [
-                Subspace(random_dagger_mono(field, Obj(k), x, rng)),
-                Subspace.of_columns(field, x, [random_morphism(field, UNIT, x, rng)
-                                               for _ in range(k)]),
-            ]:
-                got, want = sub.orthonormality_residual(), _orthonormality_residual_entrywise(sub)
+            bases = [random_dagger_mono(field, Obj(k), x, rng)]
+            if k:
+                bases.append(column_block([random_morphism(field, UNIT, x, rng) for _ in range(k)]))
+            for b in bases:
+                got, want = orthonormality_residual(b), _orthonormality_residual_entrywise(b)
                 assert abs(got - want) <= 1e-12
-        empty = Subspace.of_columns(field, x, [])
-        assert empty.dim == 0 and empty.ambient == x and empty.orthonormality_residual() == 0.0
+        assert orthonormality_residual(Morphism.zero(field, ZERO_OBJ, x)) == 0.0
 
 
 @pytest.mark.parametrize("field", ALL_FIELDS)
 def test_orthonormality_residual_is_nan_on_a_nan_column(field):
     x = Obj(3)
     cols = [basis_column(field, x, 0), Morphism.from_real(field, [[np.nan], [0.0], [0.0]])]
-    sub = Subspace.of_columns(field, x, cols)
-    assert np.isnan(sub.orthonormality_residual())
-    assert np.isnan(_orthonormality_residual_entrywise(sub))
+    b = column_block(cols)
+    assert np.isnan(orthonormality_residual(b))
+    assert np.isnan(_orthonormality_residual_entrywise(b))
 
 
 @pytest.mark.parametrize("field", ALL_FIELDS)
 def test_onb_expand_matches_the_entrywise_expansion(field):
     rng = np.random.default_rng(83)
     for x in map(Obj, DIMS):
-        basis = Subspace(random_unitary(field, x, rng))
+        basis = random_unitary(field, x, rng)
         u = random_morphism(field, UNIT, x, rng)
         want, want_recon = _onb_expand_entrywise(u, basis)
         got = onb_expand(u, basis)
@@ -464,7 +435,7 @@ def test_onb_expansion_sums_through_derived_additions(monkeypatch):
         return derived_add(f, g)
 
     monkeypatch.setattr(reconstruct, "derived_add", counting_add)
-    basis = coordinate_basis(Field.QUATERNION, Obj(4))
+    basis = Morphism.identity(Field.QUATERNION, Obj(4))
     onb_expansion(basis_column(Field.QUATERNION, Obj(4), 2), basis)
     assert len(calls) == 4
 
@@ -472,8 +443,8 @@ def test_onb_expansion_sums_through_derived_additions(monkeypatch):
 def test_functor_v_is_one_composite(monkeypatch):
     rng = np.random.default_rng(89)
     f = random_morphism(Field.QUATERNION, Obj(4), Obj(5), rng)
-    bd = Subspace(random_unitary(Field.QUATERNION, Obj(4), rng))
-    bc = Subspace(random_unitary(Field.QUATERNION, Obj(5), rng))
+    bd = random_unitary(Field.QUATERNION, Obj(4), rng)
+    bc = random_unitary(Field.QUATERNION, Obj(5), rng)
     calls = {"compose": 0, "Scalar": 0}
     compose, scalar_init = matcat.compose, Scalar.__init__
 
@@ -489,24 +460,13 @@ def test_functor_v_is_one_composite(monkeypatch):
     monkeypatch.setattr(Scalar, "__init__", counting_scalar)
     rep = functor_v(f, bd, bc)
     assert calls == {"compose": 2, "Scalar": 0}
-    assert frobenius_distance(rep, bc.isometry.dagger() @ f @ bd.isometry) == 0.0
+    assert frobenius_distance(rep, bc.dagger() @ f @ bd) == 0.0
 
 
 def test_functor_v_rejects_bases_of_other_objects():
     f = Morphism.identity(Field.REAL, Obj(2))
     with pytest.raises(ShapeMismatchError):
-        functor_v(f, coordinate_basis(Field.REAL, Obj(3)), coordinate_basis(Field.REAL, Obj(2)))
-    line = Subspace.of_columns(Field.REAL, Obj(2), [basis_column(Field.REAL, Obj(2), 0)])
+        functor_v(f, Morphism.identity(Field.REAL, Obj(3)), f)
+    line = basis_column(Field.REAL, Obj(2), 0)
     with pytest.raises(ShapeMismatchError):
-        functor_v(f, line, coordinate_basis(Field.REAL, Obj(2)))
-
-
-def test_subspace_of_columns_checks_field_and_ambient():
-    e = basis_column(Field.REAL, Obj(2), 0)
-    with pytest.raises(FieldMismatchError):
-        Subspace.of_columns(Field.COMPLEX, Obj(2), [e])
-    with pytest.raises(ShapeMismatchError):
-        Subspace.of_columns(Field.REAL, Obj(3), [e])
-    sub = Subspace.of_columns(Field.REAL, Obj(2), [e, basis_column(Field.REAL, Obj(2), 1)])
-    assert sub.field is Field.REAL and sub.ambient == Obj(2) and sub.dim == 2
-    assert subspace_to_dagger_mono(sub) is sub.isometry
+        functor_v(f, line, f)

@@ -50,8 +50,8 @@ def test_report_bytes_and_exit_code_are_pinned(capsys, argv, sha256, code):
     if "--seed" not in argv:
         argv = [*argv, "--seed", "42"]
     argv = [*argv, "--format", "json"]
-    matcat._IDENTITIES.clear()
-    biproduct._DIAGONAL_PAIRS.clear()
+    matcat._identity.cache_clear()
+    biproduct._diagonal_pair.cache_clear()
     for cache in ("cold", "warm"):
         exit_code = main(argv)
         out = capsys.readouterr().out

@@ -1,6 +1,6 @@
-"""Samplers: the batched rank-1 block against one draw at a time, the
-QR isometry sampler against column-by-column Gram-Schmidt, and the
-errors on impossible requests."""
+"""Samplers: the batched rank-1 block and the probe family against one
+draw at a time, the QR isometry sampler against column-by-column
+Gram-Schmidt, and the errors on impossible requests."""
 
 import numpy as np
 import pytest
@@ -9,9 +9,9 @@ from daggerlab import biproduct, matcat, sampling
 from daggerlab.errors import DomainError, NoMorphismError
 from daggerlab.matcat import Morphism, Obj, UNIT, ZERO_OBJ, native_stack
 from daggerlab.sampling import (
+    probe_projections,
     random_dagger_mono,
     random_morphism,
-    random_rank1_projection,
     random_rank1_projections,
     random_rank1_subprojection,
     random_unit_column,
@@ -32,6 +32,13 @@ class QueueRng:
         taken, self.values = self.values[:count], self.values[count:]
         assert len(taken) == count, "queue exhausted"
         return loc + scale * np.array(taken).reshape(size)
+
+
+def random_rank1_projection(field, obj, rng):
+    """v . v-dagger for a random unit column v: one projection at a
+    time, the reference for the block samplers."""
+    v = random_unit_column(field, obj, rng)
+    return matcat.compose(v, v.dagger())
 
 
 def _sequential(field, dim, count, rng):
@@ -68,6 +75,22 @@ def test_rank1_block_replaces_a_dropped_draw_with_the_next_one(field):
     assert got[-1].tobytes() == (v @ v.dagger())._a.tobytes()
 
 
+@pytest.mark.parametrize("field", ALL_FIELDS)
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_probe_family_is_bitwise_the_coordinate_then_sequential_projections(field, dim):
+    x = Obj(dim)
+    coordinate = [matcat.basis_column(field, x, k) @ matcat.basis_column(field, x, k).dagger()
+                  for k in range(dim)]
+    for count in range(9):
+        seq_rng, block_rng = np.random.default_rng(count), np.random.default_rng(count)
+        want = native_stack(coordinate + [random_rank1_projection(field, x, seq_rng)
+                                          for _ in range(count)])
+        got = probe_projections(field, x, count, block_rng)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert seq_rng.random() == block_rng.random()  # both consumed the same stream
+
+
 def test_rank1_block_rejects_impossible_requests():
     rng = np.random.default_rng(0)
     assert random_rank1_projections(Field.REAL, Obj(2), 0, rng).shape == (0, 2, 2)
@@ -80,9 +103,9 @@ def test_rank1_block_rejects_impossible_requests():
 @pytest.mark.parametrize("field", ALL_FIELDS)
 def test_random_morphism_matches_the_constructor(field):
     rng = np.random.default_rng(4)
-    got = random_morphism(field, Obj(3), Obj(2), rng, scale=0.5)
+    got = random_morphism(field, Obj(3), Obj(2), rng)
     entries = np.zeros((2, 3, 4))
-    entries[..., :field.width] = np.random.default_rng(4).normal(0.0, 0.5, (2, 3, field.width))
+    entries[..., :field.width] = np.random.default_rng(4).normal(0.0, 1.0, (2, 3, field.width))
     want = Morphism(field, Obj(3), Obj(2), entries)
     assert (got.field, got.dom, got.cod) == (want.field, want.dom, want.cod)
     assert got._a.tobytes() == want._a.tobytes()
@@ -161,8 +184,8 @@ def test_qr_isometry_over_h_is_exactly_quaternionic():
 def test_rank_deficient_block_is_drawn_once_more(monkeypatch, field, sampler):
     draws = []
 
-    def deficient_first(field, dom, cod, rng, scale=1.0):
-        m = random_morphism(field, dom, cod, rng, scale)
+    def deficient_first(field, dom, cod, rng):
+        m = random_morphism(field, dom, cod, rng)
         if not draws:  # the third column repeats the first
             e = np.array(m.entries)
             e[:, 2] = e[:, 0]
