@@ -9,6 +9,11 @@ Hermitian-space structure from unit-object columns, and projection-word
 saturation campaigns, all driven by a seeded CLI.
 """
 
+import os
+
+# OpenBLAS reads this once, when numpy loads it; matrices here never need a second thread
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .matcat import Morphism, Obj, UNIT, ZERO_OBJ, compose, frobenius_distance
 from .scalars import Field, Scalar, TolerancePolicy, DEFAULT_TOL
 

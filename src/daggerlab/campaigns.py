@@ -600,7 +600,7 @@ def check_isometry_image_splits(cfg: CampaignConfig, rng: np.random.Generator):
     h = random_dagger_mono(cfg.field, a, x, rng)
     bd = Morphism.identity(cfg.field, a)
     bx = Morphism.identity(cfg.field, x)
-    vh = reconstruct.functor_v(h, bd, bx, cfg.tol)
+    vh = reconstruct.functor_v(h, bd, bx)
     comp = axioms.complement_h3(h, cfg.tol)
     ident = Morphism.identity(cfg.field, x)
     return (
@@ -665,16 +665,16 @@ def check_functor_dagger_additive(cfg: CampaignConfig, rng: np.random.Generator)
     g = random_morphism(cfg.field, x, y, rng)
     h = random_morphism(cfg.field, y, z, rng)
     bx, by, bz = (random_unitary(cfg.field, o, rng) for o in (x, y, z))
-    vf = reconstruct.functor_v(f, bx, by, cfg.tol)
+    vf = reconstruct.functor_v(f, bx, by)
     coord_x = Morphism.identity(cfg.field, x)
     coord_y = Morphism.identity(cfg.field, y)
     return (
-        frobenius_distance(reconstruct.functor_v(f.dagger(), by, bx, cfg.tol), vf.dagger()),
-        frobenius_distance(reconstruct.functor_v(derived_add(f, g), bx, by, cfg.tol),
-                           derived_add(vf, reconstruct.functor_v(g, bx, by, cfg.tol))),
-        frobenius_distance(reconstruct.functor_v(h @ f, bx, bz, cfg.tol),
-                           reconstruct.functor_v(h, by, bz, cfg.tol) @ vf),
-        frobenius_distance(reconstruct.functor_v(f, coord_x, coord_y, cfg.tol), f),
+        frobenius_distance(reconstruct.functor_v(f.dagger(), by, bx), vf.dagger()),
+        frobenius_distance(reconstruct.functor_v(derived_add(f, g), bx, by),
+                           derived_add(vf, reconstruct.functor_v(g, bx, by))),
+        frobenius_distance(reconstruct.functor_v(h @ f, bx, bz),
+                           reconstruct.functor_v(h, by, bz) @ vf),
+        frobenius_distance(reconstruct.functor_v(f, coord_x, coord_y), f),
     )
 
 

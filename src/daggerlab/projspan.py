@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeMismatchError, UnsupportedFieldError
+from .errors import DomainError, FieldMismatchError, ShapeMismatchError, UnsupportedFieldError
 from .matcat import Morphism, Obj, native_stack, stack_norms, unstack
 from .sampling import probe_projections
 from .scalars import DEFAULT_TOL, Field, TolerancePolicy
@@ -172,7 +172,9 @@ def real_span_rank(words: list[Morphism]) -> int:
     vectors of stacked real and imaginary parts."""
     if not words:
         return 0
-    stack = np.array([w.complex_view() for w in words])
+    if words[0].field is Field.QUATERNION:  # native_stack checks that the rest match
+        raise FieldMismatchError("quaternion matrix has no complex view")
+    stack = native_stack(words)
     shape = (len(words), stack[0].size)
     rows = np.concatenate([stack.real.reshape(shape), stack.imag.reshape(shape)], axis=1)
     s = np.linalg.svd(rows, compute_uv=False)

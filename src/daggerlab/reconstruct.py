@@ -128,12 +128,7 @@ def orthocomplement(b: Morphism, tol: TolerancePolicy = DEFAULT_TOL) -> Morphism
     return complement_h3(b, tol)
 
 
-def functor_v(
-    f: Morphism,
-    basis_dom: Morphism,
-    basis_cod: Morphism,
-    tol: TolerancePolicy = DEFAULT_TOL,
-) -> Morphism:
+def functor_v(f: Morphism, basis_dom: Morphism, basis_cod: Morphism) -> Morphism:
     """Matrix of the column action u -> f . u in chosen orthonormal
     bases: the composite B_cod-dagger . f . B_dom, whose entry (i, j) is
     e_i-dagger . f . e_j."""

@@ -1,6 +1,8 @@
 """CLI contracts: exit codes, JSON determinism, morphism file I/O."""
 
+import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +13,9 @@ import pytest
 import daggerlab
 from daggerlab.cli import main
 from daggerlab.matcat import Morphism
+from test_report_pins import PINS
+
+SRC = Path(daggerlab.__file__).resolve().parent.parent
 
 
 def test_verify_axioms_exit_codes(tmp_path):
@@ -157,15 +162,42 @@ def test_span_without_positive_dimension_is_input_error(dims, capsys):
 
 
 def test_cli_import_loads_no_scipy():
-    src = Path(daggerlab.__file__).resolve().parent.parent
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import daggerlab.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
         "print('numpy.random' in sys.modules)"
     )
-    out = subprocess.run([sys.executable, "-c", code, str(src)], capture_output=True,
+    out = subprocess.run([sys.executable, "-c", code, str(SRC)], capture_output=True,
                          text=True, check=True).stdout.split("\n")
     assert out[:2] == ["[]", "True"]
+
+
+def _fresh_env(threads):
+    """The test's environment with the package's source on the path and
+    OPENBLAS_NUM_THREADS removed (None) or set to `threads`."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(SRC)
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    return env
+
+
+@pytest.mark.parametrize("preset, seen", [(None, "1"), ("3", "3")])
+def test_cli_import_pins_one_blas_thread_unless_the_caller_set_one(preset, seen):
+    code = "import os, daggerlab.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    out = subprocess.run([sys.executable, "-c", code], env=_fresh_env(preset),
+                         capture_output=True, text=True, check=True).stdout
+    assert out == seen + "\n"
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_report_bytes_do_not_depend_on_the_blas_thread_count(threads):
+    # R at dims 0..12 runs the largest SVDs of the pins, which wake threaded LAPACK
+    [(argv, sha256, code)] = [p for p in PINS if p[0][:4] == ["verify-axioms", "--field", "R",
+                                                               "--dims"]]
+    run = subprocess.run([sys.executable, "-m", "daggerlab.cli", *argv, "--seed", "42",
+                          "--format", "json"], env=_fresh_env(threads), capture_output=True)
+    assert (hashlib.sha256(run.stdout).hexdigest(), run.returncode) == (sha256, code)
 
 
 def test_text_format_streams_lines(capsys):

@@ -86,6 +86,26 @@ def test_package_modules_import_without_a_cycle():
     assert _cycle(graph) is None
 
 
+def _imports_before_the_blas_pin(source):
+    """Line numbers of the top-level imports, other than `import os`, that
+    precede `os.environ.setdefault("OPENBLAS_NUM_THREADS", ...)`, or None
+    if the module makes no such call."""
+    tree = ast.parse(source)
+    pins = [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "os.environ.setdefault"
+            and ast.literal_eval(node.args[0]) == "OPENBLAS_NUM_THREADS"]
+    if not pins:
+        return None
+    return [node.lineno for node in tree.body
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and node.lineno < pins[0]
+            and ast.unparse(node) != "import os"]
+
+
+def test_blas_thread_pin_precedes_every_import_but_os():
+    # OpenBLAS reads the variable once, when the first import of numpy loads it
+    assert _imports_before_the_blas_pin(_sources()["__init__"]) == []
+
+
 def test_the_scan_sees_deferred_imports_and_cycles():
     sources = {
         "a": "from .b import f\n",
@@ -97,3 +117,7 @@ def test_the_scan_sees_deferred_imports_and_cycles():
     assert graph == {"a": {"b"}, "b": {"c"}, "c": {"a", "b"}}
     assert _cycle(graph) == ["a", "b", "c", "a"]
     assert _cycle({"a": {"b"}, "b": set()}) is None
+    pin = 'os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")\n'
+    assert _imports_before_the_blas_pin("import os\n" + pin + "from .a import f\n") == []
+    assert _imports_before_the_blas_pin("import os\nimport numpy\n" + pin) == [2]
+    assert _imports_before_the_blas_pin("import os\n") is None

@@ -120,6 +120,20 @@ def test_saturation_rank_with_row_reduction_oracle(dim, expected):
     assert row_reduction_rank(_vectorise(words)) == expected
 
 
+def test_span_rank_of_real_words_and_rejection_of_quaternion_words():
+    gens = projection_generators(2, seed=3, count=2)
+    real = [Morphism.from_real(Field.REAL, w.entries[..., 0]) for w in gens]
+    # real words span the same real space as their complex copies
+    promoted = [Morphism.from_real(Field.COMPLEX, w.entries[..., 0]) for w in real]
+    assert real_span_rank(real) == real_span_rank(promoted) == row_reduction_rank(
+        _vectorise(real))
+    quat = Morphism.identity(Field.QUATERNION, Obj(1))
+    with pytest.raises(FieldMismatchError):
+        real_span_rank([quat])
+    with pytest.raises(FieldMismatchError):
+        real_span_rank([gens[0], quat])  # native arrays of one shape
+
+
 def test_saturation_check_reports():
     rep = saturation_check(2, seed=1)
     assert rep.to_json() == {
