@@ -3,9 +3,10 @@ matrix model: biproducts (H1), directed colimits of isometries (H2),
 biproduct complements of isometries (H3), the simple unit object and
 normalisation (H4), and strict square roots of unitaries (H5).
 
-Over the complex field a strict square root is synthesised spectrally;
-over the reals and quaternions the scalar obstruction (no central square
-root of -1) is turned into an explicit infeasibility witness.
+Over the complex field a strict square root is the principal root
+summed over the eigenspaces of one spectral decomposition; over the
+reals and quaternions the scalar obstruction (no central square root of
+-1) is turned into an explicit infeasibility witness.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from .sampling import (
 )
 from .scalars import DEFAULT_TOL, Field, Scalar, TolerancePolicy, real_sqrt
 
-EIGENVALUE_CLUSTER_EPS = 1e-7  # eigenvalues closer than this interpolate as one node
+EIGENVALUE_CLUSTER_EPS = 1e-7  # eigenvalues closer than this form one cluster
 SVD_RANK_EPS = 1e-8
 
 
@@ -139,7 +140,8 @@ def is_dagger_simple(
     field: Field,
     X: Obj,
     trials: int = 8,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
     tol: TolerancePolicy = DEFAULT_TOL,
 ) -> bool:
     """True iff every nonzero isometry into X is unitary; holds exactly
@@ -147,7 +149,6 @@ def is_dagger_simple(
     isometries with domain dimensions sweeping 1..X.dim."""
     if X.dim == 0:
         return False
-    rng = np.random.default_rng(0) if rng is None else rng
     all_unitary = True
     for t in range(trials):
         a = Obj(1 + t % X.dim)
@@ -171,8 +172,9 @@ def is_dagger_simple(
 
 @dataclass(frozen=True)
 class StrictSqrtCertificate:
-    """A unitary square root together with the spectral interpolation
-    data proving it is a polynomial in the input."""
+    """A unitary square root together with its spectral data: one
+    (node, root) pair per eigenvalue cluster, in cluster order.  The root
+    is a function of the input on its spectrum, hence strict."""
 
     root: Morphism
     interpolation_data: tuple[tuple[Scalar, Scalar], ...]
@@ -199,37 +201,45 @@ def _cluster_indices(eigs: np.ndarray, eps: float) -> list[list[int]]:
     return groups
 
 
-def _cluster_unit_eigenvalues(eigs: np.ndarray, eps: float) -> list[complex]:
-    """Representative (renormalised mean) per eigenvalue cluster."""
-    unit = eigs / np.abs(eigs)
-    reps = []
-    for group in _cluster_indices(eigs, eps):
-        mean = np.mean(unit[group])
-        reps.append(complex(mean / abs(mean)))
-    return reps
+def _spectral_decomposition(u: Morphism) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(eigenvalues, orthonormal eigenspace basis) per eigenvalue cluster
+    of a complex unitary on a nonzero object.
 
-
-def _leja_order(nodes: list[complex]) -> list[complex]:
-    """Greedy node ordering that keeps Newton interpolation stable."""
-    remaining = list(nodes)
-    ordered = [remaining.pop(0)]
-    while remaining:
-        best = max(
-            range(len(remaining)),
-            key=lambda i: np.prod([abs(remaining[i] - x) for x in ordered]),
-        )
-        ordered.append(remaining.pop(best))
-    return ordered
+    The eigenvectors of u are grouped by `_cluster_indices` and made
+    orthonormal by one QR factorisation, cluster after cluster; each
+    cluster gets its block of columns.  The first columns of a cluster
+    span its eigenvectors together with those of the clusters before it,
+    an invariant subspace of the normal u, so each block spans an
+    eigenspace.  One QR over all clusters, rather than one per cluster,
+    keeps the blocks orthogonal to rounding level when two clusters lie
+    close: computed eigenvectors of distinct eigenvalues are orthogonal
+    only to about eps / gap.
+    """
+    eigs, vecs = np.linalg.eig(u.complex_view())
+    clusters = _cluster_indices(eigs, EIGENVALUE_CLUSTER_EPS)
+    q, _ = np.linalg.qr(vecs[:, [i for idx in clusters for i in idx]])
+    out = []
+    start = 0
+    for idx in clusters:
+        out.append((eigs[idx], q[:, start:start + len(idx)]))
+        start += len(idx)
+    return out
 
 
 def strict_sqrt_complex(u: Morphism, tol: TolerancePolicy = DEFAULT_TOL) -> StrictSqrtCertificate:
     """Strict square root of a complex unitary.
 
-    Eigenvalues are clustered, each representative gets its principal
-    square root (argument in (-pi, pi] halved, so the root of -1 is +i),
-    and the root matrix is the Newton interpolation polynomial through
-    those nodes evaluated at the input.  Being a polynomial in the input,
-    the root commutes with every morphism the input commutes with.
+    Each eigenvalue cluster c of `_spectral_decomposition`, with
+    orthonormal basis Q, gets its node (the renormalised mean of its
+    eigenvalues) and the node's principal square root r (argument in
+    (-pi, pi] halved, so the root of -1 is +i); the root is the spectral
+    sum of r Q Q-dagger.  On a cluster of two or more eigenvalues it adds
+    r Q (X/2 - X^2/8) Q-dagger with X = Q-dagger u Q / node - I, the
+    series of r sqrt(I + X), so the root squares to u on the cluster
+    rather than to its node (X is as small as the cluster's spread, so
+    the next term is far below rounding).  Being a function of u on its
+    spectrum, the root commutes with every morphism the input commutes
+    with.
     """
     if u.field is not Field.COMPLEX:
         raise UnsupportedFieldError("spectral square root is implemented over C only")
@@ -242,70 +252,45 @@ def strict_sqrt_complex(u: Morphism, tol: TolerancePolicy = DEFAULT_TOL) -> Stri
         return StrictSqrtCertificate(ident, (), 0.0)
 
     uc = u.complex_view()
-    eigs = np.linalg.eigvals(uc)
+    clusters = _spectral_decomposition(u)
+    eigs = np.concatenate([e for e, _ in clusters])
     if np.max(np.abs(np.abs(eigs) - 1.0)) > 1e3 * tol.abs_eps:
         raise DomainError("spectrum is not on the unit circle")
-    nodes = _leja_order(_cluster_unit_eigenvalues(eigs, EIGENVALUE_CLUSTER_EPS))
-    values = [complex(np.exp(0.5j * np.angle(lam))) for lam in nodes]
 
-    # Newton divided differences, then a Horner evaluation at the matrix.
-    coeffs = list(values)
-    for k in range(1, len(nodes)):
-        for i in range(len(nodes) - 1, k - 1, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (nodes[i] - nodes[i - k])
-    ident = np.eye(u.dom.dim, dtype=complex)
-    poly = coeffs[-1] * ident
-    for m in range(len(nodes) - 2, -1, -1):
-        poly = poly @ (uc - nodes[m] * ident) + coeffs[m] * ident
+    root = np.zeros_like(uc)
+    data = []
+    for e, q in clusters:
+        mean = np.mean(e / np.abs(e))
+        node = complex(mean / abs(mean))
+        val = complex(np.exp(0.5j * np.angle(node)))
+        core = np.eye(len(e), dtype=complex)
+        if len(e) > 1:
+            x = q.conj().T @ uc @ q / node - core
+            core += x / 2 - x @ x / 8
+        root += val * (q @ core @ q.conj().T)
+        data.append((Scalar(Field.COMPLEX, node.real, node.imag),
+                     Scalar(Field.COMPLEX, val.real, val.imag)))
 
-    root = Morphism.from_complex(poly)
-    residual = frobenius_distance(root @ root, u)
-    data = tuple(
-        (
-            Scalar(Field.COMPLEX, lam.real, lam.imag),
-            Scalar(Field.COMPLEX, val.real, val.imag),
-        )
-        for lam, val in zip(nodes, values)
-    )
-    return StrictSqrtCertificate(root, data, residual)
+    root = Morphism.from_complex(root)
+    return StrictSqrtCertificate(root, tuple(data), frobenius_distance(root @ root, u))
 
 
 def spectral_projections(u: Morphism) -> list[Morphism]:
-    """Orthogonal projections onto the clustered eigenspaces of a complex
-    unitary.
-
-    The eigenvectors of u are grouped by `_cluster_indices` and made
-    orthonormal by one QR factorisation, cluster after cluster; each
-    cluster's block Q of columns gives the projection Q Q-dagger.  The
-    first columns of a cluster span its eigenvectors together with those
-    of the clusters before it, an invariant subspace of the normal u, so
-    each block spans an eigenspace.  One QR over all clusters, rather
-    than one per cluster, keeps the blocks orthogonal to rounding level
-    when two clusters lie close: computed eigenvectors of distinct
-    eigenvalues are orthogonal only to about eps / gap.  The projections
-    sum to the identity and commute with u.
-    """
+    """Orthogonal projections Q Q-dagger onto the clustered eigenspaces
+    of a complex unitary, one per cluster of `_spectral_decomposition`.
+    They sum to the identity and commute with u."""
     if u.field is not Field.COMPLEX:
         raise UnsupportedFieldError("spectral projections are implemented over C only")
     if u.dom.dim == 0:
         return []
-    eigs, vecs = np.linalg.eig(u.complex_view())
-    clusters = _cluster_indices(eigs, EIGENVALUE_CLUSTER_EPS)
-    q, _ = np.linalg.qr(vecs[:, [i for idx in clusters for i in idx]])
-    out = []
-    start = 0
-    for idx in clusters:
-        block = q[:, start:start + len(idx)]
-        out.append(Morphism.from_complex(block @ block.conj().T))
-        start += len(idx)
-    return out
+    return [Morphism.from_complex(q @ q.conj().T) for _, q in _spectral_decomposition(u)]
 
 
 def is_strict_sqrt(
     u: Morphism,
     v: Morphism,
-    projection_samples: int = 50,
-    rng: np.random.Generator | None = None,
+    projection_samples: int,
+    rng: np.random.Generator,
     tol: TolerancePolicy = DEFAULT_TOL,
 ) -> bool:
     """Check v^2 = u together with the commutation biconditional on three
@@ -321,7 +306,6 @@ def is_strict_sqrt(
     (`matcat.commuting`)."""
     if u.dom != u.cod or v.dom != v.cod or u.dom != v.dom:
         raise ShapeMismatchError("strictness check needs endomorphisms of one object")
-    rng = np.random.default_rng(0) if rng is None else rng
     if not (is_dagger_iso(u, tol) and is_dagger_iso(v, tol)):
         return False
     if not approx_eq(v @ v, u, tol):
@@ -422,7 +406,7 @@ def _commutant_of_projections(
 def refute_h5_scalar_case(
     field: Field,
     dim: int,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
     tol: TolerancePolicy = DEFAULT_TOL,
 ) -> Report:
     """Infeasibility of a strict square root of -id over R or H.
@@ -439,7 +423,6 @@ def refute_h5_scalar_case(
         raise UnsupportedFieldError("over C the root i*id exists; nothing to refute")
     if dim < 2:
         raise DomainError("the scalar-forcing argument needs dimension >= 2")
-    rng = np.random.default_rng(0) if rng is None else rng
     x = Obj(dim)
     projections = unstack(field, x, x, probe_projections(field, x, dim + 3, rng))
     nullity, null_basis = _commutant_of_projections(field, dim, projections)
@@ -618,7 +601,8 @@ def mediating_dagger_mono(
 def jointly_epic_check(
     cocone: ColimitCocone,
     trials: int = 20,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
     tol: TolerancePolicy = DEFAULT_TOL,
     p_perp: Morphism | None = None,
 ) -> bool:
@@ -631,7 +615,6 @@ def jointly_epic_check(
     `p_perp`, the cocone's complement projection; it is computed here
     only when the caller does not pass it.
     """
-    rng = np.random.default_rng(0) if rng is None else rng
     field = cocone.field
     apex = cocone.apex
     legs = list(cocone.legs.values())

@@ -681,7 +681,7 @@ def check_functor_dagger_additive(cfg: CampaignConfig, rng: np.random.Generator)
 @check("reconstruct.functor-faithful")
 def check_functor_faithful(cfg: CampaignConfig, rng: np.random.Generator) -> Report:
     return reconstruct.faithfulness_check(
-        cfg.field, cfg.count(200), cfg.positive_dims(), rng, cfg.tol
+        cfg.field, cfg.count(200), cfg.positive_dims(), rng=rng, tol=cfg.tol
     )
 
 

@@ -310,7 +310,10 @@ class Morphism:
     @classmethod
     def from_json(cls, data: dict) -> "Morphism":
         field = Field.from_name(data["field"])
-        dom, cod = Obj(int(data["dom"])), Obj(int(data["cod"]))
+        dims = data["dom"], data["cod"]
+        if not all(type(d) is int for d in dims):  # not bool, float or str
+            raise DomainError(f"dom and cod must be JSON integers, not {dims!r}")
+        dom, cod = Obj(dims[0]), Obj(dims[1])
         e = np.zeros((cod.dim, dom.dim, 4))
         rows = data["entries"]
         if len(rows) != cod.dim:

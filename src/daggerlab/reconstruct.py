@@ -32,7 +32,6 @@ from .matcat import (
     approx_eq,
     basis_column,
     column_block,
-    embed,
     frobenius_distance,
 )
 from .reports import ERROR, FAIL, INFEASIBLE, NO_SAMPLE, PASS, Report
@@ -147,13 +146,6 @@ def rank_object(field: Field, n: int) -> tuple[Obj, list[Morphism]]:
     return x, onb
 
 
-def dagger_mono_between(field: Field, x: Obj, y: Obj) -> Morphism:
-    """An isometry between any two objects, from the smaller into the
-    larger: compare basis sizes and inject blockwise."""
-    small, large = (x, y) if x.dim <= y.dim else (y, x)
-    return embed(field, small, large, [(0, 0, Morphism.identity(field, small))])
-
-
 class EndoField:
     """The scalars reconstructed from endomorphisms of the unit object.
 
@@ -220,13 +212,13 @@ def faithfulness_check(
     field: Field,
     trials: int = 200,
     dims: tuple[int, ...] = (1, 2, 3, 4, 5, 6),
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
     tol: TolerancePolicy = DEFAULT_TOL,
 ) -> Report:
     """Distinct parallel morphisms are separated by some column from the
     unit object; reports the separating coordinate column per trial.
     A run in which no drawn pair was distinct is an ERROR, not a pass."""
-    rng = np.random.default_rng(0) if rng is None else rng
     separating: list[int] = []
     for _ in range(trials):
         x = Obj(int(rng.choice(dims)))

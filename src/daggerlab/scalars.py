@@ -2,8 +2,8 @@
 
 Every scalar is stored as four raw real components (w, x, y, z), read as
 w + xi + yj + zk.  Real and complex scalars are the sub-rings where the
-trailing components are exactly zero, so conjugation, multiplication and
-centrality checks are the quaternion formulas for all three fields.
+trailing components are exactly zero, so conjugation and multiplication
+are the quaternion formulas for all three fields.
 Matrices do not store scalars: `matcat` keeps one native array per field
 (a real or complex number per entry, or over H the 2x2 complex block
 [[w + xi, y + zi], [-y + zi, w - xi]]), and its `entry` and `scalar`
@@ -51,9 +51,9 @@ _WIDTHS = {Field.REAL: 1, Field.COMPLEX: 2, Field.QUATERNION: 4}
 
 @dataclass(frozen=True)
 class TolerancePolicy:
-    """Mixed absolute/relative comparison used by every approximate check.
-
-    approx_eq(a, b) holds iff |a - b| <= abs_eps + rel_eps * max(|a|, |b|).
+    """Mixed absolute/relative comparison used by every approximate check:
+    a residual passes iff it is <= bound(|a|, |b|), that is
+    abs_eps + rel_eps * max(|a|, |b|).
     """
 
     abs_eps: float = 1e-9
@@ -61,12 +61,6 @@ class TolerancePolicy:
 
     def bound(self, *magnitudes: float) -> float:
         return self.abs_eps + self.rel_eps * max(magnitudes, default=0.0)
-
-    def approx_eq(self, a: float, b: float) -> bool:
-        return abs(a - b) <= self.bound(abs(a), abs(b))
-
-    def is_zero(self, a: float) -> bool:
-        return abs(a) <= self.abs_eps
 
 
 DEFAULT_TOL = TolerancePolicy()
@@ -116,6 +110,8 @@ class Scalar:
             raise FieldMismatchError(
                 f"expected {field.width} components for field {field.value}, got {len(comps)}"
             )
+        if not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in comps):
+            raise DomainError(f"scalar components must be numbers, not {comps!r}")
         padded = list(comps) + [0.0] * (4 - len(comps))
         return cls(field, *padded)
 
@@ -177,14 +173,3 @@ def real_sqrt(r: float, tol: TolerancePolicy = DEFAULT_TOL) -> float:
     if r < -tol.abs_eps:
         raise DomainError(f"square root of negative value {r!r}")
     return math.sqrt(max(r, 0.0))
-
-
-def is_central(a: Scalar, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
-    """Whether a commutes with every scalar of its field.
-
-    R and C are commutative; the centre of H is the real line, so all
-    imaginary components must vanish.
-    """
-    if a.field is not Field.QUATERNION:
-        return True
-    return abs(a.x) <= tol.abs_eps and abs(a.y) <= tol.abs_eps and abs(a.z) <= tol.abs_eps

@@ -107,6 +107,37 @@ def test_sqrt_command(tmp_path, capsys):
     assert len(cert["interpolation_data"]) == 2
 
 
+def test_sqrt_of_a_pair_straddling_the_branch_cut(tmp_path):
+    # eigenvalues 1e-6 apart on either side of -1, in a random basis: the
+    # two nodes get the roots +i and -i, and the root still squares to u
+    rng = np.random.default_rng(7)
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    spectrum = np.exp(1j * np.array([np.pi - 5e-7, -np.pi + 5e-7, 0.4, -1.9]))
+    u = Morphism.from_complex((q * spectrum) @ q.conj().T)
+    src, out = tmp_path / "u.json", tmp_path / "cert.json"
+    src.write_text(json.dumps(u.to_json()))
+    assert main(["sqrt", "--input", str(src), "--out", str(out)]) == 0
+    cert = json.loads(out.read_text())
+    root = Morphism.from_json(cert["root"]).complex_view()
+    assert np.linalg.norm(root @ root - u.complex_view()) <= 1e-12
+    assert cert["residual"] <= 1e-12
+
+
+@pytest.mark.parametrize("key, value", [
+    ("dom", 1.9), ("dom", True), ("cod", "1"),
+    ("entries", [[[True, 0.0]]]), ("entries", [[[1.0, "0"]]]),
+])
+def test_sqrt_rejects_json_values_of_the_wrong_type(tmp_path, capsys, key, value):
+    # each would be read as the 1x1 identity, and its root printed
+    data = {"field": "C", "dom": 1, "cod": 1, "entries": [[[1.0, 0.0]]]}
+    data[key] = value
+    src = tmp_path / "u.json"
+    src.write_text(json.dumps(data))
+    assert main(["sqrt", "--input", str(src)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "bad morphism input" in captured.err
+
+
 def test_sqrt_malformed_json(tmp_path, capsys):
     src = tmp_path / "bad.json"
     src.write_text("{ not json")

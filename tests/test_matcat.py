@@ -144,7 +144,7 @@ def test_dagger_simple_contradiction_is_a_package_error(monkeypatch):
     # a unit object whose isometries all test non-unitary contradicts dim 1
     monkeypatch.setattr(axioms, "is_dagger_iso", lambda *args, **kwargs: False)
     with pytest.raises(ContradictionError):
-        is_dagger_simple(Field.REAL, UNIT, trials=2)
+        is_dagger_simple(Field.REAL, UNIT, trials=2, rng=np.random.default_rng(0))
 
 
 def test_frobenius_examples():
@@ -195,6 +195,24 @@ def test_json_roundtrip():
     bad = {"field": "C", "dom": 2, "cod": 1, "entries": [[[1.0, 0.0]]]}
     with pytest.raises(ShapeMismatchError):
         Morphism.from_json(bad)
+
+
+BAD_JSON_TYPES = [
+    ("dom", 1.9), ("dom", True), ("cod", "1"), ("cod", None),
+    ("entries", [[[True, 0.0]]]), ("entries", [[[1.0, "0"]]]),
+    ("entries", [[[None, 0.0]]]), ("entries", [[[[1.0], 0.0]]]),
+]
+
+
+@pytest.mark.parametrize("key, value", BAD_JSON_TYPES,
+                         ids=[f"{k}={v!r}" for k, v in BAD_JSON_TYPES])
+def test_json_rejects_values_that_are_not_numbers_of_the_right_type(key, value):
+    # the 1x1 complex identity with one value replaced; int() would read
+    # 1.9, True and "1" as 1, and float() would read True and "0"
+    data = {"field": "C", "dom": 1, "cod": 1, "entries": [[[1.0, 0.0]]]}
+    data[key] = value
+    with pytest.raises(DomainError):
+        Morphism.from_json(data)
 
 
 def test_entry_width_validation():

@@ -20,13 +20,13 @@ def _dims(first, last):
 
 PINS = [
     (["lemmas", "--field", "C", "--trials", "20"],
-     "9b842899edeafc3a798bfb2bf316a28389f24e405e411b1d31f8d4774983edfb", 0),
+     "c4e6205efb416faf04423df9a3ce67611d4be02b2b5ae084465988c44f206d5a", 0),
     (["lemmas", "--field", "R", "--trials", "20"],
      "8d9020bd99b7ccbbe57672462b483458dc8156f0fe06869c7f6966ca87219169", 0),
     (["lemmas", "--field", "H", "--trials", "30"],
      "eef299e024a156d4cfa3ba85992d78af7477e9b86f30a71c58ddcdc551d988e6", 0),
     (["lemmas", "--field", "C", "--trials", "1", "--seed", "12"],
-     "9a201647d97967e94609025de36606fcf33dff779c393cd3bebb371281b5b6cb", 3),
+     "6ef0b8e272e427b8a5bde55fdae91f587fd4ac1b1aaee3ac9ceb79b161582b45", 3),
     (["reconstruct", "--field", "C", "--trials", "20"],
      "c0c12d065979d530e5856b93cac6fc1f91436cbf8156ca4b20ae715d9a5c7392", 0),
     (["reconstruct", "--field", "H", "--trials", "20"],
@@ -36,7 +36,7 @@ PINS = [
     (["verify-axioms", "--field", "H", "--dims", _dims(0, 8), "--trials", "5"],
      "ac8bf87d4f5e0d22ff0fe8da24dabe3b7b47612a2639f4089c826dcc47f18db4", 1),
     (["verify-axioms", "--field", "C", "--dims", _dims(0, 6), "--trials", "5"],
-     "493873ea27823f144dc70b7b22917a86d2644f99b12a05138b6b8b93db11156d", 0),
+     "5c625ed2d4636f8c7206284703f0f0c3ed84049ad1ac77741c16c0e195801fd3", 0),
     (["verify-axioms", "--field", "C", "--dims", "1,2", "--trials", "2",
       "--tol-abs", "0", "--tol-rel", "0"],
      "03d3c3990ff0f166dfaa16d80209e0836117ece5ab8a3be3ea996edec0764865", 3),

@@ -16,7 +16,6 @@ from daggerlab.scalars import (
     conj,
     distance,
     inv,
-    is_central,
     mul,
     norm,
     one,
@@ -69,13 +68,6 @@ def test_norm_and_sqrt():
         real_sqrt(-1.0)
 
 
-def test_is_central():
-    assert is_central(q(3.0))
-    assert not is_central(q(0, 1, 0, 0))
-    assert is_central(c(0, 1))
-    assert is_central(r(-2))
-
-
 def test_width_enforced():
     with pytest.raises(FieldMismatchError):
         Scalar(Field.REAL, 1.0, 0.5)
@@ -94,9 +86,10 @@ def test_json_roundtrip():
 
 def test_tolerance_policy():
     tol = TolerancePolicy(1e-9, 1e-9)
-    assert tol.approx_eq(1.0, 1.0 + 5e-10)
-    assert not tol.approx_eq(1.0, 1.0 + 5e-8)
-    assert tol.is_zero(5e-10)
+    assert tol.bound() == 1e-9  # no magnitude: the absolute part alone
+    assert tol.bound(1.0, 3.0) == 1e-9 + 3e-9  # relative to the larger
+    assert 5e-10 <= tol.bound(1.0, 1.0 + 5e-10)
+    assert not 5e-8 <= tol.bound(1.0, 1.0 + 5e-8)
 
 
 @pytest.mark.parametrize("field", ALL_FIELDS)
