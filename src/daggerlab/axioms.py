@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .matcat import (
     UNIT,
     approx_eq,
     basis_column,
-    commutator_matrix,
+    commutator_blocks,
     commuting,
     diagonal_commutator_support,
     frobenius_distance,
@@ -364,6 +364,27 @@ def polynomial_fit_residual(u: Morphism, v: Morphism) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _null_space_of_blocks(blocks: Iterable[np.ndarray], width: int) -> tuple[int, np.ndarray]:
+    """Nullity and null-space basis (as columns) of the matrix whose
+    rows are `blocks`, in order, each `width` columns wide.
+
+    Each block is folded into the triangular factor R of a QR of the
+    rows so far (tall-skinny QR: Demmel, Grigori, Hoemmen & Langou,
+    SIAM J. Sci. Comput. 34, 2012), so only one block and a
+    width x width R are alive at once.  The matrix and R have the same
+    singular values and right singular vectors (R-SVD: Chan, ACM TOMS 8,
+    1982), and the SVD_RANK_EPS rank rule runs on R.  With no block,
+    every vector is null."""
+    r = np.zeros((0, width))
+    for block in blocks:
+        r = np.linalg.qr(np.concatenate([r, block]), mode="r")
+    if not r.size:
+        return width, np.eye(width)
+    _, s, vh = np.linalg.svd(r, full_matrices=False)
+    rank = int(np.count_nonzero(s > SVD_RANK_EPS * max(s[0], 1.0)))
+    return vh.shape[0] - rank, vh[rank:].T
+
+
 def _commutant_of_projections(
     field: Field,
     dim: int,
@@ -373,7 +394,7 @@ def _commutant_of_projections(
     projections, as a real-linear map on endomorphism space.
 
     The map's real matrix has coordinates (i, j, c) and one n x n row
-    block per projection (n = dim^2 * width; see `commutator_matrix`).
+    block per projection (n = dim^2 * width; see `commutator_blocks`).
     A diagonal projection, such as a coordinate projection E_kk or any
     0/1 diagonal one, multiplies coordinate (i, j, c) by p_ii - p_jj and
     touches no other: each row of its block says that a nonzero number
@@ -383,24 +404,20 @@ def _commutant_of_projections(
     the projections' exact entries, with no rounding decision, and after
     the d coordinate projections the free columns are the d * width
     diagonal coordinates.  Only the other projections' blocks are built,
-    and only on the free columns; the SVD rank rule runs on them, and
-    the null vectors are embedded back with exact zeros on the forced
-    columns.  With no diagonal projection this is the SVD of the whole
-    map; with only diagonal ones the free coordinates are the null
-    space."""
+    only on the free columns, and one at a time: `_null_space_of_blocks`
+    folds each into a small triangular factor and runs the SVD rank
+    rule on that.  The null vectors are embedded back with exact zeros
+    on the forced columns.  With no diagonal projection this is the null
+    space of the whole map; with only diagonal ones the free coordinates
+    are the null space."""
     diagonal, forced = diagonal_commutator_support(field, dim, projections)
     free = np.flatnonzero(~forced)
     others = [p for p, d in zip(projections, diagonal) if not d]
-    rest = commutator_matrix(field, dim, others, free)
-    if rest.size:
-        _, s, vh = np.linalg.svd(rest, full_matrices=False)
-        rank = int(np.count_nonzero(s > SVD_RANK_EPS * max(s[0], 1.0)))
-        free_basis = vh[rank:].T
-    else:
-        free_basis = np.eye(free.size)
-    null_basis = np.zeros((forced.size, free_basis.shape[1]))
+    nullity, free_basis = _null_space_of_blocks(
+        commutator_blocks(field, dim, others, free), free.size)
+    null_basis = np.zeros((forced.size, nullity))
     null_basis[free] = free_basis
-    return free_basis.shape[1], null_basis
+    return nullity, null_basis
 
 
 def refute_h5_scalar_case(

@@ -32,7 +32,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -47,8 +47,8 @@ class Obj:
     Interned: Obj(n) is one shared immutable instance per n, so every
     block construction gets its objects from a dict lookup.  Equality,
     hash and repr are those of a frozen dataclass with one field `dim`.
-    The dimension is any integer type (`operator.index`) and is stored
-    as an int, so Obj(np.int64(n)) is Obj(n).
+    The dimension is any integer type (`operator.index`) but bool and is
+    stored as an int, so Obj(np.int64(n)) is Obj(n).
     """
 
     __slots__ = ("dim",)
@@ -56,6 +56,8 @@ class Obj:
     def __new__(cls, dim: int) -> "Obj":
         if dim.__class__ is not int:
             try:
+                if isinstance(dim, bool):  # operator.index(True) is 1
+                    raise TypeError
                 dim = operator.index(dim)
             except TypeError:
                 raise DomainError(
@@ -522,36 +524,37 @@ def _projection_stack(field: Field, dim: int, projections: Sequence[Morphism]) -
     return np.array([p._a for p in projections], _dtype(field)).reshape(-1, side, side)
 
 
-def commutator_matrix(
+def commutator_blocks(
     field: Field,
     dim: int,
     projections: Sequence[Morphism],
     columns: np.ndarray | None = None,
-) -> np.ndarray:
+) -> Iterator[np.ndarray]:
     """Real matrix of M -> p M - M p on the endomorphisms of Obj(dim),
-    one n-row block per projection p, stacked by rows (n = dim^2 * width),
-    restricted to the given columns (default: all n, in order).
+    yielded as one n-row block per projection p, in order
+    (n = dim^2 * width), restricted to the given columns (default: all
+    n, in order).  Stacked by rows, the blocks are the whole map.
 
     Coordinate k = (i * dim + j) * width + c is component c of entry
     (i, j): column k is the image of the unit endomorphism with that
     component 1, and row k of a block reads that component of the image.
-    The projections and the units of the chosen columns are two stacked
-    native arrays, so the whole map costs one batched product on each
-    side.  Each product multiplies by a unit entry and adds exact zeros,
-    so every entry is exact.
+    The projections' field and shape are checked before the first block.
+    The units of the chosen columns are one stacked native array, built
+    once, so each block costs one batched product on each side of it,
+    and only one block is alive at a time.  Each product multiplies by a
+    unit entry and adds exact zeros, so every entry is exact.
     """
-    p = _projection_stack(field, dim, projections)[:, None]
+    stack = _projection_stack(field, dim, projections)
     w = field.width
     n = dim * dim * w
     columns = np.arange(n) if columns is None else np.asarray(columns)
     units = np.zeros((columns.size, dim, dim, 4))
     units[(np.arange(columns.size), *np.unravel_index(columns, (dim, dim, w)))] = 1.0
-    stack = _native(field, units)
-    image = p @ stack
-    image -= stack @ p  # in place: one block of products fewer alive at once
-    image = _components(field, image)[..., :w]
-    image = image.reshape(len(projections), columns.size, n).swapaxes(1, 2)
-    return image.reshape(len(projections) * n, columns.size)
+    units = _native(field, units)
+    for p in stack:
+        image = p @ units
+        image -= units @ p  # in place: one block of products fewer alive at once
+        yield _components(field, image)[..., :w].reshape(columns.size, n).T
 
 
 def diagonal_commutator_support(
@@ -563,11 +566,11 @@ def diagonal_commutator_support(
     A projection is diagonal here when its native array is diagonal
     with a real diagonal, as a coordinate or 0/1 diagonal projection's
     is.  Then (p M - M p)_ijc = (p_ii - p_jj) M_ijc, so its block of
-    `commutator_matrix` has one nonzero per row at most, and the
+    `commutator_blocks` has one nonzero per row at most, and the
     coordinates (i, j, c) with p_ii != p_jj, read from the exact
     entries, are zero in every M that commutes with p.  Returns a mask
     over the projections and a mask over the n coordinates, in the
-    order of `commutator_matrix`'s columns.
+    order of `commutator_blocks`' columns.
     """
     stack = _projection_stack(field, dim, projections)
     d = np.diagonal(stack, axis1=1, axis2=2)

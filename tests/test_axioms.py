@@ -4,6 +4,7 @@ square roots and their refutation, finite directed colimits."""
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -461,7 +462,7 @@ def test_refutation_rejects_complex():
 
 def _per_basis_commutator_matrix(field, dim, projections):
     """M -> pM - Mp built one unit endomorphism and two compositions at
-    a time: the reference for the batched matcat.commutator_matrix."""
+    a time: the reference for the batched matcat.commutator_blocks."""
     w = field.width
     basis = []
     for i in range(dim):
@@ -488,7 +489,7 @@ def test_commutator_matrix_is_byte_identical_to_the_per_basis_map(field, dim):
     rng = np.random.default_rng(dim)
     projections = _coordinate_projections(field, dim)
     projections += [_rank1_projection(field, Obj(dim), rng) for _ in range(dim + 3)]
-    batched = matcat.commutator_matrix(field, dim, projections)
+    batched = np.concatenate(list(matcat.commutator_blocks(field, dim, projections)))
     reference = _per_basis_commutator_matrix(field, dim, projections)
     assert batched.shape == reference.shape
     assert batched.tobytes() == reference.tobytes()
@@ -499,23 +500,18 @@ def _split_of_the_full_map(field, dim, projections):
     on all n columns, one unit endomorphism and two compositions at a
     time, and a block exact when each of its rows has at most one
     nonzero.  The oracle for _commutant_of_projections, which builds only
-    the non-diagonal projections' blocks, on the free columns alone."""
+    the non-diagonal projections' blocks, on the free columns alone; the
+    free columns of the other blocks go through the same fold."""
     big = _per_basis_commutator_matrix(field, dim, projections)
     n = big.shape[1]
     blocks = big.reshape(len(projections), n, n)
     nonzero = blocks != 0
     exact = nonzero.sum(axis=2).max(axis=1, initial=0) <= 1
     free = np.flatnonzero(~nonzero[exact].any(axis=(0, 1)))
-    rest = blocks[:, :, free][~exact].reshape(-1, free.size)
-    if rest.size:
-        _, s, vh = np.linalg.svd(rest, full_matrices=False)
-        rank = int(np.count_nonzero(s > axioms.SVD_RANK_EPS * max(s[0], 1.0)))
-        free_basis = vh[rank:].T
-    else:
-        free_basis = np.eye(free.size)
-    null_basis = np.zeros((n, free_basis.shape[1]))
+    nullity, free_basis = axioms._null_space_of_blocks(blocks[:, :, free][~exact], free.size)
+    null_basis = np.zeros((n, nullity))
     null_basis[free] = free_basis
-    return free_basis.shape[1], null_basis
+    return nullity, null_basis
 
 
 @pytest.mark.parametrize("field,dim", [
@@ -592,7 +588,7 @@ def test_commutant_makes_no_compositions_or_morphisms(monkeypatch, field):
 def _full_svd_commutant(field, dim, projections):
     """Nullity and null basis from one SVD of the whole commutator map:
     the reference for the forced/free split in _commutant_of_projections."""
-    big = matcat.commutator_matrix(field, dim, projections)
+    big = np.concatenate(list(matcat.commutator_blocks(field, dim, projections)))
     _, s, vh = np.linalg.svd(big, full_matrices=False)
     smax = s[0] if s.size else 0.0
     rank = int(np.count_nonzero(s > axioms.SVD_RANK_EPS * max(smax, 1.0)))
@@ -637,10 +633,13 @@ def test_commutant_split_matches_the_full_svd(monkeypatch, kind, field, dim):
     gap = np.abs(null_basis @ null_basis.T - ref_basis @ ref_basis.T).max(initial=0.0)
     assert gap <= 1e-12
     if kind == "rank1" and dim >= 2:
-        # no exact block: the same SVD input and the same bytes out
+        # no exact block: the SVD input is the fold of the whole map's blocks
         assert len(inputs) == 2
-        assert inputs[1].tobytes() == inputs[0].tobytes()
-        assert null_basis.tobytes() == ref_basis.tobytes()
+        big = np.concatenate(list(matcat.commutator_blocks(field, dim, projections)))
+        fold = axioms._null_space_of_blocks(np.split(big, len(projections)), big.shape[1])
+        assert len(inputs) == 3
+        assert inputs[1].tobytes() == inputs[2].tobytes()
+        assert null_basis.tobytes() == fold[1].tobytes()
     if kind == "coordinate":
         assert nullity == dim * field.width
         assert len(inputs) == 1  # only the reference ran an SVD
@@ -657,11 +656,28 @@ def test_commutant_svd_sees_only_the_free_columns(monkeypatch, field, dim):
     inputs.clear()
     nullity, _ = axioms._commutant_of_projections(field, dim, projections)
     assert nullity == (2 if field is Field.COMPLEX else 1)
-    assert [a.shape for a in inputs] == [((dim + 3) * n, free)]
+    assert [a.shape for a in inputs] == [(free, free)]
     if field is not Field.COMPLEX:
         inputs.clear()
         refute_h5_scalar_case(field, dim, np.random.default_rng(7))
         assert inputs and all(a.shape[1] <= free for a in inputs)
+
+
+def test_commutant_peak_memory_stays_below_the_stacked_map():
+    # the blocks are folded one at a time: at H d=12 the whole map of
+    # K = d+3 blocks of n x f would already take K * n * f * 8 bytes
+    field, dim = Field.QUATERNION, 12
+    projections = _projection_set("coordinate+rank1", field, dim, np.random.default_rng(dim))
+    n, f = dim * dim * field.width, dim * field.width
+    axioms._commutant_of_projections(field, dim, projections)  # fill the caches
+    tracemalloc.start()
+    try:
+        nullity, _ = axioms._commutant_of_projections(field, dim, projections)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert nullity == 1
+    assert peak < (dim + 3) * n * f * 8
 
 
 @pytest.mark.parametrize("field,dim", [

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from daggerlab import axioms, biproduct, campaigns, reconstruct
+from daggerlab import axioms, biproduct, campaigns, projspan, reconstruct
 from daggerlab.biproduct import make_biproduct, verify_biproduct
 from daggerlab.campaigns import CampaignConfig
 from daggerlab.errors import DomainError
@@ -229,3 +229,19 @@ def test_h2_complements_the_legs_once_per_cocone(monkeypatch):
     # six diagrams with two competing cocones each: one complement for
     # both, handed to jointly_epic_check
     assert len(calls) == 6 and len({id(c) for c in calls}) == 6
+
+
+def test_saturation_monotonicity_computes_each_rank_once(monkeypatch):
+    cfg = CampaignConfig(field=Field.COMPLEX, seed=42)
+    expected = campaigns.check_saturation_monotonicity(cfg).to_json()
+    calls = []
+    saturation_check = projspan.saturation_check
+
+    def counting(*args, **kwargs):
+        calls.append((args, kwargs))
+        return saturation_check(*args, **kwargs)
+
+    monkeypatch.setattr(projspan, "saturation_check", counting)
+    assert campaigns.check_saturation_monotonicity(cfg).to_json() == expected
+    # dims 2 and 3: max_len 1, 2, 3 at count 2, and count 0, 1 at max_len 3
+    assert len(calls) == 10

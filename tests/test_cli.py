@@ -223,12 +223,14 @@ def test_cli_import_pins_one_blas_thread_unless_the_caller_set_one(preset, seen)
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_report_bytes_do_not_depend_on_the_blas_thread_count(threads):
-    # R at dims 0..12 runs the largest SVDs of the pins, which wake threaded LAPACK
-    [(argv, sha256, code)] = [p for p in PINS if p[0][:4] == ["verify-axioms", "--field", "R",
-                                                               "--dims"]]
-    run = subprocess.run([sys.executable, "-m", "daggerlab.cli", *argv, "--seed", "42",
-                          "--format", "json"], env=_fresh_env(threads), capture_output=True)
-    assert (hashlib.sha256(run.stdout).hexdigest(), run.returncode) == (sha256, code)
+    # R at dims 0..12 runs the largest SVDs of the pins, which wake threaded
+    # LAPACK; H at dims 0..8 folds the largest commutator blocks by QR
+    for field in ("R", "H"):
+        [(argv, sha256, code)] = [p for p in PINS
+                                  if p[0][:4] == ["verify-axioms", "--field", field, "--dims"]]
+        run = subprocess.run([sys.executable, "-m", "daggerlab.cli", *argv, "--seed", "42",
+                              "--format", "json"], env=_fresh_env(threads), capture_output=True)
+        assert (hashlib.sha256(run.stdout).hexdigest(), run.returncode) == (sha256, code), field
 
 
 def test_text_format_streams_lines(capsys):

@@ -240,7 +240,7 @@ def test_objects_are_natural_numbers():
         Obj(-1)
 
 
-@pytest.mark.parametrize("dim", [2.5, 3.0, "3", None, np.float64(2.0)])
+@pytest.mark.parametrize("dim", [2.5, 3.0, "3", None, np.float64(2.0), True, False])
 def test_objects_reject_non_integer_dimensions(dim):
     with pytest.raises(DomainError):
         Obj(dim)
@@ -320,23 +320,30 @@ def test_components_of_a_stack_are_the_entries_of_each_morphism(stack):
         assert np.array_equal(comps[k], e)
 
 
+def _commutator_map(field, dim, projections, columns=None):
+    return np.concatenate(list(matcat.commutator_blocks(field, dim, projections, columns)))
+
+
 def test_commutator_matrix_checks_its_projections():
     p = Morphism.identity(Field.REAL, Obj(2))
-    assert matcat.commutator_matrix(Field.REAL, 2, [p, p]).shape == (8, 4)
-    assert not matcat.commutator_matrix(Field.REAL, 2, [p]).any()
+    assert _commutator_map(Field.REAL, 2, [p, p]).shape == (8, 4)
+    assert not _commutator_map(Field.REAL, 2, [p]).any()
     with pytest.raises(FieldMismatchError):
-        matcat.commutator_matrix(Field.COMPLEX, 2, [p])
+        next(matcat.commutator_blocks(Field.COMPLEX, 2, [p]))
     with pytest.raises(ShapeMismatchError):
-        matcat.commutator_matrix(Field.REAL, 3, [p])
+        next(matcat.commutator_blocks(Field.REAL, 3, [p]))
+    # a bad last projection stops the first block
+    with pytest.raises(ShapeMismatchError):
+        next(matcat.commutator_blocks(Field.REAL, 2, [p, Morphism.identity(Field.REAL, Obj(3))]))
 
 
 def test_commutator_matrix_on_some_columns_is_those_columns_of_the_map():
     p = Morphism.identity(Field.REAL, Obj(2))
     q = Morphism.from_real(Field.REAL, [[0.5, 0.5], [0.5, 0.5]])
-    full = matcat.commutator_matrix(Field.REAL, 2, [q, p])
+    full = _commutator_map(Field.REAL, 2, [q, p])
     cols = np.array([3, 0, 2])
-    assert matcat.commutator_matrix(Field.REAL, 2, [q, p], cols).tobytes() == full[:, cols].tobytes()
-    assert matcat.commutator_matrix(Field.REAL, 2, [q], np.array([], int)).shape == (4, 0)
+    assert _commutator_map(Field.REAL, 2, [q, p], cols).tobytes() == full[:, cols].tobytes()
+    assert _commutator_map(Field.REAL, 2, [q], np.array([], int)).shape == (4, 0)
 
 
 def test_diagonal_support_reads_the_exact_diagonal():

@@ -32,9 +32,9 @@ PINS = [
     (["reconstruct", "--field", "H", "--trials", "20"],
      "6b5bb4d543eedb6b98fcc2118c133cc3126e9733a45d7c0b3b7c89b75c5e42d2", 0),
     (["verify-axioms", "--field", "R", "--dims", _dims(0, 12), "--trials", "5"],
-     "bfb42d00ed30137450b97aace7d79b8d9cc3c59a93a3c1ea0fa6bc5b4db76dac", 1),
+     "738646b7e0874c30b666e55cd417ffcf06f089f6e27de25a6307b8294ec72d70", 1),
     (["verify-axioms", "--field", "H", "--dims", _dims(0, 8), "--trials", "5"],
-     "ac8bf87d4f5e0d22ff0fe8da24dabe3b7b47612a2639f4089c826dcc47f18db4", 1),
+     "da6b914c8bfec00b2d2acb6e00403eaaa2be48dd37d8887df2804d47dccb111c", 1),
     (["verify-axioms", "--field", "C", "--dims", _dims(0, 6), "--trials", "5"],
      "5c625ed2d4636f8c7206284703f0f0c3ed84049ad1ac77741c16c0e195801fd3", 0),
     (["verify-axioms", "--field", "C", "--dims", "1,2", "--trials", "2",
