@@ -728,11 +728,11 @@ def check_projection_saturation(cfg: CampaignConfig, rng: np.random.Generator) -
     runs = []
     for dim in dims:
         for seed in range(cfg.seed, cfg.seed + 5):
-            rep = projspan.saturation_check(dim, seed, tol=cfg.tol)
+            rep = projspan.saturation_check(dim, seed)
             runs.append(rep.to_json())
             if rep.status != PASS:
                 return _report(cfg, FAIL, 0.0, details={"failing": rep.to_json()})
-    low = projspan.saturation_check(1, cfg.seed, tol=cfg.tol)
+    low = projspan.saturation_check(1, cfg.seed)
     runs.append(low.to_json())
     if low.status != "below-threshold (expected)":
         return _report(cfg, FAIL, 0.0, details={"failing": low.to_json()})
@@ -743,7 +743,7 @@ def check_projection_saturation(cfg: CampaignConfig, rng: np.random.Generator) -
 def check_saturation_monotonicity(cfg: CampaignConfig, rng: np.random.Generator) -> Report:
     for dim in (2, 3):
         def rank(**kwargs) -> int:
-            return projspan.saturation_check(dim, cfg.seed, tol=cfg.tol, **kwargs).rank
+            return projspan.saturation_check(dim, cfg.seed, **kwargs).rank
 
         longest = rank(max_len=3, count=2)  # the last entry of both rows
         ranks_by_len = [rank(max_len=1), rank(max_len=2), longest]

@@ -97,7 +97,6 @@ def _add_common(parser: argparse.ArgumentParser, default_dims: str) -> None:
     )
     parser.add_argument("--trials", type=_positive_int, default=None,
                         help="override the per-check sample counts")
-    _add_tolerances(parser)
     parser.add_argument("--out", default=None, help="write the report here instead of stdout")
     parser.add_argument("--format", choices=["json", "text"], default="text")
 
@@ -111,13 +110,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-axioms", help="run the H1-H5 axiom suites")
     _add_common(p, "0,1,2,3,4")
+    _add_tolerances(p)
 
     p = sub.add_parser("lemmas", help="run every invariant campaign")
     _add_common(p, "0,1,2,3,4,5,6")
+    _add_tolerances(p)
 
     p = sub.add_parser("reconstruct", help="run the scalar-field and Hermitian-space suites")
     _add_common(p, "1,2,3,4,5,6")
+    _add_tolerances(p)
 
+    # the span rank reads no tolerance
     p = sub.add_parser("span", help="projection-word saturation reports")
     _add_common(p, "1,2,3,4,5")
     p.add_argument("--max-len", type=_positive_int, default=projspan.DEFAULT_MAX_LEN)
@@ -139,16 +142,27 @@ def _config(args: argparse.Namespace) -> CampaignConfig:
     )
 
 
-def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> None:
+def _write(out: str | None, body: str) -> int:
+    """Write a report to the file `out`, or to stdout without one; a
+    file that cannot be written is an input error, named in one line."""
+    if not out:
+        sys.stdout.write(body)
+        return EXIT_OK
+    try:
+        with open(out, "w") as fh:
+            fh.write(body)
+    except OSError as exc:
+        print(f"cannot write the report to {out}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_INPUT
+    return EXIT_OK
+
+
+def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> int:
     if args.format == "json":
         body = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     else:
         body = "".join(line + "\n" for line in text_lines)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(body)
-    else:
-        sys.stdout.write(body)
+    return _write(args.out, body)
 
 
 def _suite_command(args: argparse.Namespace, runner) -> int:
@@ -183,25 +197,22 @@ def _suite_command(args: argparse.Namespace, runner) -> int:
             f"[{r.status.upper()}] {r.axiom} field={r.field} residual={r.residual:.3e}"
             for r in reports
         ]
-        _emit(args, payload, lines + [summary])
+        if _emit(args, payload, lines + [summary]) != EXIT_OK:
+            return EXIT_INPUT
     if errors:
         return EXIT_ERROR
     return EXIT_OK if payload["passed"] else EXIT_VIOLATION
 
 
 def _span_command(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    dims = [dim for dim in cfg.dims if dim >= 1]
+    dims = [dim for dim in args.dims if dim >= 1]
     if not dims:
         print("span needs at least one dimension of 1 or more", file=sys.stderr)
         return EXIT_INPUT
-    reports = [
-        projspan.saturation_check(dim, cfg.seed, args.max_len, tol=cfg.tol)
-        for dim in dims
-    ]
+    reports = [projspan.saturation_check(dim, args.seed, args.max_len) for dim in dims]
     payload = {
         "command": "span",
-        "seed": cfg.seed,
+        "seed": args.seed,
         "max_len": args.max_len,
         "reports": [r.to_json() for r in reports],
     }
@@ -209,7 +220,8 @@ def _span_command(args: argparse.Namespace) -> int:
         f"[{r.status.upper()}] dim={r.dim} rank={r.rank}/{r.target} words={r.words} seed={r.seed}"
         for r in reports
     ]
-    _emit(args, payload, lines)
+    if _emit(args, payload, lines) != EXIT_OK:
+        return EXIT_INPUT
     return EXIT_OK if all(r.ok for r in reports) else EXIT_VIOLATION
 
 
@@ -244,13 +256,7 @@ def _sqrt_command(args: argparse.Namespace) -> int:
         ],
         "residual": cert.residual,
     }
-    body = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(body)
-    else:
-        sys.stdout.write(body)
-    return EXIT_OK
+    return _write(args.out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -2,8 +2,9 @@
 complex object of dimension >= 2.
 
 The desk-scale surrogate: enumerate all words in a small generator set
-of projections up to a length cap and compute the rank of their
-real-linear span inside the 2n^2-real-dimensional endomorphism space.
+of projections up to a length cap, keeping those that raise the rank
+of their real-linear span inside the 2n^2-real-dimensional endomorphism
+space.
 Saturation (rank = 2n^2) is the computable necessary condition the
 fullness argument consumes; the generated ring itself is not re-proved.
 """
@@ -14,27 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, FieldMismatchError, ShapeMismatchError, UnsupportedFieldError
-from .matcat import Morphism, Obj, native_stack, stack_norms, unstack
+from .errors import DomainError, ShapeMismatchError
+from .matcat import Morphism, Obj, native_stack, unstack
 from .sampling import probe_projections
-from .scalars import DEFAULT_TOL, Field, TolerancePolicy
+from .scalars import Field
 
-SPAN_RANK_EPS = 1e-8  # singular values below this (relative) fraction do not count
+SPAN_RANK_EPS = 1e-8  # a word this close to the span (relative to its length) adds no rank
 DEFAULT_MAX_LEN = 3
 DEFAULT_RANDOM_GENERATORS = 2
-DEDUP_CHUNK_BYTES = 256 * 1024  # cap on the stacked differences of one dedup chunk
-# relative slack on the norm prefilter of the dedup: the norms' rounding is
-# below 1e-13 of their size, and distinct words' norms mostly differ by far more
-NORM_MARGIN = 1e-6
-
-
-@dataclass(frozen=True)
-class ProjectionWordBasis:
-    """Generators, the words they produce, and their real span rank."""
-
-    generators: tuple[Morphism, ...]
-    words: tuple[Morphism, ...]
-    real_span_rank: int
 
 
 @dataclass(frozen=True)
@@ -79,65 +67,25 @@ def projection_generators(
     return unstack(field, x, x, probe_projections(field, x, count, np.random.default_rng(seed)))
 
 
-def _close(
-    field: Field,
-    a: np.ndarray,
-    a_norms: np.ndarray,
-    b: np.ndarray,
-    b_norms: np.ndarray,
-    tol: TolerancePolicy,
-    upper: bool = False,
-) -> np.ndarray:
-    """(len(a), len(b)) mask of the stacked words a[i] that lie within
-    tol.bound(|a[i]|, |b[k]|) of b[k]; with `upper` (a and b one stack)
-    only of the pairs i < k, the rest False.
+def word_closure(gens: list[Morphism], max_len: int = DEFAULT_MAX_LEN) -> list[Morphism]:
+    """A basis of the real span of all products of generators of length
+    <= max_len: in the order `for w in frontier: for g in gens: w @ g`,
+    level by level, a candidate is kept iff it raises the rank of the
+    words kept before it.
 
-    Since | |a[i]| - |b[k]| | <= |a[i] - b[k]|, a pair whose norms differ
-    by more than its bound plus 2 NORM_MARGIN times the larger norm, far
-    above the rounding of the norms, cannot be close and is not
-    compared.  The other pairs go in chunks whose differences take at
-    most DEDUP_CHUNK_BYTES; each difference, its norm and its bound are
-    the ones of a comparison of a[i] with all of b."""
-    gap = np.subtract.outer(a_norms, b_norms)
-    np.abs(gap, out=gap)
-    limit = np.maximum.outer(a_norms, b_norms)
-    limit *= tol.rel_eps + 2 * NORM_MARGIN
-    limit += tol.abs_eps
-    maybe = gap <= limit
-    del gap, limit  # before the chunks gather words
-    if upper:
-        maybe = np.triu(maybe, 1)
-    rows, cols = np.nonzero(maybe)
-    close = np.zeros(maybe.shape, bool)
-    step = max(1, DEDUP_CHUNK_BYTES // max(1, b[:1].nbytes))
-    # one buffer for every chunk's differences: a fresh allocation per
-    # chunk raised the peak RSS of a campaign
-    buf = np.empty((min(step, len(rows)),) + b.shape[1:], b.dtype)
-    for start in range(0, len(rows), step):
-        r, k = rows[start:start + step], cols[start:start + step]
-        diff = np.take(a, r, axis=0, out=buf[:len(r)])
-        diff -= b[k]
-        bound = tol.abs_eps + tol.rel_eps * np.maximum(a_norms[r], b_norms[k])
-        close[r, k] = stack_norms(field, diff) <= bound
-    return close
-
-
-def word_closure(
-    gens: list[Morphism],
-    max_len: int = DEFAULT_MAX_LEN,
-    tol: TolerancePolicy = DEFAULT_TOL,
-) -> list[Morphism]:
-    """All products of generators of length <= max_len, deduplicated by
-    Frobenius distance: in the order `for w in frontier: for g in gens:
-    w @ g`, level by level, a candidate is dropped iff it lies within
-    tol.bound(|w|, |candidate|) of some kept word w.
+    Each candidate is read as one real row (the real and imaginary parts
+    of its native array) and projected twice out of an orthonormal basis
+    of the kept rows ("twice is enough": Giraud, Langou & Rozloznik,
+    Comput. Math. Appl. 50, 2005); it is kept iff the residual is longer
+    than SPAN_RANK_EPS times the row, so a zero word never is.  Only the
+    kept words of a level form the next frontier: a dropped word is a
+    combination of kept ones, so its products with the generators are
+    combinations of products already formed.  The scan stops once the
+    rank reaches dim^2 * width, the real dimension of the endomorphisms.
 
     A level's candidates are one batched product of the stacked frontier
-    with the stacked generators.  Those close to a word kept at an
-    earlier level are dropped; a greedy pass in candidate order over the
-    closeness of the survivors to each other then keeps a survivor iff
-    no earlier kept survivor is close to it.  Only the kept words become
-    morphisms, views into one stack."""
+    with the stacked generators, decided one at a time.  Only the kept
+    words become morphisms, views into one stack."""
     if max_len < 1:
         raise DomainError(f"words have length >= 1, not at most {max_len}")
     if not gens:
@@ -147,49 +95,34 @@ def word_closure(
         raise ShapeMismatchError("generators must be endomorphisms of one object")
     field = gens[0].field
     letters = native_stack(gens)
-    words, norms = letters[:0], np.zeros(0)
+    target = obj.dim * obj.dim * field.width
+    basis = np.empty((target, letters[0].view(np.float64).size))
+    rank = 0
+    kept = []
     level = letters
     for length in range(1, max_len + 1):
         if length > 1:  # row f * len(gens) + g is frontier word f times generator g
             level = (level[:, None] @ letters[None]).reshape(
                 (len(level) * len(letters),) + letters.shape[1:])
-        level_norms = stack_norms(field, level)
-        fresh = np.flatnonzero(~_close(field, level, level_norms, words, norms, tol).any(axis=1))
-        level, level_norms = level[fresh], level_norms[fresh]
-        twins = _close(field, level, level_norms, level, level_norms, tol, upper=True)
-        keep = np.ones(len(level), bool)
-        for i in np.flatnonzero(twins.any(axis=1)):
-            if keep[i]:  # a kept survivor drops its later twins
-                keep &= ~twins[i]
-        level = level[keep]
-        words = np.concatenate([words, level])
-        norms = np.concatenate([norms, level_norms[keep]])
-    return unstack(field, obj, obj, words)
-
-
-def real_span_rank(words: list[Morphism]) -> int:
-    """Rank of the real-linear span of complex matrices, viewed as
-    vectors of stacked real and imaginary parts."""
-    if not words:
-        return 0
-    if words[0].field is Field.QUATERNION:  # native_stack checks that the rest match
-        raise FieldMismatchError("quaternion matrix has no complex view")
-    stack = native_stack(words)
-    shape = (len(words), stack[0].size)
-    rows = np.concatenate([stack.real.reshape(shape), stack.imag.reshape(shape)], axis=1)
-    s = np.linalg.svd(rows, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > SPAN_RANK_EPS * s[0]))
-
-
-def build_word_basis(
-    gens: list[Morphism],
-    max_len: int = DEFAULT_MAX_LEN,
-    tol: TolerancePolicy = DEFAULT_TOL,
-) -> ProjectionWordBasis:
-    words = word_closure(gens, max_len, tol)
-    return ProjectionWordBasis(tuple(gens), tuple(words), real_span_rank(words))
+        # over C and H, the real and imaginary part of each entry
+        rows = level.reshape(len(level), letters[0].size).view(np.float64)
+        fresh = []
+        for i, row in enumerate(rows):
+            q = basis[:rank]
+            residual = row - (q @ row) @ q
+            residual -= (q @ residual) @ q
+            size = np.sqrt(residual @ residual)
+            if size > SPAN_RANK_EPS * np.sqrt(row @ row):
+                basis[rank] = residual / size
+                rank += 1
+                fresh.append(i)
+                if rank == target:
+                    break
+        level = level[fresh]
+        kept.append(level)
+        if rank == target:
+            break
+    return unstack(field, obj, obj, np.concatenate(kept))
 
 
 def saturation_check(
@@ -197,8 +130,6 @@ def saturation_check(
     seed: int,
     max_len: int = DEFAULT_MAX_LEN,
     count: int = DEFAULT_RANDOM_GENERATORS,
-    field: Field = Field.COMPLEX,
-    tol: TolerancePolicy = DEFAULT_TOL,
 ) -> SaturationReport:
     """Whether the words saturate the 2n^2-dimensional real span.
 
@@ -207,11 +138,7 @@ def saturation_check(
     than as a failure, which is exactly why the generation statement
     needs dimension >= 2.
     """
-    if field is not Field.COMPLEX:
-        raise UnsupportedFieldError("saturation is a complex-field statement")
-    gens = projection_generators(dim, seed, count, field)
-    basis = build_word_basis(gens, max_len, tol)
-    rank = basis.real_span_rank
+    rank = len(word_closure(projection_generators(dim, seed, count), max_len))
     target = 2 * dim * dim
     if rank == target:
         status = "pass"
@@ -219,4 +146,4 @@ def saturation_check(
         status = "below-threshold (expected)"
     else:
         status = "fail"
-    return SaturationReport(dim, rank, target, len(basis.words), seed, status)
+    return SaturationReport(dim, rank, target, rank, seed, status)

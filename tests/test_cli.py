@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import daggerlab
-from daggerlab.cli import main
+from daggerlab.cli import build_parser, main
 from daggerlab.matcat import Morphism
 from test_report_pins import PINS
 
@@ -92,6 +92,33 @@ def test_span_command(tmp_path):
     by_dim = {r["dim"]: r for r in payload["reports"]}
     assert by_dim[2]["rank"] == 8 and by_dim[2]["status"] == "pass"
     assert by_dim[1]["rank"] == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-axioms", "--dims", "1", "--trials", "1", "--format", "json"],
+    ["span", "--dims", "2"],
+    ["sqrt", "--input", "UNITARY"],
+])
+@pytest.mark.parametrize("target", ["missing/r.json", "."])
+def test_unwritable_out_is_an_input_error(tmp_path, capsys, argv, target):
+    src = tmp_path / "u.json"
+    src.write_text(json.dumps(Morphism.from_complex([[1j]]).to_json()))
+    out = tmp_path / target
+    argv = [str(src) if a == "UNITARY" else a for a in argv]
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].startswith(f"cannot write the report to {out}: ")
+
+
+def test_only_span_offers_no_tolerances(capsys):
+    for command in ("verify-axioms", "lemmas", "reconstruct", "sqrt"):
+        args = build_parser().parse_args([command, "--tol-abs", "0", "--tol-rel", "0"])
+        assert (args.tol_abs, args.tol_rel) == (0.0, 0.0)
+    for flag in ("--tol-abs", "--tol-rel"):
+        with pytest.raises(SystemExit) as exc:
+            main(["span", "--dims", "2", flag, "0"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 0" in capsys.readouterr().err
 
 
 def test_sqrt_command(tmp_path, capsys):

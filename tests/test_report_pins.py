@@ -20,13 +20,13 @@ def _dims(first, last):
 
 PINS = [
     (["lemmas", "--field", "C", "--trials", "20"],
-     "c4e6205efb416faf04423df9a3ce67611d4be02b2b5ae084465988c44f206d5a", 0),
+     "1701a8d162dd9aeace6318a4154658975dbcff9cedc4f0800b5f237f67d2c83f", 0),
     (["lemmas", "--field", "R", "--trials", "20"],
      "8d9020bd99b7ccbbe57672462b483458dc8156f0fe06869c7f6966ca87219169", 0),
     (["lemmas", "--field", "H", "--trials", "30"],
      "eef299e024a156d4cfa3ba85992d78af7477e9b86f30a71c58ddcdc551d988e6", 0),
     (["lemmas", "--field", "C", "--trials", "1", "--seed", "12"],
-     "6ef0b8e272e427b8a5bde55fdae91f587fd4ac1b1aaee3ac9ceb79b161582b45", 3),
+     "5bf6e743b13678d5c905ada2c79b5da91e39df7fb51fd2f2034dbe219d8a5505", 3),
     (["reconstruct", "--field", "C", "--trials", "20"],
      "c0c12d065979d530e5856b93cac6fc1f91436cbf8156ca4b20ae715d9a5c7392", 0),
     (["reconstruct", "--field", "H", "--trials", "20"],
@@ -41,7 +41,7 @@ PINS = [
       "--tol-abs", "0", "--tol-rel", "0"],
      "03d3c3990ff0f166dfaa16d80209e0836117ece5ab8a3be3ea996edec0764865", 3),
     (["span", "--dims", _dims(2, 7)],
-     "995fd41519bdafb10b7ad0a1650143448fda63b9034ebba596ff94eec76d0fce", 0),
+     "9f00bd58c32c2a4541d91fc6b6b6ad1009821bd60341e0b990dbc75c3b04b497", 0),
 ]
 
 
