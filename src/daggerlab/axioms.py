@@ -41,19 +41,18 @@ from .matcat import (
     basis_column,
     commutator_blocks,
     commuting,
-    diagonal_commutator_support,
     frobenius_distance,
     is_dagger_iso,
     is_dagger_mono,
     native_stack,
     unit_multiple_coordinates,
-    unstack,
 )
 from .reports import FAIL, INFEASIBLE, PASS, Report, worse
 from .sampling import (
     probe_projections,
     random_dagger_mono,
     random_morphism,
+    random_rank1_projections,
     random_rank1_subprojection,
     random_unitary,
 )
@@ -385,39 +384,25 @@ def _null_space_of_blocks(blocks: Iterable[np.ndarray], width: int) -> tuple[int
     return vh.shape[0] - rank, vh[rank:].T
 
 
-def _commutant_of_projections(
-    field: Field,
-    dim: int,
-    projections: Sequence[Morphism],
-) -> tuple[int, np.ndarray]:
-    """Nullity and null-space basis of M -> (p M - M p) over all sampled
-    projections, as a real-linear map on endomorphism space.
+def _commutant_of_projections(field: Field, dim: int, rank1: np.ndarray) -> tuple[int, np.ndarray]:
+    """Nullity and null-space basis of M -> (p M - M p) over the
+    coordinate projections of Obj(dim) and the native arrays `rank1`,
+    as a real-linear map on endomorphism space with coordinates
+    (i, j, c) (see `matcat.commutator_blocks`).
 
-    The map's real matrix has coordinates (i, j, c) and one n x n row
-    block per projection (n = dim^2 * width; see `commutator_blocks`).
-    A diagonal projection, such as a coordinate projection E_kk or any
-    0/1 diagonal one, multiplies coordinate (i, j, c) by p_ii - p_jj and
-    touches no other: each row of its block says that a nonzero number
-    times one coordinate is 0, so every null vector is exactly zero on
-    the coordinates where p_ii != p_jj.  Those columns are forced; the
-    rest are free.  `diagonal_commutator_support` reads the split off
-    the projections' exact entries, with no rounding decision, and after
-    the d coordinate projections the free columns are the d * width
-    diagonal coordinates.  Only the other projections' blocks are built,
-    only on the free columns, and one at a time: `_null_space_of_blocks`
+    The coordinate projections enter as a lemma, not as data: E_kk
+    multiplies coordinate (i, j, c) by [i = k] - [j = k] and touches no
+    other, so every M commuting with all of them is exactly zero off the
+    diagonal.  Only the blocks of `rank1` are built, on the dim * width
+    diagonal coordinates and one at a time; `_null_space_of_blocks`
     folds each into a small triangular factor and runs the SVD rank
     rule on that.  The null vectors are embedded back with exact zeros
-    on the forced columns.  With no diagonal projection this is the null
-    space of the whole map; with only diagonal ones the free coordinates
-    are the null space."""
-    diagonal, forced = diagonal_commutator_support(field, dim, projections)
-    free = np.flatnonzero(~forced)
-    others = [p for p, d in zip(projections, diagonal) if not d]
-    nullity, free_basis = _null_space_of_blocks(
-        commutator_blocks(field, dim, others, free), free.size)
-    null_basis = np.zeros((forced.size, nullity))
-    null_basis[free] = free_basis
-    return nullity, null_basis
+    off the diagonal.  With no block, the diagonal is the null space."""
+    w = field.width
+    nullity, diagonal_basis = _null_space_of_blocks(commutator_blocks(field, dim, rank1), dim * w)
+    null_basis = np.zeros((dim, dim, w, nullity))
+    null_basis[np.arange(dim), np.arange(dim)] = diagonal_basis.reshape(dim, w, nullity)
+    return nullity, null_basis.reshape(dim * dim * w, nullity)
 
 
 def refute_h5_scalar_case(
@@ -441,8 +426,8 @@ def refute_h5_scalar_case(
     if dim < 2:
         raise DomainError("the scalar-forcing argument needs dimension >= 2")
     x = Obj(dim)
-    projections = unstack(field, x, x, probe_projections(field, x, dim + 3, rng))
-    nullity, null_basis = _commutant_of_projections(field, dim, projections)
+    rank1 = random_rank1_projections(field, x, dim + 3, rng)
+    nullity, null_basis = _commutant_of_projections(field, dim, rank1)
     if nullity != 1:
         return Report(
             "H5",
@@ -480,7 +465,7 @@ def refute_h5_scalar_case(
         witness=witness,
         details={
             "commutant_nullity": 1,
-            "sampled_projections": len(projections),
+            "sampled_projections": dim + len(rank1),
             "obstruction": "any strict root of -id must be alpha*id with alpha real, but real squares are nonnegative",
         },
     )

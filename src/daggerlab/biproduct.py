@@ -93,8 +93,6 @@ def verify_biproduct(bp: Biproduct, tol: TolerancePolicy = DEFAULT_TOL) -> tuple
 def oplus_mor(f: Morphism, g: Morphism) -> Morphism:
     """Block-diagonal direct sum, the unique morphism commuting with the
     canonical injections on both legs."""
-    if f.field is not g.field:
-        raise ShapeMismatchError("direct sum over mixed fields")
     return direct_sum(f, g)
 
 
@@ -113,8 +111,11 @@ def pairing(fs: Sequence[Morphism]) -> Morphism:
         raise ShapeMismatchError("pairing of an empty list")
     dom = fs[0].dom
     field = fs[0].field
-    if any(f.dom != dom or f.field is not field for f in fs):
-        raise ShapeMismatchError("pairing requires a common domain")
+    for f in fs:
+        if f.field is not field:
+            raise FieldMismatchError(f"{f.field.value} vs {field.value}")
+        if f.dom != dom:
+            raise ShapeMismatchError("pairing requires a common domain")
     starts = accumulate((f.cod.dim for f in fs), initial=0)
     parts = [(row, 0, f) for row, f in zip(starts, fs)]
     return embed(field, dom, Obj(sum(f.cod.dim for f in fs)), parts)

@@ -382,25 +382,22 @@ def check_h1(cfg: CampaignConfig) -> Report:
     return axioms.check_h1(cfg.field, cfg.dims, cfg.tol)
 
 
-@check("axioms.h2-directed-colimits")
-def check_h2_directed_colimits(cfg: CampaignConfig, rng: np.random.Generator) -> Report:
-    worst = 0.0
-    for _ in range(cfg.count(50)):
-        diagram = axioms.random_directed_diagram(cfg.field, rng)
-        cocone = axioms.finite_directed_colimit(diagram, cfg.tol)
-        worst = worse(worst, cocone.commutation_residual(diagram))
-        p_perp = cocone.complement_projection(cfg.tol)
-        if not axioms.jointly_epic_check(cocone, trials=4, rng=rng, tol=cfg.tol, p_perp=p_perp):
-            return _report(cfg, FAIL, worst, details={"reason": "legs not jointly epic"})
-        for _ in range(2):  # two competing cocones per diagram
-            extra = int(rng.integers(0, 3))
-            m = random_dagger_mono(cfg.field, cocone.apex, Obj(cocone.apex.dim + extra), rng)
-            competing = {n: m @ leg for n, leg in cocone.legs.items()}
-            u = axioms.mediating_dagger_mono(cocone, competing, cfg.tol)
-            worst = worse(worst, frobenius_distance(u, m))
-            worst = worse(worst, _mediating_uniqueness_residual(cfg, cocone, competing, u,
-                                                                p_perp, rng))
-    return _verdict(cfg, worst, target=COLIMIT_RESIDUAL_TARGET)
+@law("axioms.h2-directed-colimits", 50, target=COLIMIT_RESIDUAL_TARGET)
+def check_h2_directed_colimits(cfg: CampaignConfig, rng: np.random.Generator):
+    diagram = axioms.random_directed_diagram(cfg.field, rng)
+    cocone = axioms.finite_directed_colimit(diagram, cfg.tol)
+    residuals = [cocone.commutation_residual(diagram)]
+    p_perp = cocone.complement_projection(cfg.tol)
+    if not axioms.jointly_epic_check(cocone, trials=4, rng=rng, tol=cfg.tol, p_perp=p_perp):
+        return _report(cfg, FAIL, residuals[0], details={"reason": "legs not jointly epic"})
+    for _ in range(2):  # two competing cocones per diagram
+        extra = int(rng.integers(0, 3))
+        m = random_dagger_mono(cfg.field, cocone.apex, Obj(cocone.apex.dim + extra), rng)
+        competing = {n: m @ leg for n, leg in cocone.legs.items()}
+        u = axioms.mediating_dagger_mono(cocone, competing, cfg.tol)
+        residuals.append(frobenius_distance(u, m))
+        residuals.append(_mediating_uniqueness_residual(cfg, cocone, competing, u, p_perp, rng))
+    return residuals
 
 
 def _mediating_uniqueness_residual(

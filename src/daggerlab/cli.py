@@ -79,13 +79,7 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _add_tolerances(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tol-abs", type=_tolerance, default=1e-9)
-    parser.add_argument("--tol-rel", type=_tolerance, default=1e-9)
-
-
 def _add_common(parser: argparse.ArgumentParser, default_dims: str) -> None:
-    parser.add_argument("--field", choices=["R", "C", "H"], default="C")
     parser.add_argument("--dims", type=_parse_dims, default=_parse_dims(default_dims))
     parser.add_argument(
         "--seed",
@@ -95,10 +89,21 @@ def _add_common(parser: argparse.ArgumentParser, default_dims: str) -> None:
         default=os.environ.get("DAGGERLAB_SEED", "0"),
         help="campaign seed (falls back to DAGGERLAB_SEED, then 0)",
     )
-    parser.add_argument("--trials", type=_positive_int, default=None,
-                        help="override the per-check sample counts")
     parser.add_argument("--out", default=None, help="write the report here instead of stdout")
     parser.add_argument("--format", choices=["json", "text"], default="text")
+
+
+def _add_tolerances(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--tol-abs", type=_tolerance, default=1e-9)
+    parser.add_argument("--tol-rel", type=_tolerance, default=1e-9)
+
+
+def _add_suite(parser: argparse.ArgumentParser, default_dims: str) -> None:
+    _add_common(parser, default_dims)
+    parser.add_argument("--field", choices=["R", "C", "H"], default="C")
+    parser.add_argument("--trials", type=_positive_int, default=None,
+                        help="override the per-check sample counts")
+    _add_tolerances(parser)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -109,18 +114,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify-axioms", help="run the H1-H5 axiom suites")
-    _add_common(p, "0,1,2,3,4")
-    _add_tolerances(p)
+    _add_suite(p, "0,1,2,3,4")
 
     p = sub.add_parser("lemmas", help="run every invariant campaign")
-    _add_common(p, "0,1,2,3,4,5,6")
-    _add_tolerances(p)
+    _add_suite(p, "0,1,2,3,4,5,6")
 
     p = sub.add_parser("reconstruct", help="run the scalar-field and Hermitian-space suites")
-    _add_common(p, "1,2,3,4,5,6")
-    _add_tolerances(p)
+    _add_suite(p, "1,2,3,4,5,6")
 
-    # the span rank reads no tolerance
+    # saturation is a statement over C with no sample count, and its
+    # span rank reads no tolerance
     p = sub.add_parser("span", help="projection-word saturation reports")
     _add_common(p, "1,2,3,4,5")
     p.add_argument("--max-len", type=_positive_int, default=projspan.DEFAULT_MAX_LEN)

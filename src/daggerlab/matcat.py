@@ -20,8 +20,8 @@ it.  A caller that works on many morphisms at once may take a stack of
 their native arrays (`native_stack`, `coordinate_projections`, or
 `component_stack` from drawn components), which it only slices,
 concatenates, multiplies and subtracts, and hand it back to
-`stack_norms`, `unit_columns`, `outer_products`, `commuting` and
-`unstack`.
+`stack_norms`, `unit_columns`, `outer_products`, `commuting`,
+`commutator_blocks` and `unstack`.
 Scalars act on columns from the right (a 1x1 morphism composed after
 the column), which keeps the quaternionic module structure free of
 left/right ambiguity.
@@ -511,74 +511,31 @@ def coordinate_projections(field: Field, dim: int) -> np.ndarray:
     return blocks[:, :, None] * np.eye(s * dim, dtype=_dtype(field))
 
 
-def _projection_stack(field: Field, dim: int, projections: Sequence[Morphism]) -> np.ndarray:
-    """The native arrays of endomorphisms of Obj(dim) over `field`, one
-    stack with a leading axis of len(projections) even when that is 0."""
-    x = Obj(dim)
-    for p in projections:
-        if p.field is not field:
-            raise FieldMismatchError(f"{p.field.value} projection over {field.value}")
-        if p.dom != x or p.cod != x:
-            raise ShapeMismatchError(f"projection is not an endomorphism of dimension {dim}")
-    side = _block(field) * dim
-    return np.array([p._a for p in projections], _dtype(field)).reshape(-1, side, side)
-
-
-def commutator_blocks(
-    field: Field,
-    dim: int,
-    projections: Sequence[Morphism],
-    columns: np.ndarray | None = None,
-) -> Iterator[np.ndarray]:
+def commutator_blocks(field: Field, dim: int, stack: np.ndarray) -> Iterator[np.ndarray]:
     """Real matrix of M -> p M - M p on the endomorphisms of Obj(dim),
-    yielded as one n-row block per projection p, in order
-    (n = dim^2 * width), restricted to the given columns (default: all
-    n, in order).  Stacked by rows, the blocks are the whole map.
+    restricted to the dim * width diagonal coordinates, yielded as one
+    n x (dim * width) block per native array p of `stack`, in order
+    (n = dim^2 * width).
 
     Coordinate k = (i * dim + j) * width + c is component c of entry
-    (i, j): column k is the image of the unit endomorphism with that
-    component 1, and row k of a block reads that component of the image.
-    The projections' field and shape are checked before the first block.
-    The units of the chosen columns are one stacked native array, built
-    once, so each block costs one batched product on each side of it,
-    and only one block is alive at a time.  Each product multiplies by a
-    unit entry and adds exact zeros, so every entry is exact.
+    (i, j): row k of a block reads that component of the image, and its
+    columns are the images of the unit endomorphisms with component c
+    of a diagonal entry (i, i) equal to 1, in the order of k.  The units
+    are one stacked native array, built once, so each block costs one
+    batched product on each side of it, and only one block is alive at
+    a time.  Each product multiplies by a unit entry and adds exact
+    zeros, so every entry is exact.
     """
-    stack = _projection_stack(field, dim, projections)
     w = field.width
-    n = dim * dim * w
-    columns = np.arange(n) if columns is None else np.asarray(columns)
-    units = np.zeros((columns.size, dim, dim, 4))
-    units[(np.arange(columns.size), *np.unravel_index(columns, (dim, dim, w)))] = 1.0
+    f = dim * w
+    i, c = np.divmod(np.arange(f), w)
+    units = np.zeros((f, dim, dim, 4))
+    units[np.arange(f), i, i, c] = 1.0
     units = _native(field, units)
     for p in stack:
         image = p @ units
         image -= units @ p  # in place: one block of products fewer alive at once
-        yield _components(field, image)[..., :w].reshape(columns.size, n).T
-
-
-def diagonal_commutator_support(
-    field: Field, dim: int, projections: Sequence[Morphism]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Which projections are diagonal, and which coordinates of
-    M -> p M - M p they force to zero.
-
-    A projection is diagonal here when its native array is diagonal
-    with a real diagonal, as a coordinate or 0/1 diagonal projection's
-    is.  Then (p M - M p)_ijc = (p_ii - p_jj) M_ijc, so its block of
-    `commutator_blocks` has one nonzero per row at most, and the
-    coordinates (i, j, c) with p_ii != p_jj, read from the exact
-    entries, are zero in every M that commutes with p.  Returns a mask
-    over the projections and a mask over the n coordinates, in the
-    order of `commutator_blocks`' columns.
-    """
-    stack = _projection_stack(field, dim, projections)
-    d = np.diagonal(stack, axis1=1, axis2=2)
-    off_diagonal_zero = np.count_nonzero(stack, axis=(1, 2)) == np.count_nonzero(d, axis=1)
-    diagonal = off_diagonal_zero & ~d.imag.any(axis=1)
-    d = d[diagonal, ::_block(field)].real
-    forced = (d[:, :, None] != d[:, None, :]).any(axis=0)
-    return diagonal, np.repeat(forced.ravel(), field.width)
+        yield _components(field, image)[..., :w].reshape(f, dim * f).T
 
 
 def component_stack(field: Field, comps: np.ndarray) -> np.ndarray:

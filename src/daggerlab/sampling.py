@@ -95,7 +95,9 @@ def probe_projections(
 ) -> np.ndarray:
     """Stacked native arrays of the coordinate projections of obj
     followed by `count` random rank-1 projections: the family on which
-    the H5 checks and the projection words test commutation."""
+    the H5 strictness check and the projection words test commutation.
+    The coordinate half draws nothing, so the rank-1 half is the stream
+    of `random_rank1_projections` alone."""
     return np.concatenate([
         coordinate_projections(field, obj.dim),
         random_rank1_projections(field, obj, count, rng),

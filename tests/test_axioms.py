@@ -462,7 +462,8 @@ def test_refutation_rejects_complex():
 
 def _per_basis_commutator_matrix(field, dim, projections):
     """M -> pM - Mp built one unit endomorphism and two compositions at
-    a time: the reference for the batched matcat.commutator_blocks."""
+    a time, on all dim^2 * width coordinates: the reference for the
+    batched matcat.commutator_blocks."""
     w = field.width
     basis = []
     for i in range(dim):
@@ -483,32 +484,59 @@ def _coordinate_projections(field, dim):
     return [basis_column(field, x, k) @ basis_column(field, x, k).dagger() for k in range(dim)]
 
 
+def _diagonal_coordinates(field, dim):
+    """The coordinates (i, i, c) of M -> pM - Mp, in order."""
+    w = field.width
+    return np.array([(i * dim + i) * w + c for i in range(dim) for c in range(w)])
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS)
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_coordinate_projections_force_every_off_diagonal_coordinate_to_zero(field, dim):
+    # the lemma _commutant_of_projections takes in place of the
+    # coordinate projections' blocks: each row of their map has at most
+    # one nonzero, so the null space is spanned by the coordinates that
+    # no row touches, and those are exactly the diagonal ones
+    big = _per_basis_commutator_matrix(field, dim, _coordinate_projections(field, dim))
+    assert (np.count_nonzero(big, axis=1) <= 1).all()
+    untouched = np.flatnonzero(~big.any(axis=0))
+    assert untouched.tolist() == _diagonal_coordinates(field, dim).tolist()
+
+
 @pytest.mark.parametrize("field", ALL_FIELDS)
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
 def test_commutator_matrix_is_byte_identical_to_the_per_basis_map(field, dim):
     rng = np.random.default_rng(dim)
     projections = _coordinate_projections(field, dim)
     projections += [_rank1_projection(field, Obj(dim), rng) for _ in range(dim + 3)]
-    batched = np.concatenate(list(matcat.commutator_blocks(field, dim, projections)))
+    blocks = list(matcat.commutator_blocks(field, dim, matcat.native_stack(projections)))
+    batched = np.concatenate(blocks)
     reference = _per_basis_commutator_matrix(field, dim, projections)
+    reference = reference[:, _diagonal_coordinates(field, dim)]
+    assert len(blocks) == len(projections)
     assert batched.shape == reference.shape
     assert batched.tobytes() == reference.tobytes()
 
 
-def _split_of_the_full_map(field, dim, projections):
-    """The forced/free split read off the whole map: every block built
-    on all n columns, one unit endomorphism and two compositions at a
-    time, and a block exact when each of its rows has at most one
-    nonzero.  The oracle for _commutant_of_projections, which builds only
-    the non-diagonal projections' blocks, on the free columns alone; the
-    free columns of the other blocks go through the same fold."""
+def _split_of_the_full_map(field, dim, rank1):
+    """The commutant read off the whole map of the coordinate
+    projections and the stack `rank1`, every block built on all n
+    columns, one unit endomorphism and two compositions at a time.  A
+    block is exact when each of its rows has at most one nonzero, and
+    the free columns are those that no exact block touches.  The oracle
+    for _commutant_of_projections, which takes the coordinate
+    projections as a lemma and builds the stack's blocks on the
+    diagonal columns alone; the stack's blocks on the free columns go
+    through the same fold."""
+    x = Obj(dim)
+    projections = _coordinate_projections(field, dim) + matcat.unstack(field, x, x, rank1)
     big = _per_basis_commutator_matrix(field, dim, projections)
     n = big.shape[1]
     blocks = big.reshape(len(projections), n, n)
     nonzero = blocks != 0
     exact = nonzero.sum(axis=2).max(axis=1, initial=0) <= 1
     free = np.flatnonzero(~nonzero[exact].any(axis=(0, 1)))
-    nullity, free_basis = axioms._null_space_of_blocks(blocks[:, :, free][~exact], free.size)
+    nullity, free_basis = axioms._null_space_of_blocks(blocks[dim:, :, free], free.size)
     null_basis = np.zeros((n, nullity))
     null_basis[free] = free_basis
     return nullity, null_basis
@@ -535,12 +563,12 @@ def test_refutation_report_does_not_depend_on_how_the_map_is_built(monkeypatch, 
 @pytest.mark.parametrize("field", ALL_FIELDS)
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_commutant_builds_the_svd_input_of_the_full_map(monkeypatch, kind, field, dim):
-    projections = _projection_set(kind, field, dim, np.random.default_rng(200 + dim))
+    stack = _stack_of_kind(kind, field, dim, np.random.default_rng(200 + dim))
     inputs = _recording_svd(monkeypatch)
-    ref_nullity, ref_basis = _split_of_the_full_map(field, dim, projections)
+    ref_nullity, ref_basis = _split_of_the_full_map(field, dim, stack)
     ref_inputs = list(inputs)
     inputs.clear()
-    nullity, null_basis = axioms._commutant_of_projections(field, dim, projections)
+    nullity, null_basis = axioms._commutant_of_projections(field, dim, stack)
     assert nullity == ref_nullity
     assert null_basis.tobytes() == ref_basis.tobytes()
     assert [a.shape for a in inputs] == [a.shape for a in ref_inputs]
@@ -550,20 +578,20 @@ def test_commutant_builds_the_svd_input_of_the_full_map(monkeypatch, kind, field
 @pytest.mark.parametrize("field", ALL_FIELDS)
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_commutant_of_coordinate_projections_is_the_diagonal(field, dim):
-    nullity, null_basis = axioms._commutant_of_projections(
-        field, dim, _coordinate_projections(field, dim))
+    # with no other projection the lemma alone gives the commutant
+    no_rank1 = matcat.coordinate_projections(field, dim)[:0]
+    nullity, null_basis = axioms._commutant_of_projections(field, dim, no_rank1)
     assert nullity == dim * field.width
-    # every null vector is a diagonal matrix
-    off_diagonal = ~np.eye(dim, dtype=bool)
-    for vec in null_basis.T:
-        assert np.abs(vec.reshape(dim, dim, field.width)[off_diagonal]).max(initial=0.0) < 1e-12
+    want = np.zeros((dim * dim * field.width, nullity))
+    want[_diagonal_coordinates(field, dim), np.arange(nullity)] = 1.0
+    assert null_basis.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("field", [Field.REAL, Field.QUATERNION])
 def test_commutant_makes_no_compositions_or_morphisms(monkeypatch, field):
     dim, rng = 4, np.random.default_rng(3)
-    projections = _coordinate_projections(field, dim)
-    projections += [_rank1_projection(field, Obj(dim), rng) for _ in range(dim + 3)]
+    projections = [_rank1_projection(field, Obj(dim), rng) for _ in range(dim + 3)]
+    rank1 = matcat.native_stack(projections)
     calls = {"compose": 0, "Morphism": 0}
     compose, init = matcat.compose, Morphism.__init__
 
@@ -580,32 +608,44 @@ def test_commutant_makes_no_compositions_or_morphisms(monkeypatch, field):
     Morphism.from_json(projections[0].to_json()) @ projections[0]
     assert calls == {"compose": 1, "Morphism": 1}  # the counters see both paths
     calls.update(compose=0, Morphism=0)
-    nullity, _ = axioms._commutant_of_projections(field, dim, projections)
+    nullity, _ = axioms._commutant_of_projections(field, dim, rank1)
     assert nullity == 1
     assert calls == {"compose": 0, "Morphism": 0}
 
 
-def _full_svd_commutant(field, dim, projections):
-    """Nullity and null basis from one SVD of the whole commutator map:
-    the reference for the forced/free split in _commutant_of_projections."""
-    big = np.concatenate(list(matcat.commutator_blocks(field, dim, projections)))
+def _full_svd_commutant(field, dim, rank1):
+    """Nullity and null basis from one SVD of the whole commutator map of
+    the coordinate projections and the stack `rank1`: the reference for
+    the lemma and the fold in _commutant_of_projections."""
+    x = Obj(dim)
+    projections = _coordinate_projections(field, dim) + matcat.unstack(field, x, x, rank1)
+    big = _per_basis_commutator_matrix(field, dim, projections)
     _, s, vh = np.linalg.svd(big, full_matrices=False)
     smax = s[0] if s.size else 0.0
     rank = int(np.count_nonzero(s > axioms.SVD_RANK_EPS * max(smax, 1.0)))
     return big.shape[1] - rank, vh[rank:].conj().T
 
 
-def _projection_set(kind, field, dim, rng):
+def _stack_of_kind(kind, field, dim, rng):
+    """A stack of native arrays to hand to _commutant_of_projections
+    beside the coordinate projections it takes as a lemma: random
+    rank-1 projections ("rank1", what the refutation hands it), after
+    the coordinate projections again ("coordinate+rank1") or after
+    random 0/1 diagonal ones ("masks+rank1"), or the coordinate
+    projections alone ("coordinate").  Diagonal projections add nothing
+    on the diagonal columns: their blocks there are zero."""
     x = Obj(dim)
     rank1 = lambda: [_rank1_projection(field, x, rng) for _ in range(dim + 3)]
     if kind == "coordinate+rank1":
-        return _coordinate_projections(field, dim) + rank1()
-    if kind == "rank1":
-        return rank1()
-    if kind == "coordinate":
-        return _coordinate_projections(field, dim)
-    masks = [random_coordinate_projection(field, x, rng) for _ in range(dim)]
-    return masks + rank1()
+        projections = _coordinate_projections(field, dim) + rank1()
+    elif kind == "rank1":
+        projections = rank1()
+    elif kind == "coordinate":
+        projections = _coordinate_projections(field, dim)
+    else:
+        masks = [random_coordinate_projection(field, x, rng) for _ in range(dim)]
+        projections = masks + rank1()
+    return matcat.native_stack(projections)
 
 
 def _recording_svd(monkeypatch):
@@ -624,37 +664,39 @@ def _recording_svd(monkeypatch):
 @pytest.mark.parametrize("field", ALL_FIELDS)
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
 def test_commutant_split_matches_the_full_svd(monkeypatch, kind, field, dim):
-    projections = _projection_set(kind, field, dim, np.random.default_rng(100 + dim))
+    stack = _stack_of_kind(kind, field, dim, np.random.default_rng(100 + dim))
     inputs = _recording_svd(monkeypatch)
-    ref_nullity, ref_basis = _full_svd_commutant(field, dim, projections)
-    nullity, null_basis = axioms._commutant_of_projections(field, dim, projections)
+    ref_nullity, ref_basis = _full_svd_commutant(field, dim, stack)
+    nullity, null_basis = axioms._commutant_of_projections(field, dim, stack)
     assert nullity == ref_nullity
     assert null_basis.shape == ref_basis.shape
     gap = np.abs(null_basis @ null_basis.T - ref_basis @ ref_basis.T).max(initial=0.0)
     assert gap <= 1e-12
-    if kind == "rank1" and dim >= 2:
-        # no exact block: the SVD input is the fold of the whole map's blocks
-        assert len(inputs) == 2
-        big = np.concatenate(list(matcat.commutator_blocks(field, dim, projections)))
-        fold = axioms._null_space_of_blocks(np.split(big, len(projections)), big.shape[1])
-        assert len(inputs) == 3
-        assert inputs[1].tobytes() == inputs[2].tobytes()
-        assert null_basis.tobytes() == fold[1].tobytes()
+    diagonal = _diagonal_coordinates(field, dim)
+    off_diagonal = np.setdiff1d(np.arange(null_basis.shape[0]), diagonal)
+    assert not null_basis[off_diagonal].any()
+    # the SVD input is the fold of the stack's blocks on the diagonal columns
+    assert len(inputs) == 2
+    fold = axioms._null_space_of_blocks(
+        matcat.commutator_blocks(field, dim, stack), diagonal.size)
+    assert len(inputs) == 3
+    assert inputs[1].tobytes() == inputs[2].tobytes()
+    assert null_basis[diagonal].tobytes() == fold[1].tobytes()
     if kind == "coordinate":
         assert nullity == dim * field.width
-        assert len(inputs) == 1  # only the reference ran an SVD
+        assert not inputs[1].any()  # every block is zero on the diagonal columns
 
 
 @pytest.mark.parametrize("field", ALL_FIELDS)
 @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
 def test_commutant_svd_sees_only_the_free_columns(monkeypatch, field, dim):
-    projections = _projection_set("coordinate+rank1", field, dim, np.random.default_rng(dim))
+    stack = _stack_of_kind("rank1", field, dim, np.random.default_rng(dim))
     n, free = dim * dim * field.width, dim * field.width
     inputs = _recording_svd(monkeypatch)
-    _full_svd_commutant(field, dim, projections)
+    _full_svd_commutant(field, dim, stack)
     assert [a.shape for a in inputs] == [((2 * dim + 3) * n, n)]  # the recorder sees it
     inputs.clear()
-    nullity, _ = axioms._commutant_of_projections(field, dim, projections)
+    nullity, _ = axioms._commutant_of_projections(field, dim, stack)
     assert nullity == (2 if field is Field.COMPLEX else 1)
     assert [a.shape for a in inputs] == [(free, free)]
     if field is not Field.COMPLEX:
@@ -667,12 +709,12 @@ def test_commutant_peak_memory_stays_below_the_stacked_map():
     # the blocks are folded one at a time: at H d=12 the whole map of
     # K = d+3 blocks of n x f would already take K * n * f * 8 bytes
     field, dim = Field.QUATERNION, 12
-    projections = _projection_set("coordinate+rank1", field, dim, np.random.default_rng(dim))
+    stack = _stack_of_kind("rank1", field, dim, np.random.default_rng(dim))
     n, f = dim * dim * field.width, dim * field.width
-    axioms._commutant_of_projections(field, dim, projections)  # fill the caches
+    axioms._commutant_of_projections(field, dim, stack)  # fill the caches
     tracemalloc.start()
     try:
-        nullity, _ = axioms._commutant_of_projections(field, dim, projections)
+        nullity, _ = axioms._commutant_of_projections(field, dim, stack)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -698,7 +740,7 @@ def test_refutation_witness_is_the_positive_normalised_identity(field, dim):
 
 
 def _commutant_returning(vec):
-    return lambda field, dim, projections: (1, vec.reshape(-1, 1))
+    return lambda field, dim, rank1: (1, vec.reshape(-1, 1))
 
 
 @pytest.mark.parametrize("field", [Field.REAL, Field.QUATERNION])

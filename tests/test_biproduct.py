@@ -389,10 +389,15 @@ def test_diagonal_pair_cache_is_bounded():
 def test_oplus_and_copairing_reject_mixed_fields():
     r = Morphism.identity(Field.REAL, UNIT)
     c = Morphism.identity(Field.COMPLEX, UNIT)
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(FieldMismatchError):
         oplus_mor(r, c)
     with pytest.raises(FieldMismatchError):
         copairing([r, c])
+    # pairing tells a mixed field from a mixed domain
+    with pytest.raises(FieldMismatchError):
+        pairing([r, c])
+    with pytest.raises(ShapeMismatchError):
+        pairing([r, Morphism.zero(Field.REAL, Obj(2), UNIT)])
 
 
 @pytest.mark.parametrize("against_count", [0, 1, 3])

@@ -12,7 +12,7 @@ from daggerlab import axioms, biproduct, campaigns, projspan, reconstruct
 from daggerlab.biproduct import make_biproduct, verify_biproduct
 from daggerlab.campaigns import CampaignConfig
 from daggerlab.errors import DomainError
-from daggerlab.matcat import Morphism, Obj, coordinate_projections, native_stack
+from daggerlab.matcat import Morphism, Obj, native_stack
 from daggerlab.reports import ERROR, FAIL, INFEASIBLE, PASS, worse
 from daggerlab.sampling import random_coordinate_projection
 from daggerlab.scalars import DEFAULT_TOL, Field, Scalar
@@ -153,11 +153,11 @@ def test_h5_refutation_fails_when_only_coordinate_projections_are_sampled(monkey
     cfg = CampaignConfig(field=field, dims=(2, 3, 4), seed=5)
     assert campaigns.check_h5_refutation(cfg).status == INFEASIBLE
 
-    def coordinate_only(field, obj, count, rng):
-        masks = [random_coordinate_projection(field, obj, rng) for _ in range(count)]
-        return np.concatenate([coordinate_projections(field, obj.dim), native_stack(masks)])
+    def masks_only(field, obj, count, rng):
+        return native_stack([random_coordinate_projection(field, obj, rng) for _ in range(count)])
 
-    monkeypatch.setattr(axioms, "probe_projections", coordinate_only)
+    # beside the coordinate projections, which the refutation always has
+    monkeypatch.setattr(axioms, "random_rank1_projections", masks_only)
     report = campaigns.check_h5_refutation(cfg)
     assert report.status == FAIL
     # the commutant of diagonal projections is the diagonal: nullity d * width

@@ -114,11 +114,12 @@ def test_only_span_offers_no_tolerances(capsys):
     for command in ("verify-axioms", "lemmas", "reconstruct", "sqrt"):
         args = build_parser().parse_args([command, "--tol-abs", "0", "--tol-rel", "0"])
         assert (args.tol_abs, args.tol_rel) == (0.0, 0.0)
-    for flag in ("--tol-abs", "--tol-rel"):
+    # span reads no field and no sample count either
+    for flag, value in (("--tol-abs", "0"), ("--tol-rel", "0"), ("--field", "H"), ("--trials", "7")):
         with pytest.raises(SystemExit) as exc:
-            main(["span", "--dims", "2", flag, "0"])
+            main(["span", "--dims", "2", flag, value])
         assert exc.value.code == 2
-        assert f"unrecognized arguments: {flag} 0" in capsys.readouterr().err
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
 def test_sqrt_command(tmp_path, capsys):

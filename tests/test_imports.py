@@ -1,6 +1,7 @@
 """Import hygiene of the package, read from its source with `ast`: every
-import sits at module level, and the package's modules import each other
-without a cycle."""
+import sits at module level, the package's modules import each other
+without a cycle, and every module-level function and class is used by
+other library code."""
 
 import ast
 from pathlib import Path
@@ -74,10 +75,41 @@ def _graph(sources):
     return {name: _package_imports(src, modules) for name, src in sources.items()}
 
 
+# module-level definitions that only the tests use, kept on purpose
+TEST_ONLY = [
+    "axioms.subset_diagram",
+    "matcat.is_projection",
+    "reconstruct.onb_expand",
+    "sampling.random_coordinate_projection",
+]
+
+
+def _references(node):
+    """The names a statement refers to: bare names and attribute names."""
+    return {inner.id if isinstance(inner, ast.Name) else inner.attr
+            for inner in ast.walk(node) if isinstance(inner, (ast.Name, ast.Attribute))}
+
+
+def _unused_definitions(sources):
+    """The module-level functions and classes, as "module.name", that no
+    statement of the package refers to outside their own definition.
+    An import alone is no use."""
+    statements = [(module, node) for module, src in sorted(sources.items())
+                  for node in ast.parse(src).body]
+    refs = [(node, _references(node)) for _, node in statements]
+    return [f"{module}.{node.name}" for module, node in statements
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not any(node.name in names for other, names in refs if other is not node)]
+
+
 def test_no_import_inside_a_function():
     deferred = {name: lines for name, src in _sources().items()
                 if (lines := _function_imports(src))}
     assert deferred == {}
+
+
+def test_every_definition_is_used_by_library_code():
+    assert _unused_definitions(_sources()) == TEST_ONLY
 
 
 def test_package_modules_import_without_a_cycle():
@@ -121,3 +153,17 @@ def test_the_scan_sees_deferred_imports_and_cycles():
     assert _imports_before_the_blas_pin("import os\n" + pin + "from .a import f\n") == []
     assert _imports_before_the_blas_pin("import os\nimport numpy\n" + pin) == [2]
     assert _imports_before_the_blas_pin("import os\n") is None
+
+
+def test_the_scan_sees_unused_definitions():
+    sources = {
+        "a": ("def f():\n    return f()\n\n"  # only itself
+              "def g():\n    return _helper()\n\n"  # only imported
+              "def _helper():\n    return 1\n\n"  # called by g, itself unused
+              "class C:\n    pass\n\n"  # an attribute of b
+              "class D:\n    def m(self):\n        return D\n"),  # only itself
+        "b": ("from . import a\nfrom .a import g\n\n"
+              "def h():\n    return a.C()\n\n"  # no one calls it
+              "@h\ndef k():\n    pass\n"),  # unused, but uses h as decorator
+    }
+    assert _unused_definitions(sources) == ["a.f", "a.g", "a.D", "b.k"]

@@ -320,49 +320,6 @@ def test_components_of_a_stack_are_the_entries_of_each_morphism(stack):
         assert np.array_equal(comps[k], e)
 
 
-def _commutator_map(field, dim, projections, columns=None):
-    return np.concatenate(list(matcat.commutator_blocks(field, dim, projections, columns)))
-
-
-def test_commutator_matrix_checks_its_projections():
-    p = Morphism.identity(Field.REAL, Obj(2))
-    assert _commutator_map(Field.REAL, 2, [p, p]).shape == (8, 4)
-    assert not _commutator_map(Field.REAL, 2, [p]).any()
-    with pytest.raises(FieldMismatchError):
-        next(matcat.commutator_blocks(Field.COMPLEX, 2, [p]))
-    with pytest.raises(ShapeMismatchError):
-        next(matcat.commutator_blocks(Field.REAL, 3, [p]))
-    # a bad last projection stops the first block
-    with pytest.raises(ShapeMismatchError):
-        next(matcat.commutator_blocks(Field.REAL, 2, [p, Morphism.identity(Field.REAL, Obj(3))]))
-
-
-def test_commutator_matrix_on_some_columns_is_those_columns_of_the_map():
-    p = Morphism.identity(Field.REAL, Obj(2))
-    q = Morphism.from_real(Field.REAL, [[0.5, 0.5], [0.5, 0.5]])
-    full = _commutator_map(Field.REAL, 2, [q, p])
-    cols = np.array([3, 0, 2])
-    assert _commutator_map(Field.REAL, 2, [q, p], cols).tobytes() == full[:, cols].tobytes()
-    assert _commutator_map(Field.REAL, 2, [q], np.array([], int)).shape == (4, 0)
-
-
-def test_diagonal_support_reads_the_exact_diagonal():
-    field, dim = Field.QUATERNION, 3
-    x = Obj(dim)
-    mask = Morphism.from_real(field, np.diag([1.0, 0.0, 1.0]))
-    rank1 = matcat.unstack(field, x, x, random_rank1_projections(field, x, 1, np.random.default_rng(0)))[0]
-    diagonal, forced = matcat.diagonal_commutator_support(
-        field, dim, [Morphism.identity(field, x), mask, rank1])
-    assert diagonal.tolist() == [True, True, False]
-    # (i, j, c) is forced iff mask_ii != mask_jj: rows 0 and 2 against row 1
-    want = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], bool)
-    assert forced.tolist() == np.repeat(want.ravel(), 4).tolist()
-    with pytest.raises(FieldMismatchError):
-        matcat.diagonal_commutator_support(Field.REAL, dim, [mask])
-    with pytest.raises(ShapeMismatchError):
-        matcat.diagonal_commutator_support(field, 2, [mask])
-
-
 @st.composite
 def columns_and_reals(draw):
     field = draw(st.sampled_from(ALL_FIELDS))
