@@ -45,13 +45,11 @@ from .matcat import (
     is_dagger_iso,
     is_dagger_mono,
     native_stack,
-    unit_multiple_coordinates,
 )
 from .reports import FAIL, INFEASIBLE, PASS, Report, worse
 from .sampling import (
     probe_projections,
     random_dagger_mono,
-    random_morphism,
     random_rank1_projections,
     random_rank1_subprojection,
     random_unitary,
@@ -501,6 +499,8 @@ class DirectedDiagram:
 
     def greatest(self) -> Hashable:
         """Greatest element, located by folding upper bounds."""
+        if not self.nodes:
+            raise DomainError("a directed poset is nonempty; this diagram has no node")
         top = self.nodes[0]
         for n in self.nodes[1:]:
             top = self.upper_bound(top, n)
@@ -542,7 +542,6 @@ class DirectedDiagram:
 
 @dataclass(frozen=True)
 class ColimitCocone:
-    field: Field
     apex: Obj
     legs: Mapping[Hashable, Morphism]
     top: Hashable
@@ -555,15 +554,6 @@ class ColimitCocone:
                 frobenius_distance(self.legs[b] @ diagram.arrow(a, b), self.legs[a]),
             )
         return worst
-
-    def complement_projection(self, tol: TolerancePolicy = DEFAULT_TOL) -> Morphism:
-        """The projection onto the complement of the span of the legs'
-        columns in the apex; it draws nothing from an rng."""
-        columns = [leg.col(j) for leg in self.legs.values() for j in range(leg.dom.dim)]
-        ortho = orthonormal_columns(columns, tol=tol)
-        span_mono = copairing(ortho) if ortho else Morphism.zero(self.field, Obj(0), self.apex)
-        comp = complement_h3(span_mono, tol)
-        return comp @ comp.dagger()
 
 
 def finite_directed_colimit(
@@ -578,7 +568,7 @@ def finite_directed_colimit(
         raise DomainError(f"not a diagram of isometries: residual {residual:.3e}")
     top = d.greatest()
     legs = {n: d.arrow(n, top) for n in d.nodes}
-    return ColimitCocone(d.field, d.objects[top], legs, top)
+    return ColimitCocone(d.objects[top], legs, top)
 
 
 def mediating_dagger_mono(
@@ -598,48 +588,6 @@ def mediating_dagger_mono(
         if not approx_eq(u @ leg, competing_legs[n], tol):
             raise DomainError(f"mediating candidate fails at node {n!r}")
     return u
-
-
-def jointly_epic_check(
-    cocone: ColimitCocone,
-    trials: int = 20,
-    *,
-    rng: np.random.Generator,
-    tol: TolerancePolicy = DEFAULT_TOL,
-    p_perp: Morphism | None = None,
-) -> bool:
-    """Legs are jointly epic iff their columns span the apex.
-
-    Checked two ways: the real span rank of the leg columns (counting
-    each column together with its imaginary-unit right-multiples), and
-    random morphism pairs built to agree on every leg, which must then
-    agree outright.  The pairs differ by a morphism supported on
-    `p_perp`, the cocone's complement projection; it is computed here
-    only when the caller does not pass it.
-    """
-    field = cocone.field
-    apex = cocone.apex
-    legs = list(cocone.legs.values())
-    if not any(leg.dom.dim for leg in legs):
-        return apex.dim == 0
-
-    real_vectors = unit_multiple_coordinates(copairing(legs))
-    rank = int(np.linalg.matrix_rank(real_vectors.T, tol=SVD_RANK_EPS))
-    spans = rank == apex.dim * field.width
-
-    if p_perp is None:
-        p_perp = cocone.complement_projection(tol)
-    agree = True
-    for _ in range(trials):
-        f = random_morphism(field, apex, apex, rng)
-        d = random_morphism(field, apex, apex, rng) @ p_perp
-        g = derived_add(f, d)
-        # g agrees with f on every leg by construction
-        if not approx_eq(f, g, tol):
-            agree = False
-    if spans != agree:
-        raise ContradictionError("span rank and random-pair probe disagree")
-    return spans
 
 
 def _selection_arrow(field: Field, small: frozenset, large: frozenset) -> Morphism:

@@ -235,10 +235,6 @@ class Morphism:
         """1x1 morphism carrying one scalar."""
         return cls.from_scalars(s.field, [[s]])
 
-    @classmethod
-    def column(cls, field: Field, scalars: Iterable[Scalar]) -> "Morphism":
-        return cls.from_scalars(field, [[s] for s in scalars])
-
     # -- views ----------------------------------------------------------
 
     @property
@@ -559,23 +555,6 @@ def unit_columns(stack: np.ndarray) -> np.ndarray:
     lengths = np.sqrt(np.maximum(sq, 0.0))
     keep = ~(lengths < DROP_EPS)
     return stack[keep] * (1.0 / lengths[keep])[:, None, None]
-
-
-def unit_multiple_coordinates(m: Morphism) -> np.ndarray:
-    """Real coordinates of every column of m and of its right multiples
-    by the field's imaginary units: row j * width + u holds the
-    (cod * width) leading components of m.col(j) . e_u, entry by entry,
-    where e_0 = 1 and e_1, e_2, e_3 = i, j, k as far as the width goes.
-    Over R, C and H these rows span m's columns as a real vector space.
-    The products are one batched product of the native columns by the
-    native units; each multiplies by a unit, so every coordinate is
-    exact."""
-    field = m.field
-    w, s = field.width, _block(field)
-    columns = m._a.reshape(m._a.shape[0], m.dom.dim, s).swapaxes(0, 1)
-    units = _native(field, np.eye(w)[:, None, None, :])
-    products = columns[:, None] @ units
-    return _components(field, products)[..., :w].reshape(m.dom.dim * w, m.cod.dim * w)
 
 
 def outer_products(stack: np.ndarray) -> np.ndarray:

@@ -10,14 +10,12 @@ import numpy as np
 import pytest
 
 from daggerlab.axioms import (
-    ColimitCocone,
     DirectedDiagram,
     check_h1,
     complement_h3,
     construct_h4a,
     finite_directed_colimit,
     is_strict_sqrt,
-    jointly_epic_check,
     mediating_dagger_mono,
     normalize_h4b,
     polynomial_fit_residual,
@@ -30,7 +28,6 @@ from daggerlab.axioms import (
 from daggerlab.biproduct import Biproduct, copairing, derived_add, verify_biproduct
 from daggerlab import axioms, matcat
 from daggerlab.errors import (
-    ContradictionError,
     DomainError,
     NoMorphismError,
     NotNormalizableError,
@@ -789,7 +786,6 @@ def test_chain_colimit():
     assert cocone.apex.dim == 3
     assert cocone.commutation_residual(d) < 1e-14
     assert frobenius_distance(cocone.legs[3], Morphism.identity(Field.COMPLEX, Obj(3))) == 0.0
-    assert jointly_epic_check(cocone, trials=4, rng=np.random.default_rng(0))
 
 
 def test_single_object_diagram():
@@ -797,6 +793,14 @@ def test_single_object_diagram():
     cocone = finite_directed_colimit(d)
     assert cocone.apex.dim == 2
     assert frobenius_distance(cocone.legs["x"], Morphism.identity(Field.REAL, Obj(2))) == 0.0
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS)
+def test_empty_diagram_rejected(field):
+    # a directed poset is nonempty, so the empty diagram has no colimit here
+    d = DirectedDiagram(field, (), frozenset(), {}, {})
+    with pytest.raises(DomainError, match="nonempty"):
+        finite_directed_colimit(d)
 
 
 def test_subset_diagram_onb_claim():
@@ -809,7 +813,6 @@ def test_subset_diagram_onb_claim():
         for j, f in enumerate(singles):
             ip = inner_product(e, f)
             assert abs(ip.w - (1.0 if i == j else 0.0)) < 1e-14
-    assert jointly_epic_check(cocone, trials=4, rng=np.random.default_rng(0))
 
 
 def test_non_directed_poset_rejected():
@@ -850,33 +853,11 @@ def test_random_colimits_and_mediators(field):
         d = random_directed_diagram(field, rng)
         cocone = finite_directed_colimit(d)
         assert cocone.commutation_residual(d) <= 1e-8
-        assert jointly_epic_check(cocone, trials=3, rng=rng)
         m = random_dagger_mono(field, cocone.apex, Obj(cocone.apex.dim + 1), rng)
         competing = {n: m @ leg for n, leg in cocone.legs.items()}
         u = mediating_dagger_mono(cocone, competing)
         assert frobenius_distance(u, m) <= 1e-8
         assert is_dagger_mono(u)
-
-
-def test_jointly_epic_fails_for_short_leg():
-    field = Field.COMPLEX
-    leg = basis_column(field, Obj(2), 0)
-    cocone = ColimitCocone(field, Obj(2), {"only": leg}, "only")
-    rng = np.random.default_rng(13)
-    assert not jointly_epic_check(cocone, trials=4, rng=rng)
-    # witness pair: differ only on the missed direction, agree on the leg
-    f = Morphism.identity(field, Obj(2))
-    g = Morphism.from_real(field, [[1, 0], [0, 0]])
-    assert approx_eq(f @ leg, g @ leg)
-    assert not approx_eq(f, g)
-
-
-def test_jointly_epic_contradiction_is_a_package_error(monkeypatch):
-    cocone = finite_directed_colimit(subset_diagram(["a", "b"], Field.COMPLEX))
-    # the legs span the apex, so a failing pair probe contradicts the rank
-    monkeypatch.setattr(axioms, "approx_eq", lambda *args, **kwargs: False)
-    with pytest.raises(ContradictionError):
-        jointly_epic_check(cocone, trials=2, rng=np.random.default_rng(0))
 
 
 def test_mediating_rejects_wrong_cocone():
@@ -886,67 +867,3 @@ def test_mediating_rejects_wrong_cocone():
     bogus = {n: random_morphism(Field.REAL, d.objects[n], Obj(4), rng) for n in d.nodes}
     with pytest.raises(DomainError):
         mediating_dagger_mono(cocone, bogus)
-
-
-def _span_rank_by_scalars(cocone):
-    """The real span rank as jointly_epic_check once built it: one Scalar,
-    one 1x1 morphism and one composition per column and imaginary unit."""
-    field, w = cocone.field, cocone.field.width
-    units = [Scalar(field, 1.0)]
-    if w >= 2:
-        units.append(Scalar(field, 0.0, 1.0))
-    if w == 4:
-        units += [Scalar(field, 0, 0, 1.0), Scalar(field, 0, 0, 0, 1.0)]
-    columns = [leg.col(j) for leg in cocone.legs.values() for j in range(leg.dom.dim)]
-    vectors = [(c @ Morphism.single(q)).entries[..., :w].ravel() for c in columns for q in units]
-    return np.array(vectors), int(np.linalg.matrix_rank(np.array(vectors).T, tol=axioms.SVD_RANK_EPS))
-
-
-def _span_rank_by_block(cocone):
-    block = copairing(list(cocone.legs.values()))
-    vectors = matcat.unit_multiple_coordinates(block)
-    return vectors, int(np.linalg.matrix_rank(vectors.T, tol=axioms.SVD_RANK_EPS))
-
-
-@pytest.mark.parametrize("field", ALL_FIELDS)
-def test_span_vectors_from_one_block_match_the_per_column_oracle(field):
-    rng = np.random.default_rng(53)
-    cocones = [finite_directed_colimit(random_directed_diagram(field, rng)) for _ in range(12)]
-    short = basis_column(field, Obj(2), 0)
-    cocones.append(ColimitCocone(field, Obj(2), {"only": short}, "only"))
-    for cocone in cocones:
-        got, got_rank = _span_rank_by_block(cocone)
-        want, want_rank = _span_rank_by_scalars(cocone)
-        assert np.array_equal(got, want) and got_rank == want_rank
-    assert want_rank == field.width  # the short leg spans one of two dimensions
-
-
-@pytest.mark.parametrize("field", ALL_FIELDS)
-def test_jointly_epic_check_draws_the_same_probe_stream(field):
-    rng = np.random.default_rng(59)
-    cocones = [finite_directed_colimit(random_directed_diagram(field, rng)) for _ in range(4)]
-    cocones.append(ColimitCocone(field, Obj(2), {"only": basis_column(field, Obj(2), 0)}, "only"))
-    for cocone in cocones:
-        rng, mirror = np.random.default_rng(61), np.random.default_rng(61)
-        spans = jointly_epic_check(cocone, trials=3, rng=rng)
-        assert spans == (_span_rank_by_scalars(cocone)[1] == cocone.apex.dim * field.width)
-        for _ in range(2 * 3):  # two apex -> apex morphisms per probe
-            random_morphism(field, cocone.apex, cocone.apex, mirror)
-        assert rng.random() == mirror.random()
-
-
-def test_jointly_epic_check_uses_a_given_complement(monkeypatch):
-    cocone = finite_directed_colimit(subset_diagram(["a", "b", "c"], Field.COMPLEX))
-    p_perp = cocone.complement_projection()
-    calls = []
-    projection = ColimitCocone.complement_projection
-
-    def counting(self, tol=DEFAULT_TOL):
-        calls.append(self)
-        return projection(self, tol)
-
-    monkeypatch.setattr(ColimitCocone, "complement_projection", counting)
-    given = jointly_epic_check(cocone, trials=3, rng=np.random.default_rng(5), p_perp=p_perp)
-    assert not calls
-    computed = jointly_epic_check(cocone, trials=3, rng=np.random.default_rng(5))
-    assert calls == [cocone] and given is computed is True

@@ -8,14 +8,14 @@ import math
 import numpy as np
 import pytest
 
-from daggerlab import axioms, biproduct, campaigns, projspan, reconstruct
+from daggerlab import axioms, biproduct, campaigns, matcat, projspan, reconstruct
 from daggerlab.biproduct import make_biproduct, verify_biproduct
 from daggerlab.campaigns import CampaignConfig
 from daggerlab.errors import DomainError
 from daggerlab.matcat import Morphism, Obj, native_stack
 from daggerlab.reports import ERROR, FAIL, INFEASIBLE, PASS, worse
 from daggerlab.sampling import random_coordinate_projection
-from daggerlab.scalars import DEFAULT_TOL, Field, Scalar
+from daggerlab.scalars import Field, Scalar
 
 
 def _nan_after_first(fn):
@@ -63,6 +63,21 @@ def test_nan_residual_fails_the_colimit_commutation(monkeypatch):
     assert math.isnan(cocone.commutation_residual(diagram))
 
 
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX, Field.QUATERNION])
+def test_wrong_mediator_fails_h2(monkeypatch, field):
+    mediating = axioms.mediating_dagger_mono
+
+    def negated(*args, **kwargs):
+        return matcat.scaled(mediating(*args, **kwargs), -1.0)  # still an isometry
+
+    cfg = CampaignConfig(field=field, seed=42, trials=5)
+    assert campaigns.check_h2_directed_colimits(cfg).status == PASS
+    monkeypatch.setattr(axioms, "mediating_dagger_mono", negated)
+    report = campaigns.check_h2_directed_colimits(cfg)
+    assert (report.axiom, report.status) == ("axioms.h2-directed-colimits", FAIL)
+    assert report.residual > campaigns.COLIMIT_RESIDUAL_TARGET
+
+
 def _raising_check(cfg):
     raise DomainError("no sample could be drawn")
 
@@ -94,7 +109,6 @@ def test_raising_check_is_labelled_by_its_check_id(monkeypatch):
     monkeypatch.setattr(campaigns.axioms, "complement_h3", refuse)
     reports = campaigns.run_lemma_suite(CampaignConfig(field=Field.REAL, trials=2))
     assert {r.axiom for r in reports if r.status == ERROR} == {
-        "axioms.h2-directed-colimits",
         "axioms.h3-complement-invariants",
         "reconstruct.isometry-image-splits",
     }
@@ -212,23 +226,6 @@ def test_nan_columns_fail_the_copairing_biconditional(monkeypatch, field):
     report = campaigns.check_copairing_biconditional(cfg)
     assert (report.axiom, report.status) == ("reconstruct.copairing-isometry-biconditional", FAIL)
     assert math.isnan(report.residual)
-
-
-def test_h2_complements_the_legs_once_per_cocone(monkeypatch):
-    cfg = CampaignConfig(field=Field.COMPLEX, seed=42, trials=6)
-    expected = campaigns.check_h2_directed_colimits(cfg).to_json()
-    calls = []
-    projection = axioms.ColimitCocone.complement_projection
-
-    def counting(cocone, tol=DEFAULT_TOL):
-        calls.append(cocone)
-        return projection(cocone, tol)
-
-    monkeypatch.setattr(axioms.ColimitCocone, "complement_projection", counting)
-    assert campaigns.check_h2_directed_colimits(cfg).to_json() == expected
-    # six diagrams with two competing cocones each: one complement for
-    # both, handed to jointly_epic_check
-    assert len(calls) == 6 and len({id(c) for c in calls}) == 6
 
 
 def test_saturation_monotonicity_computes_each_rank_once(monkeypatch):

@@ -1,7 +1,7 @@
 """Import hygiene of the package, read from its source with `ast`: every
 import sits at module level, the package's modules import each other
-without a cycle, and every module-level function and class is used by
-other library code."""
+without a cycle, and every module-level function and class, and every
+non-dunder method of such a class, is used by other library code."""
 
 import ast
 from pathlib import Path
@@ -75,7 +75,7 @@ def _graph(sources):
     return {name: _package_imports(src, modules) for name, src in sources.items()}
 
 
-# module-level definitions that only the tests use, kept on purpose
+# definitions that only the tests use, kept on purpose
 TEST_ONLY = [
     "axioms.subset_diagram",
     "matcat.is_projection",
@@ -84,22 +84,45 @@ TEST_ONLY = [
 ]
 
 
-def _references(node):
-    """The names a statement refers to: bare names and attribute names."""
-    return {inner.id if isinstance(inner, ast.Name) else inner.attr
-            for inner in ast.walk(node) if isinstance(inner, (ast.Name, ast.Attribute))}
+def _references(node, skip=None):
+    """The names a statement refers to outside the subtree `skip`: bare
+    names and attribute names."""
+    found, stack = set(), [node]
+    while stack:
+        inner = stack.pop()
+        if inner is skip:
+            continue
+        if isinstance(inner, ast.Name):
+            found.add(inner.id)
+        elif isinstance(inner, ast.Attribute):
+            found.add(inner.attr)
+        stack.extend(ast.iter_child_nodes(inner))
+    return found
+
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _unused_definitions(sources):
-    """The module-level functions and classes, as "module.name", that no
-    statement of the package refers to outside their own definition.
-    An import alone is no use."""
+    """The module-level functions and classes, as "module.name", and the
+    non-dunder methods and properties of those classes, as
+    "module.Class.name", that no statement of the package refers to
+    outside their own definition.  An import alone is no use."""
     statements = [(module, node) for module, src in sorted(sources.items())
                   for node in ast.parse(src).body]
     refs = [(node, _references(node)) for _, node in statements]
-    return [f"{module}.{node.name}" for module, node in statements
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and not any(node.name in names for other, names in refs if other is not node)]
+    unused = []
+    for module, node in statements:
+        if not isinstance(node, (*_FUNCTIONS, ast.ClassDef)):
+            continue
+        if not any(node.name in names for other, names in refs if other is not node):
+            unused.append(f"{module}.{node.name}")
+        if isinstance(node, ast.ClassDef):
+            unused += [f"{module}.{node.name}.{method.name}" for method in node.body
+                       if isinstance(method, _FUNCTIONS) and not method.name.startswith("__")
+                       and method.name not in _references(node, skip=method)
+                       and not any(method.name in names for other, names in refs if other is not node)]
+    return unused
 
 
 def test_no_import_inside_a_function():
@@ -161,9 +184,14 @@ def test_the_scan_sees_unused_definitions():
               "def g():\n    return _helper()\n\n"  # only imported
               "def _helper():\n    return 1\n\n"  # called by g, itself unused
               "class C:\n    pass\n\n"  # an attribute of b
-              "class D:\n    def m(self):\n        return D\n"),  # only itself
+              "class D:\n    def m(self):\n        return D\n\n"  # only itself
+              "class E:\n"
+              "    def __init__(self):\n        self.n()\n"  # a dunder is never reported
+              "    def n(self):\n        return self.n()\n"  # called by __init__
+              "    @property\n    def p(self):\n        return self.p\n"  # only itself
+              "    def q(self):\n        pass\n"),  # no one calls it
         "b": ("from . import a\nfrom .a import g\n\n"
-              "def h():\n    return a.C()\n\n"  # no one calls it
+              "def h():\n    return a.C(), a.E()\n\n"  # no one calls it
               "@h\ndef k():\n    pass\n"),  # unused, but uses h as decorator
     }
-    assert _unused_definitions(sources) == ["a.f", "a.g", "a.D", "b.k"]
+    assert _unused_definitions(sources) == ["a.f", "a.g", "a.D", "a.D.m", "a.E.p", "a.E.q", "b.k"]

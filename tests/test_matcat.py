@@ -537,32 +537,3 @@ def test_out_of_range_indices_are_shape_mismatches():
         for row, col in ((-1, 0), (0, -1)):
             with pytest.raises(ShapeMismatchError):
                 embed(field, Obj(2), Obj(2), [(row, col, one)])
-
-
-def _unit_multiples_by_scalars(m):
-    """The real span vectors as built one column and one unit at a time:
-    a Scalar, a 1x1 morphism and a composition each."""
-    field, w = m.field, m.field.width
-    units = [Scalar(field, *(1.0 if c == u else 0.0 for c in range(4))) for u in range(w)]
-    vectors = [
-        (m.col(j) @ Morphism.single(q)).entries[..., :w].ravel()
-        for j in range(m.dom.dim)
-        for q in units
-    ]
-    return np.array(vectors).reshape(m.dom.dim * w, m.cod.dim * w)
-
-
-@pytest.mark.parametrize("field", ALL_FIELDS)
-def test_unit_multiple_coordinates_match_the_per_column_products(field):
-    rng = np.random.default_rng(61)
-    for cod in range(5):
-        for dom in range(5):
-            m = random_morphism(field, Obj(dom), Obj(cod), rng)
-            got = matcat.unit_multiple_coordinates(m)
-            want = _unit_multiples_by_scalars(m)
-            assert got.shape == want.shape == (dom * field.width, cod * field.width)
-            assert np.array_equal(got, want)
-    nan = Morphism.from_real(field, [[np.nan, 1.0], [0.0, 2.0]])
-    got = matcat.unit_multiple_coordinates(nan)
-    assert np.array_equal(got, _unit_multiples_by_scalars(nan), equal_nan=True)
-    assert np.isnan(got[:field.width]).any() and not np.isnan(got[field.width:]).any()

@@ -80,7 +80,7 @@ def test_gram_schmidt_examples():
 
     i = Scalar(Field.QUATERNION, 0, 1, 0, 0)
     j = Scalar(Field.QUATERNION, 0, 0, 1, 0)
-    subq = gram_schmidt([Morphism.column(Field.QUATERNION, [i, j])])
+    subq = gram_schmidt([Morphism.from_scalars(Field.QUATERNION, [[i], [j]])])
     ip = inner_product(subq.col(0), subq.col(0))
     assert abs(ip.w - 1.0) < 1e-12 and abs(ip.x) + abs(ip.y) + abs(ip.z) < 1e-12
 

@@ -20,11 +20,11 @@ def _dims(first, last):
 
 PINS = [
     (["lemmas", "--field", "C", "--trials", "20"],
-     "1701a8d162dd9aeace6318a4154658975dbcff9cedc4f0800b5f237f67d2c83f", 0),
+     "aefa9929209642822ad15bcabc387e107ba73e6bd5d404f5e9dc8878f69b1ee0", 0),
     (["lemmas", "--field", "R", "--trials", "20"],
-     "8d9020bd99b7ccbbe57672462b483458dc8156f0fe06869c7f6966ca87219169", 0),
+     "bed7bbdeb43dce089a6d34cf930b428ad9dcea8f159f9f55fab91ad7b694c17b", 0),
     (["lemmas", "--field", "H", "--trials", "30"],
-     "eef299e024a156d4cfa3ba85992d78af7477e9b86f30a71c58ddcdc551d988e6", 0),
+     "be73c8f5270fe6dc090953c2089858ee1350f445983505b8dac3929fa74a3841", 0),
     (["lemmas", "--field", "C", "--trials", "1", "--seed", "12"],
      "5bf6e743b13678d5c905ada2c79b5da91e39df7fb51fd2f2034dbe219d8a5505", 3),
     (["reconstruct", "--field", "C", "--trials", "20"],
@@ -32,11 +32,11 @@ PINS = [
     (["reconstruct", "--field", "H", "--trials", "20"],
      "6b5bb4d543eedb6b98fcc2118c133cc3126e9733a45d7c0b3b7c89b75c5e42d2", 0),
     (["verify-axioms", "--field", "R", "--dims", _dims(0, 12), "--trials", "5"],
-     "738646b7e0874c30b666e55cd417ffcf06f089f6e27de25a6307b8294ec72d70", 1),
+     "55c053441aff9875648c0966a9fdb1dc72ed42d1b6e8253940723961873ad742", 1),
     (["verify-axioms", "--field", "H", "--dims", _dims(0, 8), "--trials", "5"],
-     "da6b914c8bfec00b2d2acb6e00403eaaa2be48dd37d8887df2804d47dccb111c", 1),
+     "6209386d4761b82f843b631a3af9c259235854314e827d055c58b1f65eb9e709", 1),
     (["verify-axioms", "--field", "C", "--dims", _dims(0, 6), "--trials", "5"],
-     "5c625ed2d4636f8c7206284703f0f0c3ed84049ad1ac77741c16c0e195801fd3", 0),
+     "5d3a608ce157c654184f8ada63f68de30ab5a44cd2214cf673639bef393ef883", 0),
     (["verify-axioms", "--field", "C", "--dims", "1,2", "--trials", "2",
       "--tol-abs", "0", "--tol-rel", "0"],
      "03d3c3990ff0f166dfaa16d80209e0836117ece5ab8a3be3ea996edec0764865", 3),
