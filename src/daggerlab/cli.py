@@ -196,10 +196,7 @@ def _suite_command(args: argparse.Namespace, runner) -> int:
     if live_to_stdout:
         sys.stdout.write(summary + "\n")
     else:
-        lines = [
-            f"[{r.status.upper()}] {r.axiom} field={r.field} residual={r.residual:.3e}"
-            for r in reports
-        ]
+        lines = [r.text_line() for r in reports]
         if _emit(args, payload, lines + [summary]) != EXIT_OK:
             return EXIT_INPUT
     if errors:

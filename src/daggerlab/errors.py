@@ -40,8 +40,3 @@ class ResidualError(DaggerLabError):
     def __init__(self, message: str, residual: float):
         super().__init__(f"{message} (residual={residual:.3e})")
         self.residual = residual
-
-
-class ContradictionError(DaggerLabError):
-    """Two independent computations of one fact disagree, which points
-    to a bug in the package rather than to bad input."""

@@ -43,9 +43,10 @@ class Report:
     witness: Optional[Morphism] = None
     details: dict = dc_field(default_factory=dict)
 
-    @property
-    def ok(self) -> bool:
-        return self.status == PASS
+    def text_line(self) -> str:
+        """The one-line text form of the report, as streamed and printed."""
+        return (f"[{self.status.upper()}] {self.axiom} "
+                f"field={self.field} residual={self.residual:.3e}")
 
     def to_json(self) -> dict:
         data = {

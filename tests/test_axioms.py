@@ -11,7 +11,6 @@ import pytest
 
 from daggerlab.axioms import (
     DirectedDiagram,
-    check_h1,
     complement_h3,
     construct_h4a,
     finite_directed_colimit,
@@ -26,7 +25,7 @@ from daggerlab.axioms import (
     subset_diagram,
 )
 from daggerlab.biproduct import Biproduct, copairing, derived_add, verify_biproduct
-from daggerlab import axioms, matcat
+from daggerlab import axioms, campaigns, matcat
 from daggerlab.errors import (
     DomainError,
     NoMorphismError,
@@ -66,9 +65,10 @@ def _rank1_projection(field, x, rng):
 
 @pytest.mark.parametrize("field", ALL_FIELDS)
 def test_check_h1_passes(field):
-    report = check_h1(field, [0, 1, 2, 3])
-    assert report.status == "pass" and report.residual < 1e-12
-    assert check_h1(field, [1]).status == "pass"
+    report = campaigns.check_h1(campaigns.CampaignConfig(field=field, dims=(0, 1, 2, 3)))
+    assert (report.axiom, report.status) == ("H1", "pass") and report.residual < 1e-12
+    assert report.details == {"pairs": 16}
+    assert campaigns.check_h1(campaigns.CampaignConfig(field=field, dims=(1,))).status == "pass"
 
 
 # -- H3 ----------------------------------------------------------------

@@ -3,12 +3,13 @@ draws no sample is reported as an error next to the others instead of
 ending the run or passing."""
 
 import io
+import json
 import math
 
 import numpy as np
 import pytest
 
-from daggerlab import axioms, biproduct, campaigns, matcat, projspan, reconstruct
+from daggerlab import axioms, biproduct, campaigns, cli, matcat, projspan, reconstruct, scalars
 from daggerlab.biproduct import make_biproduct, verify_biproduct
 from daggerlab.campaigns import CampaignConfig
 from daggerlab.errors import DomainError
@@ -76,6 +77,62 @@ def test_wrong_mediator_fails_h2(monkeypatch, field):
     report = campaigns.check_h2_directed_colimits(cfg)
     assert (report.axiom, report.status) == ("axioms.h2-directed-colimits", FAIL)
     assert report.residual > campaigns.COLIMIT_RESIDUAL_TARGET
+
+
+def _square_of_i_is_one(monkeypatch):
+    """Fault: a multiplication that is right except that i * i = 1."""
+    mul, i = scalars.mul, Scalar(Field.COMPLEX, 0.0, 1.0)
+    monkeypatch.setattr(scalars, "mul", lambda a, b: Scalar(a.field, 1.0) if a == b == i else mul(a, b))
+
+
+def test_square_of_i_not_minus_one_fails_the_center_check(monkeypatch):
+    cfg = CampaignConfig(field=Field.COMPLEX, seed=42)
+    assert campaigns.check_center_classification(cfg).status == PASS
+    _square_of_i_is_one(monkeypatch)
+    report = campaigns.check_center_classification(cfg)
+    assert (report.axiom, report.status) == ("reconstruct.center-sqrt-minus-one", FAIL)
+    assert report.residual == 2.0  # |1 - (-1)|
+
+
+def test_reconstruct_exits_1_when_the_square_of_i_is_not_minus_one(monkeypatch, tmp_path):
+    _square_of_i_is_one(monkeypatch)
+    out = tmp_path / "report.json"
+    argv = ["reconstruct", "--field", "C", "--seed", "42", "--trials", "5", "--format", "json"]
+    assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_VIOLATION
+    statuses = {r["axiom"]: r["status"] for r in json.loads(out.read_text())["reports"]}
+    assert statuses.pop("reconstruct.center-sqrt-minus-one") == FAIL
+    assert set(statuses.values()) == {PASS}
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX, Field.QUATERNION])
+@pytest.mark.parametrize("unitary, dim", [(False, 1), (True, 2)])
+def test_wrong_unitarity_test_fails_dagger_simple(monkeypatch, field, unitary, dim):
+    # every isometry read as non-unitary breaks dimension 1; every one
+    # read as unitary breaks dimension 2
+    cfg = CampaignConfig(field=field, seed=42)
+    assert campaigns.check_dagger_simple_dimension(cfg).status == PASS
+    monkeypatch.setattr(axioms, "is_dagger_iso", lambda *args, **kwargs: unitary)
+    report = campaigns.check_dagger_simple_dimension(cfg)
+    assert (report.axiom, report.status) == ("matcat.dagger-simple-is-dimension-one", FAIL)
+    assert report.details == {"dim": dim, "sampled_simple": unitary}
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX, Field.QUATERNION])
+def test_offset_derived_addition_fails_the_scalar_witness(monkeypatch, field):
+    derived_add = reconstruct.derived_add
+
+    def offset(f, g):
+        total = derived_add(f, g)
+        entries = total.entries.copy()
+        entries[..., 0] += 1e-3
+        return Morphism(total.field, total.dom, total.cod, entries)
+
+    cfg = CampaignConfig(field=field, seed=42)
+    assert campaigns.check_scalar_witness(cfg).status == PASS
+    monkeypatch.setattr(reconstruct, "derived_add", offset)
+    report = campaigns.check_scalar_witness(cfg)
+    assert (report.axiom, report.status) == ("reconstruct.scalar-witness", FAIL)
+    assert report.residual == pytest.approx(1e-3, abs=1e-12)
 
 
 def _raising_check(cfg):
@@ -147,7 +204,6 @@ def test_check_with_every_sample_skipped_is_an_error(monkeypatch, check, cid):
     cfg = CampaignConfig(field=Field.COMPLEX, seed=5, trials=4)
     assert check(cfg).status == PASS
     monkeypatch.setattr(campaigns, "random_morphism", _zero_morphism)
-    monkeypatch.setattr(reconstruct, "random_morphism", _zero_morphism)
     report = check(cfg)
     assert (report.axiom, report.status) == (cid, ERROR)
     assert report.details == {"error": campaigns.NO_SAMPLE}
@@ -200,7 +256,7 @@ def test_every_check_reports_under_its_one_declared_id(field):
     lemma_reports = {fn.check_id: fn(cfg) for fn in campaigns.lemma_checks(field)}
     assert all(report.axiom == cid for cid, report in lemma_reports.items())
 
-    # H1 delegates to axioms.check_h1, which reports under its label
+    # H1 draws nothing and has no check id: it reports under its label
     axiom_checks = campaigns.axiom_checks(field)
     axiom_ids = [getattr(fn, "check_id", label) for label, fn in axiom_checks]
     assert len(set(axiom_ids)) == len(axiom_ids)

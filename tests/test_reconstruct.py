@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from daggerlab.biproduct import derived_add
-from daggerlab import matcat, reconstruct
+from daggerlab import campaigns, matcat, reconstruct
+from daggerlab.campaigns import CampaignConfig
 from daggerlab.errors import (
-    ContradictionError,
     ResidualError,
     ShapeMismatchError,
 )
@@ -25,8 +25,6 @@ from daggerlab.matcat import (
 )
 from daggerlab.reconstruct import (
     EndoField,
-    center_sqrt_minus_one_test,
-    faithfulness_check,
     functor_v,
     gram_schmidt,
     inner_product,
@@ -194,8 +192,9 @@ def test_functor_v_dagger_and_additive(field):
 
 
 def test_faithfulness_check():
-    report = faithfulness_check(Field.COMPLEX, trials=100, rng=np.random.default_rng(47))
-    assert report.status == "pass"
+    report = campaigns.check_functor_faithful(CampaignConfig(field=Field.COMPLEX, seed=47, trials=100))
+    assert report.status == "pass" and report.details["trials"] == 100
+    assert 0 < report.details["separated"] <= 100
 
     # id and 0 are separated by the first coordinate column
     f = Morphism.identity(Field.REAL, Obj(2))
@@ -212,12 +211,11 @@ def test_faithfulness_check_with_no_distinct_pair_is_an_error(monkeypatch):
     def zero_morphism(field, dom, cod, rng):
         return Morphism.zero(field, dom, cod)
 
-    monkeypatch.setattr(reconstruct, "random_morphism", zero_morphism)
-    report = faithfulness_check(Field.COMPLEX, trials=20, rng=np.random.default_rng(47))
-    assert (report.axiom, report.status) == ("functor-faithful", ERROR)
+    monkeypatch.setattr(campaigns, "random_morphism", zero_morphism)
+    report = campaigns.check_functor_faithful(CampaignConfig(field=Field.COMPLEX, seed=47, trials=20))
+    assert (report.axiom, report.status) == ("reconstruct.functor-faithful", ERROR)
     assert report.details == {"error": NO_SAMPLE}
     assert report.residual == 0.0 and report.witness is None
-    assert faithfulness_check(Field.REAL, trials=0, rng=np.random.default_rng(0)).status == ERROR
 
 
 def test_entry_difference_is_separated_by_its_column():
@@ -231,19 +229,15 @@ def test_entry_difference_is_separated_by_its_column():
 
 
 def test_center_sqrt_minus_one():
-    rep_c = center_sqrt_minus_one_test(Field.COMPLEX)
-    assert rep_c.status == "pass"
+    rep_c = campaigns.check_center_classification(CampaignConfig(field=Field.COMPLEX))
+    assert (rep_c.status, rep_c.details) == ("pass", {"classified": "pass"})
     alpha = rep_c.witness.scalar()
     assert distance(mul(alpha, alpha), Scalar(Field.COMPLEX, -1.0)) < 1e-15
 
-    assert center_sqrt_minus_one_test(Field.REAL).status == "infeasible"
-    assert center_sqrt_minus_one_test(Field.QUATERNION).status == "infeasible"
-
-
-def test_center_sqrt_contradiction_is_a_package_error(monkeypatch):
-    monkeypatch.setattr(reconstruct, "scalar_mul", lambda a, b: Scalar(a.field, 1.0))
-    with pytest.raises(ContradictionError):
-        center_sqrt_minus_one_test(Field.COMPLEX)
+    for field in (Field.REAL, Field.QUATERNION):
+        report = campaigns.check_center_classification(CampaignConfig(field=field))
+        assert (report.status, report.details["classified"]) == ("pass", "infeasible")
+        assert report.details["min_sampled_square"] == 0.0 and report.witness is None
 
 
 @pytest.mark.parametrize("field", ALL_FIELDS)
@@ -320,9 +314,9 @@ def test_faithfulness_check_with_nan_morphisms_fails(monkeypatch):
     def nan_morphism(field, dom, cod, rng):
         return Morphism.from_real(field, np.full((cod.dim, dom.dim), np.nan))
 
-    monkeypatch.setattr(reconstruct, "random_morphism", nan_morphism)
-    report = faithfulness_check(Field.COMPLEX, trials=20, rng=np.random.default_rng(42))
-    assert (report.axiom, report.status) == ("functor-faithful", "fail")
+    monkeypatch.setattr(campaigns, "random_morphism", nan_morphism)
+    report = campaigns.check_functor_faithful(CampaignConfig(field=Field.COMPLEX, seed=42, trials=20))
+    assert (report.axiom, report.status) == ("reconstruct.functor-faithful", "fail")
     assert np.isnan(report.residual)
     assert "separated" not in report.details
 
