@@ -12,12 +12,21 @@ drew no sample.
 
 Each check is declared once, with one of two decorators that own its id:
 
-- `@law(check_id, trials, scale, target)` declares a sampled law by its
-  sample body `sample(cfg, rng)`.  The body returns its residuals, None
-  for a sample it cannot use, or a FAIL Report that ends the check.  The
-  decorator runs the body `cfg.count(trials)` times on the check's
-  stream, keeps the NaN-safe worst residual and judges it; with no
-  sample reaching a residual, the report is an ERROR.
+- `@law(check_id, trials, scale, target, details)` declares a sampled law
+  by its sample body `sample(cfg, rng)`.  `_sampled` is the one loop
+  that draws samples and judges them: it runs the body `cfg.count(trials)`
+  times on the check's stream.  The body returns None for a sample it
+  cannot use, a FAIL Report that ends the check, or the sample's
+  residuals: `()` for a sample that passed a predicate.  The loop keeps
+  the NaN-safe worst residual; the verdict is PASS iff it is within
+  `target`, or else the tolerance bound at `scale`.  With `target` a
+  mapping from group name to target, the body returns a mapping of the
+  same names to residuals, every group's worst is judged against its own
+  target, and the report carries the worst over all groups as its
+  residual and each group's worst in its details.  `details(cfg,
+  reached)` adds to the details of the verdict, never to those of an
+  early FAIL or an ERROR.  With no sample reaching a residual, the
+  report is an ERROR.
 - `@check(check_id)` declares a whole check `fn(cfg, rng)` that draws
   from the check's stream and reaches its own verdict.
 
@@ -108,27 +117,32 @@ def _report(cfg: CampaignConfig, status: str, residual: float = 0.0,
     return Report("", cfg.field.value, status, residual, witness, details or {})
 
 
-def _verdict(cfg: CampaignConfig, worst: float, scale: float = 1.0, target: float | None = None) -> Report:
-    """PASS iff `worst` is within `target`, or else the tolerance bound at `scale`."""
-    bound = target if target is not None else cfg.tol.bound(scale, scale)
-    return _report(cfg, PASS if worst <= bound else FAIL, worst)
-
-
 def _sampled(cfg: CampaignConfig, rng: np.random.Generator, trials: int, sample: Callable,
-             scale: float = 1.0, target: float | None = None) -> Report:
-    """Run `sample` `cfg.count(trials)` times and judge the worst residual;
-    with no sample reaching a residual there is nothing to judge."""
-    worst, reached = 0.0, 0
+             scale: float = 1.0, target: float | dict[str, float] | None = None,
+             details: Callable | None = None) -> Report:
+    """Run `sample` `cfg.count(trials)` times and judge the worst residual
+    of each group; with no sample reaching a residual there is nothing
+    to judge."""
+    grouped = isinstance(target, dict)
+    targets = target if grouped else {None: target}
+    worst, reached = dict.fromkeys(targets, 0.0), 0
     for _ in range(cfg.count(trials)):
         residuals = sample(cfg, rng)
         if isinstance(residuals, Report):
             return residuals
         if residuals is not None:
             reached += 1
-            worst = worse(worst, *residuals)
+            for name, group in (residuals.items() if grouped else [(None, residuals)]):
+                worst[name] = worse(worst[name], *group)
     if not reached:
         return _report(cfg, ERROR, details={"error": NO_SAMPLE})
-    return _verdict(cfg, worst, scale, target)
+    ok = all(worst[name] <= (cfg.tol.bound(scale, scale) if t is None else t)
+             for name, t in targets.items())
+    report = _report(cfg, PASS if ok else FAIL, worse(*worst.values()),
+                     details=worst if grouped else None)
+    if details:
+        report.details.update(details(cfg, reached))
+    return report
 
 
 def check(check_id: str) -> Callable[[Callable], CheckFn]:
@@ -147,12 +161,13 @@ def check(check_id: str) -> Callable[[Callable], CheckFn]:
 
 
 def law(check_id: str, trials: int, scale: float = 1.0,
-        target: float | None = None) -> Callable[[Callable], CheckFn]:
+        target: float | dict[str, float] | None = None,
+        details: Callable | None = None) -> Callable[[Callable], CheckFn]:
     """Declare the sampled law `sample(cfg, rng)` under `check_id`."""
     def declare(sample: Callable) -> CheckFn:
         @functools.wraps(sample)
         def run(cfg: CampaignConfig, rng: np.random.Generator) -> Report:
-            return _sampled(cfg, rng, trials, sample, scale, target)
+            return _sampled(cfg, rng, trials, sample, scale, target, details)
 
         return check(check_id)(run)
 
@@ -259,16 +274,24 @@ def check_dagger_simple_dimension(cfg: CampaignConfig, rng: np.random.Generator)
     return _report(cfg, PASS, 0.0)
 
 
-@law("axioms.unique-simple-object", 100)
-def check_unique_simple_object(cfg: CampaignConfig, rng: np.random.Generator):
-    u = random_morphism(cfg.field, UNIT, UNIT, rng)
+def _normalised_column(cfg: CampaignConfig, rng: np.random.Generator, x: Obj) -> Morphism | None:
+    """A random column into `x` scaled by its H4b normaliser, or None
+    for a column too short to normalise."""
+    u = random_morphism(cfg.field, UNIT, x, rng)
     if u.norm() < 1e-3:
         return None
-    h = axioms.normalize_h4b(u, cfg.tol)
-    iso = u @ Morphism.single(h)
+    return u @ Morphism.single(axioms.normalize_h4b(u, cfg.tol))
+
+
+@law("axioms.unique-simple-object", 100)
+def check_unique_simple_object(cfg: CampaignConfig, rng: np.random.Generator):
+    iso = _normalised_column(cfg, rng, UNIT)
+    if iso is None:
+        return None
+    ident = Morphism.identity(cfg.field, UNIT)
     return (
-        frobenius_distance(iso.dagger() @ iso, Morphism.identity(cfg.field, UNIT)),
-        frobenius_distance(iso @ iso.dagger(), Morphism.identity(cfg.field, UNIT)),
+        frobenius_distance(iso.dagger() @ iso, ident),
+        frobenius_distance(iso @ iso.dagger(), ident),
     )
 
 
@@ -424,12 +447,9 @@ def check_h3_complement(cfg: CampaignConfig, rng: np.random.Generator):
 
 def _normalisation_sample(cfg: CampaignConfig, rng: np.random.Generator):
     """H4b on a random nonzero column: the normalised column is an isometry."""
-    x = _random_shape(rng, 1, 6)
-    u = random_morphism(cfg.field, UNIT, x, rng)
-    if u.norm() < 1e-3:
+    iso = _normalised_column(cfg, rng, _random_shape(rng, 1, 6))
+    if iso is None:
         return None
-    h = axioms.normalize_h4b(u, cfg.tol)
-    iso = u @ Morphism.single(h)
     return (frobenius_distance(iso.dagger() @ iso, Morphism.identity(cfg.field, UNIT)),)
 
 
@@ -447,26 +467,20 @@ def check_h4_unit_and_normalisation(cfg: CampaignConfig, rng: np.random.Generato
     return _sampled(cfg, rng, 200, _normalisation_sample)
 
 
-@check("axioms.h5-strict-sqrt")
-def check_h5_strict_sqrt(cfg: CampaignConfig, rng: np.random.Generator) -> Report:
+@law("axioms.h5-strict-sqrt", 100, target={"square_residual": SQRT_RESIDUAL_TARGET,
+                                           "poly_fit_residual": POLYFIT_RESIDUAL_TARGET})
+def check_h5_strict_sqrt(cfg: CampaignConfig, rng: np.random.Generator):
     """Complex field: synthesise roots for random unitaries and verify
     the square, unitarity, strictness sampling and the polynomial fit."""
-    worst_sq = 0.0
-    worst_fit = 0.0
-    for _ in range(cfg.count(100)):
-        x = _random_shape(rng, 1, 6)
-        u = random_unitary(Field.COMPLEX, x, rng)
-        cert = axioms.strict_sqrt_complex(u, cfg.tol)
-        ident = Morphism.identity(Field.COMPLEX, x)
-        worst_sq = worse(worst_sq, cert.residual)
-        worst_sq = worse(worst_sq, frobenius_distance(cert.root.dagger() @ cert.root, ident))
-        if not axioms.is_strict_sqrt(u, cert.root, 50, rng, cfg.tol):
-            return _report(cfg, FAIL, cert.residual, cert.root,
-                           {"reason": "strictness sampling failed"})
-        worst_fit = worse(worst_fit, axioms.polynomial_fit_residual(u, cert.root))
-    status = PASS if worst_sq <= SQRT_RESIDUAL_TARGET and worst_fit <= POLYFIT_RESIDUAL_TARGET else FAIL
-    return _report(cfg, status, worse(worst_sq, worst_fit),
-                   details={"square_residual": worst_sq, "poly_fit_residual": worst_fit})
+    x = _random_shape(rng, 1, 6)
+    u = random_unitary(Field.COMPLEX, x, rng)
+    cert = axioms.strict_sqrt_complex(u, cfg.tol)
+    if not axioms.is_strict_sqrt(u, cert.root, 50, rng, cfg.tol):
+        return _report(cfg, FAIL, cert.residual, cert.root,
+                       {"reason": "strictness sampling failed"})
+    unitarity = frobenius_distance(cert.root.dagger() @ cert.root, Morphism.identity(Field.COMPLEX, x))
+    return {"square_residual": (cert.residual, unitarity),
+            "poly_fit_residual": (axioms.polynomial_fit_residual(u, cert.root),)}
 
 
 @check("axioms.h5-scalar-refutation")
@@ -524,35 +538,32 @@ def check_hermitian_form_laws(cfg: CampaignConfig, rng: np.random.Generator):
 
 @law("reconstruct.uniformity", 200)
 def check_uniformity(cfg: CampaignConfig, rng: np.random.Generator):
-    x = _random_shape(rng, 1, 6)
-    u = random_morphism(cfg.field, UNIT, x, rng)
-    if u.norm() < 1e-3:
+    unit = _normalised_column(cfg, rng, _random_shape(rng, 1, 6))
+    if unit is None:
         return None
-    h = axioms.normalize_h4b(u, cfg.tol)
-    unit = u @ Morphism.single(h)
     return (abs(scalars.norm(reconstruct.inner_product(unit, unit)) - 1.0),)
 
 
-@check("reconstruct.copairing-isometry-biconditional")
-def check_copairing_biconditional(cfg: CampaignConfig, rng: np.random.Generator) -> Report:
+@law("reconstruct.copairing-isometry-biconditional", 200)
+def check_copairing_biconditional(cfg: CampaignConfig, rng: np.random.Generator):
     """Orthonormal lists and isometric copairings coincide, in both
-    directions."""
-    for trial in range(cfg.count(200)):
-        x = _random_shape(rng, 1, 6)
-        n = int(rng.integers(1, x.dim + 1))
-        if trial % 2 == 0:
-            b = random_dagger_mono(cfg.field, Obj(n), x, rng)
-        else:
-            b = column_block([random_morphism(cfg.field, UNIT, x, rng) for _ in range(n)])
-        residual = reconstruct.orthonormality_residual(b)
-        if not math.isfinite(residual):  # neither side of the biconditional can be read
-            return _report(cfg, FAIL, residual, details={"reason": "non-finite residual"})
-        orthonormal = residual <= 1e-6
-        isometric = is_dagger_mono(b, cfg.tol)
-        if orthonormal != isometric:
-            return _report(cfg, FAIL, residual,
-                           details={"orthonormal": orthonormal, "isometric": isometric})
-    return _report(cfg, PASS, 0.0)
+    directions: each sample is an isometry or a Gaussian column list,
+    with even odds."""
+    x = _random_shape(rng, 1, 6)
+    n = int(rng.integers(1, x.dim + 1))
+    if rng.random() < 0.5:
+        b = random_dagger_mono(cfg.field, Obj(n), x, rng)
+    else:
+        b = column_block([random_morphism(cfg.field, UNIT, x, rng) for _ in range(n)])
+    residual = reconstruct.orthonormality_residual(b)
+    if not math.isfinite(residual):  # neither side of the biconditional can be read
+        return _report(cfg, FAIL, residual, details={"reason": "non-finite residual"})
+    orthonormal = residual <= 1e-6
+    isometric = is_dagger_mono(b, cfg.tol)
+    if orthonormal != isometric:
+        return _report(cfg, FAIL, residual,
+                       details={"orthonormal": orthonormal, "isometric": isometric})
+    return ()
 
 
 @law("reconstruct.onb-is-full-biproduct", 200, target=RESIDUAL_TARGET)
@@ -656,29 +667,25 @@ def check_functor_dagger_additive(cfg: CampaignConfig, rng: np.random.Generator)
     )
 
 
-@check("reconstruct.functor-faithful")
-def check_functor_faithful(cfg: CampaignConfig, rng: np.random.Generator) -> Report:
+@law("reconstruct.functor-faithful", 200,
+     details=lambda cfg, reached: {"trials": cfg.count(200), "separated": reached})
+def check_functor_faithful(cfg: CampaignConfig, rng: np.random.Generator):
     """Distinct parallel morphisms are separated by some column from the
-    unit object.  A run in which no drawn pair was distinct is an ERROR,
-    not a pass."""
-    trials, dims = cfg.count(200), cfg.positive_dims()
-    separated = 0
-    for _ in range(trials):
-        x = Obj(int(rng.choice(dims)))
-        y = Obj(int(rng.choice(dims)))
-        f = random_morphism(cfg.field, x, y, rng)
-        g = random_morphism(cfg.field, x, y, rng)
-        distance = frobenius_distance(f, g)
-        if not math.isfinite(distance):  # a NaN pair is neither equal nor separated
-            return _report(cfg, FAIL, distance, details={"reason": "non-finite distance"})
-        if distance <= 1e-6:
-            continue
-        if reconstruct.separating_column(f, g, cfg.tol) is None:
-            return _report(cfg, FAIL, distance, f, {"reason": "no separating column"})
-        separated += 1
-    if not separated:
-        return _report(cfg, ERROR, details={"error": NO_SAMPLE})
-    return _report(cfg, PASS, 0.0, details={"trials": trials, "separated": separated})
+    unit object.  A pair that is not distinct is skipped, so a run in
+    which no drawn pair was distinct is an ERROR, not a pass."""
+    dims = cfg.positive_dims()
+    x = Obj(int(rng.choice(dims)))
+    y = Obj(int(rng.choice(dims)))
+    f = random_morphism(cfg.field, x, y, rng)
+    g = random_morphism(cfg.field, x, y, rng)
+    distance = frobenius_distance(f, g)
+    if not math.isfinite(distance):  # a NaN pair is neither equal nor separated
+        return _report(cfg, FAIL, distance, details={"reason": "non-finite distance"})
+    if distance <= 1e-6:
+        return None
+    if reconstruct.separating_column(f, g, cfg.tol) is None:
+        return _report(cfg, FAIL, distance, f, {"reason": "no separating column"})
+    return ()
 
 
 @check("reconstruct.scalar-witness")
@@ -724,7 +731,7 @@ def check_rank_objects(cfg: CampaignConfig, rng: np.random.Generator) -> Report:
             return _report(cfg, FAIL, 0.0, details={"rank": n})
         if onb:
             worst = worse(worst, reconstruct.orthonormality_residual(column_block(onb)))
-    return _verdict(cfg, worst)
+    return _report(cfg, PASS if worst <= cfg.tol.bound(1.0, 1.0) else FAIL, worst)
 
 
 # ---------------------------------------------------------------------------
