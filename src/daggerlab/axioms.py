@@ -467,23 +467,13 @@ class DirectedDiagram:
     def is_leq(self, a: Hashable, b: Hashable) -> bool:
         return a == b or (a, b) in self.leq
 
-    def upper_bound(self, a: Hashable, b: Hashable) -> Hashable:
-        for c in self.nodes:
-            if self.is_leq(a, c) and self.is_leq(b, c):
-                return c
-        raise DomainError(f"poset is not directed: {a!r}, {b!r} have no upper bound")
-
     def greatest(self) -> Hashable:
-        """Greatest element, located by folding upper bounds."""
-        if not self.nodes:
-            raise DomainError("a directed poset is nonempty; this diagram has no node")
-        top = self.nodes[0]
-        for n in self.nodes[1:]:
-            top = self.upper_bound(top, n)
-        for n in self.nodes:
-            if not self.is_leq(n, top):
-                raise DomainError("poset has no greatest element")
-        return top
+        """Greatest element: a finite poset is directed iff it has one."""
+        for top in self.nodes:
+            if all(self.is_leq(n, top) for n in self.nodes):
+                return top
+        raise DomainError("a finite directed poset is nonempty and has a greatest node; "
+                          "this diagram has none")
 
     def arrow(self, a: Hashable, b: Hashable) -> Morphism:
         if a == b:
@@ -492,7 +482,7 @@ class DirectedDiagram:
 
     def validate(self, tol: TolerancePolicy = DEFAULT_TOL) -> float:
         """Isometry and functoriality residual; raises on structural
-        problems (missing arrows, non-directedness)."""
+        problems (missing arrows, endpoints that disagree with objects)."""
         worst = 0.0
         for a, b in self.leq:
             k = self.arrows.get((a, b))
@@ -511,8 +501,6 @@ class DirectedDiagram:
                             self.arrow(b, c) @ self.arrow(a, b), self.arrow(a, c)
                         ),
                     )
-        for a, b in itertools.combinations(self.nodes, 2):
-            self.upper_bound(a, b)
         return worst
 
 

@@ -217,7 +217,7 @@ def _span_command(args: argparse.Namespace) -> int:
         "reports": [r.to_json() for r in reports],
     }
     lines = [
-        f"[{r.status.upper()}] dim={r.dim} rank={r.rank}/{r.target} words={r.words} seed={r.seed}"
+        f"[{r.status.upper()}] dim={r.dim} rank={r.rank}/{r.target} seed={r.seed}"
         for r in reports
     ]
     if _emit(args, payload, lines) != EXIT_OK:

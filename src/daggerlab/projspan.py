@@ -32,7 +32,6 @@ class SaturationReport:
     dim: int
     rank: int
     target: int
-    words: int
     seed: int
     status: str
 
@@ -45,7 +44,6 @@ class SaturationReport:
             "dim": self.dim,
             "rank": self.rank,
             "target": self.target,
-            "words": self.words,
             "seed": self.seed,
             "status": self.status,
         }
@@ -146,4 +144,4 @@ def saturation_check(
         status = "below-threshold (expected)"
     else:
         status = "fail"
-    return SaturationReport(dim, rank, target, rank, seed, status)
+    return SaturationReport(dim, rank, target, seed, status)

@@ -284,6 +284,52 @@ def test_nan_columns_fail_the_copairing_biconditional(monkeypatch, field):
     assert math.isnan(report.residual)
 
 
+H5_GROUPS = {"square_residual", "poly_fit_residual"}
+
+
+def test_nan_fit_fails_the_strict_sqrt_law(monkeypatch):
+    monkeypatch.setattr(axioms, "polynomial_fit_residual",
+                        _nan_after_first(axioms.polynomial_fit_residual))
+    report = campaigns.check_h5_strict_sqrt(CampaignConfig(field=Field.COMPLEX, seed=42, trials=3))
+    assert (report.axiom, report.status) == ("axioms.h5-strict-sqrt", FAIL)
+    assert math.isnan(report.residual) and math.isnan(report.details["poly_fit_residual"])
+    assert set(report.details) == H5_GROUPS
+
+
+def test_strict_sqrt_judges_each_group_against_its_own_target(monkeypatch):
+    # above the square-root target, within the polynomial-fit target
+    fit = 5e-8
+    assert campaigns.SQRT_RESIDUAL_TARGET < fit <= campaigns.POLYFIT_RESIDUAL_TARGET
+    monkeypatch.setattr(axioms, "polynomial_fit_residual", lambda u, v: fit)
+    report = campaigns.check_h5_strict_sqrt(CampaignConfig(field=Field.COMPLEX, seed=42, trials=3))
+    assert (report.status, report.residual) == (PASS, fit)
+    assert set(report.details) == H5_GROUPS
+    assert report.details["square_residual"] <= campaigns.SQRT_RESIDUAL_TARGET
+
+
+def test_failed_strictness_sampling_fails_the_strict_sqrt_law(monkeypatch):
+    monkeypatch.setattr(axioms, "is_strict_sqrt", lambda *args, **kwargs: False)
+    report = campaigns.check_h5_strict_sqrt(CampaignConfig(field=Field.COMPLEX, seed=42, trials=3))
+    assert (report.axiom, report.status) == ("axioms.h5-strict-sqrt", FAIL)
+    assert report.details == {"reason": "strictness sampling failed"}
+
+
+@pytest.mark.parametrize("isometric", [True, False])
+def test_constant_isometry_test_fails_the_copairing_biconditional(monkeypatch, isometric):
+    # a Gaussian column list reads isometric, or an isometry reads not
+    # isometric: each needs its kind of sample drawn
+    monkeypatch.setattr(campaigns, "is_dagger_mono", lambda *args, **kwargs: isometric)
+    report = campaigns.check_copairing_biconditional(CampaignConfig(field=Field.COMPLEX, seed=42))
+    assert (report.axiom, report.status) == ("reconstruct.copairing-isometry-biconditional", FAIL)
+    assert report.details == {"orthonormal": not isometric, "isometric": isometric}
+
+
+def test_functor_faithful_counts_its_separated_pairs():
+    report = campaigns.check_functor_faithful(CampaignConfig(field=Field.COMPLEX, seed=42, trials=20))
+    assert (report.status, report.residual) == (PASS, 0.0)
+    assert report.details == {"trials": 20, "separated": 20}
+
+
 def test_saturation_monotonicity_computes_each_rank_once(monkeypatch):
     cfg = CampaignConfig(field=Field.COMPLEX, seed=42)
     expected = campaigns.check_saturation_monotonicity(cfg).to_json()

@@ -115,7 +115,7 @@ def test_saturation_rank_with_row_reduction_oracle(dim, expected):
 def test_saturation_check_reports():
     rep = saturation_check(2, seed=1)
     assert rep.to_json() == {
-        "dim": 2, "rank": 8, "target": 8, "words": rep.words, "seed": 1, "status": "pass",
+        "dim": 2, "rank": 8, "target": 8, "seed": 1, "status": "pass",
     }
 
 
@@ -190,8 +190,7 @@ def test_word_closure_matches_the_word_by_word_reference(dim, seed, max_len):
 def test_word_closure_keeps_its_word_counts(seed, max_len, counts):
     """The kept words are a basis of the saturated span: 2n^2 of them."""
     reports = {dim: saturation_check(dim, seed, max_len) for dim in counts}
-    assert {dim: rep.words for dim, rep in reports.items()} == counts
-    assert all(rep.rank == rep.words for rep in reports.values())
+    assert {dim: rep.rank for dim, rep in reports.items()} == counts
 
 
 def _all_words(gens, max_len):
@@ -294,7 +293,7 @@ def test_closure_rejects_a_length_cap_below_one(max_len):
 
 
 def test_saturation_rejects_a_negative_generator_count():
-    assert saturation_check(3, seed=0, count=0).words > 0
+    assert saturation_check(3, seed=0, count=0).rank > 0
     with pytest.raises(DomainError):
         saturation_check(3, seed=0, count=-3)
     with pytest.raises(DomainError):

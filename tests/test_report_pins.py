@@ -20,17 +20,17 @@ def _dims(first, last):
 
 PINS = [
     (["lemmas", "--field", "C", "--trials", "20"],
-     "aefa9929209642822ad15bcabc387e107ba73e6bd5d404f5e9dc8878f69b1ee0", 0),
+     "098be715686953b571a2974a9481e8c9d404610c71b50c494d8700fb4ae63841", 0),
     (["lemmas", "--field", "R", "--trials", "20"],
-     "bed7bbdeb43dce089a6d34cf930b428ad9dcea8f159f9f55fab91ad7b694c17b", 0),
+     "bc685bacb11b40176074a9837d7c6ae3b7dbe1ecbf8f342da853a75d1552520a", 0),
     (["lemmas", "--field", "H", "--trials", "30"],
-     "be73c8f5270fe6dc090953c2089858ee1350f445983505b8dac3929fa74a3841", 0),
+     "d25885267fa7beee3828033f2f0951f9488e4ecda166a8109b99ec902cd95345", 0),
     (["lemmas", "--field", "C", "--trials", "1", "--seed", "12"],
-     "5bf6e743b13678d5c905ada2c79b5da91e39df7fb51fd2f2034dbe219d8a5505", 3),
+     "e861cb6173e840935f169e5197cf8c7b3f294b2f592b4e1a1af0718d8563ca28", 3),
     (["reconstruct", "--field", "C", "--trials", "20"],
      "c0c12d065979d530e5856b93cac6fc1f91436cbf8156ca4b20ae715d9a5c7392", 0),
     (["reconstruct", "--field", "H", "--trials", "20"],
-     "6b5bb4d543eedb6b98fcc2118c133cc3126e9733a45d7c0b3b7c89b75c5e42d2", 0),
+     "c4d578b273e10ef51f3309ea13a70634c482d56b513b214786eac9390a1a8b6f", 0),
     (["verify-axioms", "--field", "R", "--dims", _dims(0, 12), "--trials", "5"],
      "55c053441aff9875648c0966a9fdb1dc72ed42d1b6e8253940723961873ad742", 1),
     (["verify-axioms", "--field", "H", "--dims", _dims(0, 8), "--trials", "5"],
@@ -41,7 +41,7 @@ PINS = [
       "--tol-abs", "0", "--tol-rel", "0"],
      "03d3c3990ff0f166dfaa16d80209e0836117ece5ab8a3be3ea996edec0764865", 3),
     (["span", "--dims", _dims(2, 7)],
-     "9f00bd58c32c2a4541d91fc6b6b6ad1009821bd60341e0b990dbc75c3b04b497", 0),
+     "8d8e23f85b0577cfcbfa8c6d9284937dcd3cca6626cb7698149d396c5ed4f795", 0),
 ]
 
 
