@@ -74,16 +74,15 @@ def verify_biproduct(bp: Biproduct, tol: TolerancePolicy = DEFAULT_TOL) -> tuple
 
     Returns (ok, worst residual)."""
     f, g = bp.inj_left, bp.inj_right
+    f_dagger, g_dagger = f.dagger(), g.dagger()
     id_left = Morphism.identity(f.field, f.dom)
     id_right = Morphism.identity(g.field, g.dom)
     id_total = Morphism.identity(f.field, bp.total)
     residuals = [
-        frobenius_distance(f.dagger() @ f, id_left),
-        frobenius_distance(g.dagger() @ g, id_right),
-        (g.dagger() @ f).norm(),
-        frobenius_distance(
-            derived_add(f @ f.dagger(), g @ g.dagger()), id_total
-        ),
+        frobenius_distance(f_dagger @ f, id_left),
+        frobenius_distance(g_dagger @ g, id_right),
+        (g_dagger @ f).norm(),
+        frobenius_distance(derived_add(f @ f_dagger, g @ g_dagger), id_total),
     ]
     worst = worse(*residuals)
     scale = max(1.0, id_total.norm())

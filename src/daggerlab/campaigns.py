@@ -59,6 +59,7 @@ from .matcat import (
     Morphism,
     Obj,
     UNIT,
+    approx_eq,
     column_block,
     column_distances,
     column_norms,
@@ -274,20 +275,32 @@ def check_dagger_simple_dimension(cfg: CampaignConfig, rng: np.random.Generator)
     return _report(cfg, PASS, 0.0)
 
 
-def _normalised_column(cfg: CampaignConfig, rng: np.random.Generator, x: Obj) -> Morphism | None:
-    """A random column into `x` scaled by its H4b normaliser, or None
-    for a column too short to normalise."""
+def _not_positive_real(cfg: CampaignConfig, u: Morphism, uu: Morphism) -> Report | None:
+    """A FAIL with the column u as witness, unless its squared length
+    uu = <u, u> is real and positive (a NaN is neither)."""
+    w, *imaginary = uu.entries[0, 0]
+    if w > cfg.tol.abs_eps and max(map(abs, imaginary)) <= cfg.tol.abs_eps:
+        return None
+    return _report(cfg, FAIL, 0.0, u, {"reason": "squared length not positive real"})
+
+
+def _normalised_column(cfg: CampaignConfig, rng: np.random.Generator,
+                       x: Obj) -> Morphism | Report | None:
+    """A random column into `x` scaled by its H4b normaliser; None for a
+    column too short to normalise, and a FAIL if its squared length is
+    not real and positive, which the normaliser presumes."""
     u = random_morphism(cfg.field, UNIT, x, rng)
     if u.norm() < 1e-3:
         return None
-    return u @ Morphism.single(axioms.normalize_h4b(u, cfg.tol))
+    return (_not_positive_real(cfg, u, u.dagger() @ u)
+            or u @ Morphism.single(axioms.normalize_h4b(u)))
 
 
 @law("axioms.unique-simple-object", 100)
 def check_unique_simple_object(cfg: CampaignConfig, rng: np.random.Generator):
     iso = _normalised_column(cfg, rng, UNIT)
-    if iso is None:
-        return None
+    if not isinstance(iso, Morphism):
+        return iso
     ident = Morphism.identity(cfg.field, UNIT)
     return (
         frobenius_distance(iso.dagger() @ iso, ident),
@@ -420,13 +433,22 @@ def check_h1(cfg: CampaignConfig) -> Report:
 @law("axioms.h2-directed-colimits", 50, target=COLIMIT_RESIDUAL_TARGET)
 def check_h2_directed_colimits(cfg: CampaignConfig, rng: np.random.Generator):
     diagram = axioms.random_directed_diagram(cfg.field, rng)
-    cocone = axioms.finite_directed_colimit(diagram, cfg.tol)
+    residual = diagram.validate()
+    if not residual <= cfg.tol.bound(1.0, 1.0):
+        return _report(cfg, FAIL, residual, details={"reason": "not a diagram of isometries"})
+    cocone = axioms.finite_directed_colimit(diagram)
     residuals = [cocone.commutation_residual(diagram)]
     for _ in range(2):  # two competing cocones per diagram
         extra = int(rng.integers(0, 3))
         m = random_dagger_mono(cfg.field, cocone.apex, Obj(cocone.apex.dim + extra), rng)
         competing = {n: m @ leg for n, leg in cocone.legs.items()}
-        u = axioms.mediating_dagger_mono(cocone, competing, cfg.tol)
+        u = axioms.mediating_dagger_mono(cocone, competing)
+        if not is_dagger_mono(u, cfg.tol):
+            return _report(cfg, FAIL, 0.0, u, {"reason": "mediator is not an isometry"})
+        for n, leg in cocone.legs.items():
+            if not approx_eq(u @ leg, competing[n], cfg.tol):
+                return _report(cfg, FAIL, frobenius_distance(u @ leg, competing[n]), u,
+                               {"reason": f"mediator fails at node {n!r}"})
         residuals.append(frobenius_distance(u, m))
     return residuals
 
@@ -448,8 +470,8 @@ def check_h3_complement(cfg: CampaignConfig, rng: np.random.Generator):
 def _normalisation_sample(cfg: CampaignConfig, rng: np.random.Generator):
     """H4b on a random nonzero column: the normalised column is an isometry."""
     iso = _normalised_column(cfg, rng, _random_shape(rng, 1, 6))
-    if iso is None:
-        return None
+    if not isinstance(iso, Morphism):
+        return iso
     return (frobenius_distance(iso.dagger() @ iso, Morphism.identity(cfg.field, UNIT)),)
 
 
@@ -474,7 +496,9 @@ def check_h5_strict_sqrt(cfg: CampaignConfig, rng: np.random.Generator):
     the square, unitarity, strictness sampling and the polynomial fit."""
     x = _random_shape(rng, 1, 6)
     u = random_unitary(Field.COMPLEX, x, rng)
-    cert = axioms.strict_sqrt_complex(u, cfg.tol)
+    if not is_dagger_iso(u, cfg.tol):
+        return _report(cfg, FAIL, 0.0, u, {"reason": "drawn unitary is not unitary"})
+    cert = axioms.strict_sqrt_complex(u)
     if not axioms.is_strict_sqrt(u, cert.root, 50, rng, cfg.tol):
         return _report(cfg, FAIL, cert.residual, cert.root,
                        {"reason": "strictness sampling failed"})
@@ -529,18 +553,16 @@ def check_hermitian_form_laws(cfg: CampaignConfig, rng: np.random.Generator):
         # conjugate symmetry
         frobenius_distance(huv, endo.star(herm(v, u))),
     )
-    # anisotropy: the squared length is real and positive for u != 0
-    uu = herm(u, u).entries[0, 0]  # components w, x, y, z
-    if u.norm() > 1e-3 and (uu[0] <= 0 or abs(uu[1]) + abs(uu[2]) + abs(uu[3]) > cfg.tol.abs_eps):
-        return _report(cfg, FAIL, 0.0, u, {"reason": "squared length not positive real"})
+    if u.norm() > 1e-3:  # anisotropy: the squared length is real and positive for u != 0
+        return _not_positive_real(cfg, u, herm(u, u)) or residuals
     return residuals
 
 
 @law("reconstruct.uniformity", 200)
 def check_uniformity(cfg: CampaignConfig, rng: np.random.Generator):
     unit = _normalised_column(cfg, rng, _random_shape(rng, 1, 6))
-    if unit is None:
-        return None
+    if not isinstance(unit, Morphism):
+        return unit
     return (abs(scalars.norm(reconstruct.inner_product(unit, unit)) - 1.0),)
 
 

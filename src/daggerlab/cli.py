@@ -23,6 +23,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import projspan
 from .axioms import strict_sqrt_complex
 from .campaigns import (
@@ -31,8 +33,8 @@ from .campaigns import (
     run_lemma_suite,
     run_reconstruction_suite,
 )
-from .errors import DaggerLabError
-from .matcat import Morphism
+from .errors import DaggerLabError, DomainError
+from .matcat import Morphism, is_dagger_iso
 from .reports import ERROR, PASS
 from .scalars import Field, TolerancePolicy
 
@@ -225,6 +227,19 @@ def _span_command(args: argparse.Namespace) -> int:
     return EXIT_OK if all(r.ok for r in reports) else EXIT_VIOLATION
 
 
+def _require_unitary(u: Morphism, tol: TolerancePolicy) -> None:
+    """Reject outside input that is not a complex unitary with its
+    spectrum on the unit circle, which `strict_sqrt_complex` presumes.
+    Input over another field, or not square, is left to its own raise."""
+    if u.field is not Field.COMPLEX or u.dom != u.cod:
+        return
+    if not is_dagger_iso(u, tol):
+        raise DomainError("input is not unitary")
+    moduli = np.abs(np.linalg.eigvals(u.complex_view()))
+    if u.dom.dim and np.max(np.abs(moduli - 1.0)) > 1e3 * tol.abs_eps:
+        raise DomainError("spectrum is not on the unit circle")
+
+
 def _sqrt_command(args: argparse.Namespace) -> int:
     try:
         if args.input == "-":
@@ -243,7 +258,8 @@ def _sqrt_command(args: argparse.Namespace) -> int:
         return EXIT_INPUT
 
     try:
-        cert = strict_sqrt_complex(morphism, TolerancePolicy(args.tol_abs, args.tol_rel))
+        _require_unitary(morphism, TolerancePolicy(args.tol_abs, args.tol_rel))
+        cert = strict_sqrt_complex(morphism)
     except DaggerLabError as exc:
         print(f"cannot take a strict square root: {exc}", file=sys.stderr)
         return EXIT_INPUT

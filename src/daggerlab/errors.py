@@ -26,10 +26,6 @@ class NoMorphismError(DaggerLabError):
     unit object into the zero object)."""
 
 
-class NotNormalizableError(DaggerLabError):
-    """A zero column cannot be rescaled to an isometry."""
-
-
 class UnsupportedFieldError(DaggerLabError):
     """The operation is only defined over a different scalar field."""
 

@@ -186,7 +186,7 @@ def scalar_field_witness(
     k1 + k2; the campaign check judges the sum and the magnitudes.
     """
     delta = diagonal_pair(field, UNIT).diagonal
-    h = normalize_h4b(delta, tol)
+    h = normalize_h4b(delta)
     m = delta @ Morphism.single(h)
     f = complement_h3(m, tol)
     g = construct_h4a(field, f.dom)

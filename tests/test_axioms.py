@@ -29,7 +29,7 @@ from daggerlab import axioms, campaigns, matcat
 from daggerlab.errors import (
     DomainError,
     NoMorphismError,
-    NotNormalizableError,
+    ShapeMismatchError,
     UnsupportedFieldError,
 )
 from daggerlab.matcat import (
@@ -96,9 +96,12 @@ def test_complement_diagonal_direction():
     assert ok and residual < 1e-12
 
 
-def test_complement_rejects_non_mono():
-    with pytest.raises(DomainError):
-        complement_h3(Morphism.from_real(Field.REAL, [[1], [1]]))
+def test_complement_of_a_non_mono_fails_the_biproduct_laws():
+    # complement_h3 presumes an isometry and judges nothing; the laws that
+    # the H3 check reads the pair against reject it (f-dagger . f = 2)
+    f = Morphism.from_real(Field.REAL, [[1], [1]])
+    ok, residual = verify_biproduct(Biproduct.from_injections(f, complement_h3(f)))
+    assert not ok and residual >= 1.0
 
 
 @pytest.mark.parametrize("field", ALL_FIELDS)
@@ -138,8 +141,9 @@ def test_normalize_h4b_examples():
     j = Morphism.single(Scalar(Field.QUATERNION, 0, 0, 1, 0))
     assert abs(normalize_h4b(j).w - 1.0) < 1e-15
 
-    with pytest.raises(NotNormalizableError):
-        normalize_h4b(Morphism.zero(Field.COMPLEX, UNIT, Obj(2)))
+    # outside its precondition the normaliser is computed, not judged
+    with np.errstate(divide="ignore"):
+        assert math.isinf(normalize_h4b(Morphism.zero(Field.COMPLEX, UNIT, Obj(2))).w)
 
 
 # -- H5 over C ---------------------------------------------------------
@@ -176,8 +180,10 @@ def test_strict_sqrt_minus_identity_is_scalar():
 
 
 def test_strict_sqrt_rejects_bad_input():
-    with pytest.raises(DomainError):
-        strict_sqrt_complex(Morphism.from_complex([[2.0 + 0j]]))
+    # only structural input: the `sqrt` command and the H5 check judge
+    # unitarity before they ask for a root
+    with pytest.raises(ShapeMismatchError):
+        strict_sqrt_complex(Morphism.from_complex([[1.0 + 0j, 0j]]))
     with pytest.raises(UnsupportedFieldError):
         strict_sqrt_complex(Morphism.identity(Field.REAL, Obj(2)))
 
@@ -824,25 +830,50 @@ def test_non_directed_poset_rejected():
         finite_directed_colimit(d)
 
 
-def test_non_functorial_diagram_rejected():
+def _h2_on(monkeypatch, diagram):
+    """The H2 check with every drawn diagram replaced by `diagram`."""
+    monkeypatch.setattr(axioms, "random_directed_diagram", lambda field, rng: diagram)
+    return campaigns.check_h2_directed_colimits(
+        campaigns.CampaignConfig(field=diagram.field, seed=42, trials=3))
+
+
+def _assert_h2_rejects_the_diagram(monkeypatch, bad):
+    report = _h2_on(monkeypatch, bad)
+    assert (report.axiom, report.status) == ("axioms.h2-directed-colimits", "fail")
+    assert report.details == {"reason": "not a diagram of isometries"}
+    residual = bad.validate()
+    assert report.residual == residual or math.isnan(report.residual) and math.isnan(residual)
+
+
+def test_non_functorial_diagram_rejected(monkeypatch):
     d = _chain_diagram(Field.REAL)
+    assert _h2_on(monkeypatch, d).status == "pass"
     arrows = dict(d.arrows)
     arrows[(1, 3)] = Morphism.from_real(Field.REAL, [[0], [0], [1]])
     bad = DirectedDiagram(d.field, d.nodes, d.leq, d.objects, arrows)
     assert bad.validate() > 0.5
-    with pytest.raises(DomainError):
-        finite_directed_colimit(bad)
+    _assert_h2_rejects_the_diagram(monkeypatch, bad)
 
 
 @pytest.mark.parametrize("factor", [1.5, math.nan])
 @pytest.mark.parametrize("field", ALL_FIELDS)
-def test_diagram_with_a_non_isometric_arrow_rejected(field, factor):
+def test_diagram_with_a_non_isometric_arrow_rejected(monkeypatch, field, factor):
     d = _chain_diagram(field)
     arrows = {k: matcat.scaled(a, factor) if k == (1, 2) else a for k, a in d.arrows.items()}
     arrows[(1, 3)] = arrows[(2, 3)] @ arrows[(1, 2)]  # still functorial
     bad = DirectedDiagram(d.field, d.nodes, d.leq, d.objects, arrows)
     assert not bad.validate() <= 0.5  # 1.25, or NaN
-    with pytest.raises(DomainError):
+    _assert_h2_rejects_the_diagram(monkeypatch, bad)
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS)
+def test_missing_arrow_rejected(field):
+    d = _chain_diagram(field)
+    arrows = {k: a for k, a in d.arrows.items() if k != (1, 3)}
+    bad = DirectedDiagram(d.field, d.nodes, d.leq, d.objects, arrows)
+    with pytest.raises(DomainError, match="missing arrow for 1 <= 3"):
+        bad.validate()
+    with pytest.raises(DomainError, match="missing arrow for 1 <= 3"):
         finite_directed_colimit(bad)
 
 
@@ -860,10 +891,14 @@ def test_random_colimits_and_mediators(field):
         assert is_dagger_mono(u)
 
 
-def test_mediating_rejects_wrong_cocone():
-    d = _chain_diagram(Field.REAL)
-    cocone = finite_directed_colimit(d)
-    rng = np.random.default_rng(17)
-    bogus = {n: random_morphism(Field.REAL, d.objects[n], Obj(4), rng) for n in d.nodes}
-    with pytest.raises(DomainError):
-        mediating_dagger_mono(cocone, bogus)
+@pytest.mark.parametrize("field", ALL_FIELDS)
+def test_h2_rejects_a_competing_cocone_that_is_not_isometric(monkeypatch, field):
+    # mediating_dagger_mono presumes a cocone of isometries; the H2 check
+    # judges its mediator, here twice the competing isometry
+    monkeypatch.setattr(campaigns, "random_dagger_mono",
+                        lambda *args: matcat.scaled(random_dagger_mono(*args), 2.0))
+    report = campaigns.check_h2_directed_colimits(
+        campaigns.CampaignConfig(field=field, seed=42, trials=3))
+    assert (report.axiom, report.status) == ("axioms.h2-directed-colimits", "fail")
+    assert report.details == {"reason": "mediator is not an isometry"}
+    assert not is_dagger_mono(report.witness) and is_dagger_mono(matcat.scaled(report.witness, 0.5))

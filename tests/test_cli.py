@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 import daggerlab
+from daggerlab import axioms
 from daggerlab.cli import build_parser, main
 from daggerlab.matcat import Morphism
+from daggerlab.scalars import Field
 from test_report_pins import PINS
 
 SRC = Path(daggerlab.__file__).resolve().parent.parent
@@ -180,6 +182,17 @@ def test_sqrt_non_unitary_input(tmp_path, capsys):
     assert main(["sqrt", "--input", str(src)]) == 2
 
 
+@pytest.mark.parametrize("entry, flags, reason", [
+    (2.0, [], "input is not unitary"),
+    (1.1, ["--tol-rel", "1"], "spectrum is not on the unit circle"),
+])
+def test_sqrt_names_why_its_input_has_no_strict_root(tmp_path, capsys, entry, flags, reason):
+    src = tmp_path / "m.json"
+    src.write_text(json.dumps(Morphism.from_complex([[entry + 0j]]).to_json()))
+    assert main(["sqrt", "--input", str(src), *flags]) == 2
+    assert capsys.readouterr().err == f"cannot take a strict square root: {reason}\n"
+
+
 def test_seed_env_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("DAGGERLAB_SEED", "42")
     a = tmp_path / "env.json"
@@ -268,21 +281,36 @@ def test_text_format_streams_lines(capsys):
     assert "rank=8/8" in out
 
 
-def test_crashing_check_exits_3_without_traceback(tmp_path, capsys):
+def test_crashing_check_exits_3_without_traceback(tmp_path, capsys, monkeypatch):
+    # an empty diagram has no greatest node: a structural raise of the
+    # colimit construction, not a verdict on the category
+    empty = axioms.DirectedDiagram(Field.COMPLEX, (), frozenset(), {}, {})
+    monkeypatch.setattr(axioms, "random_directed_diagram", lambda field, rng: empty)
     out = tmp_path / "r.json"
-    argv = ["verify-axioms", "--field", "C", "--dims", "1,2", "--trials", "2",
-            "--tol-abs", "0", "--tol-rel", "0", "--seed", "42"]
+    argv = ["verify-axioms", "--field", "C", "--dims", "1,2", "--trials", "2", "--seed", "42"]
     assert main(argv + ["--format", "json", "--out", str(out)]) == 3
     payload = json.loads(out.read_text())
     assert payload["passed"] is False
     errors = [r for r in payload["reports"] if r["status"] == "error"]
-    assert errors and all(r["details"]["error"].startswith("DomainError: ") for r in errors)
+    assert [r["axiom"] for r in errors] == ["H2"]
+    assert errors[0]["details"]["error"].startswith("DomainError: a finite directed poset")
     assert [r["axiom"] for r in payload["reports"]] == ["H1", "H2", "H3", "H4", "H5"]
     assert "Traceback" not in capsys.readouterr().err
 
     assert main(argv) == 3
     text = capsys.readouterr().out
     assert "[ERROR] H2 " in text and "RAISED" in text.splitlines()[-1]
+
+
+def test_zero_tolerances_give_verdicts_not_errors(tmp_path):
+    # every residual of rounding size now fails where a library guard
+    # raised before; H1's canonical biproducts are exact
+    out = tmp_path / "r.json"
+    argv = ["verify-axioms", "--field", "C", "--dims", "1,2", "--trials", "2",
+            "--tol-abs", "0", "--tol-rel", "0", "--seed", "42"]
+    assert main(argv + ["--format", "json", "--out", str(out)]) == 1
+    statuses = {r["axiom"]: r["status"] for r in json.loads(out.read_text())["reports"]}
+    assert statuses == {"H1": "pass", "H2": "fail", "H3": "fail", "H4": "fail", "H5": "fail"}
 
 
 def test_check_that_draws_no_sample_exits_3(tmp_path, capsys):
