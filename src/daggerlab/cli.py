@@ -230,13 +230,16 @@ def _span_command(args: argparse.Namespace) -> int:
 def _require_unitary(u: Morphism, tol: TolerancePolicy) -> None:
     """Reject outside input that is not a complex unitary with its
     spectrum on the unit circle, which `strict_sqrt_complex` presumes.
-    Input over another field, or not square, is left to its own raise."""
+    The moduli may miss 1 by 1e3 times the absolute tolerance, but never
+    by less than 1e3 machine epsilons, since computed eigenvalues of an
+    exact unitary miss it by rounding.  Input over another field, or not
+    square, is left to its own raise."""
     if u.field is not Field.COMPLEX or u.dom != u.cod:
         return
     if not is_dagger_iso(u, tol):
         raise DomainError("input is not unitary")
     moduli = np.abs(np.linalg.eigvals(u.complex_view()))
-    if u.dom.dim and np.max(np.abs(moduli - 1.0)) > 1e3 * tol.abs_eps:
+    if u.dom.dim and np.max(np.abs(moduli - 1.0)) > 1e3 * max(tol.abs_eps, np.finfo(float).eps):
         raise DomainError("spectrum is not on the unit circle")
 
 

@@ -29,10 +29,3 @@ class NoMorphismError(DaggerLabError):
 class UnsupportedFieldError(DaggerLabError):
     """The operation is only defined over a different scalar field."""
 
-
-class ResidualError(DaggerLabError):
-    """A reconstruction left a residual above tolerance."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(f"{message} (residual={residual:.3e})")
-        self.residual = residual

@@ -21,7 +21,7 @@ from .biproduct import (
     nfold_biproduct,
     orthonormal_columns,
 )
-from .errors import ResidualError, ShapeMismatchError
+from .errors import ShapeMismatchError
 from .matcat import (
     Morphism,
     Obj,
@@ -30,7 +30,6 @@ from .matcat import (
     approx_eq,
     basis_column,
     column_block,
-    frobenius_distance,
 )
 from .scalars import DEFAULT_TOL, Field, Scalar, TolerancePolicy
 from .scalars import inv as scalar_inv
@@ -102,16 +101,6 @@ def onb_expansion(u: Morphism, b: Morphism) -> tuple[Morphism, Morphism]:
     for j in range(b.dom.dim):
         recon = derived_add(recon, b.col(j) @ coeffs.row(j))
     return coeffs, recon
-
-
-def onb_expand(u: Morphism, b: Morphism, tol: TolerancePolicy = DEFAULT_TOL) -> list[Scalar]:
-    """Coefficients of u in an orthonormal basis B, c_i = e_i-dagger . u,
-    checked by the reconstruction sum of `onb_expansion` against u."""
-    coeffs, recon = onb_expansion(u, b)
-    residual = frobenius_distance(u, recon)
-    if residual > tol.bound(u.norm(), recon.norm()):
-        raise ResidualError("basis does not span the expanded vector", residual)
-    return [coeffs.entry(i, 0) for i in range(b.dom.dim)]
 
 
 def projection_of_subspace(b: Morphism) -> Morphism:

@@ -13,12 +13,11 @@ from .errors import DomainError, NoMorphismError
 from .matcat import (
     Morphism,
     Obj,
-    UNIT,
     component_stack,
-    compose,
     coordinate_projections,
     from_components,
     isometry_factor,
+    native_stack,
     outer_products,
     unit_columns,
 )
@@ -63,26 +62,23 @@ def random_unit_column(field: Field, obj: Obj, rng: np.random.Generator) -> Morp
     return random_dagger_mono(field, Obj(1), obj, rng)
 
 
-def random_rank1_projections(
-    field: Field, obj: Obj, count: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Stacked native arrays of `count` random rank-1 projections v .
-    v-dagger, the same ones as for `count` calls of `random_unit_column`
-    in a row.
+def _rank1_block(field: Field, dim: int, count: int, rng: np.random.Generator,
+                 through: np.ndarray | None = None) -> np.ndarray:
+    """Stacked native arrays of `count` projections v . v-dagger, v a
+    Gaussian column (first multiplied by the native array `through`, if
+    given) divided by its length.
 
     The Gaussian columns are drawn as one block, the same stream as one
     column at a time.  A column that Gram-Schmidt would drop (shorter
     than DROP_EPS) is skipped, and one more block draws the columns
     still missing, so each replacement is the draw that follows, as in
     the sequential retry."""
-    if obj.dim == 0:
-        raise NoMorphismError("the zero object carries no unit column")
     if count < 0:
         raise DomainError(f"cannot draw {count} projections")
 
     def draw(n: int) -> np.ndarray:
-        columns = component_stack(field, rng.normal(0.0, 1.0, (n, obj.dim, 1, field.width)))
-        return unit_columns(columns)
+        columns = component_stack(field, rng.normal(0.0, 1.0, (n, dim, 1, field.width)))
+        return unit_columns(columns if through is None else through @ columns)
 
     units = draw(count)
     while len(units) < count:
@@ -90,28 +86,37 @@ def random_rank1_projections(
     return outer_products(units)
 
 
+def random_rank1_projections(
+    field: Field, obj: Obj, count: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Stacked native arrays of `count` random rank-1 projections v .
+    v-dagger, the same ones as for `count` calls of `random_unit_column`
+    in a row, drawn as one block (`_rank1_block`)."""
+    if obj.dim == 0:
+        raise NoMorphismError("the zero object carries no unit column")
+    return _rank1_block(field, obj.dim, count, rng)
+
+
 def probe_projections(
     field: Field, obj: Obj, count: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Stacked native arrays of the coordinate projections of obj
-    followed by `count` random rank-1 projections: the family on which
-    the H5 strictness check and the projection words test commutation.
-    The coordinate half draws nothing, so the rank-1 half is the stream
-    of `random_rank1_projections` alone."""
+    followed by `count` random rank-1 projections: the generators of the
+    projection words.  The coordinate half draws nothing, so the rank-1
+    half is the stream of `random_rank1_projections` alone."""
     return np.concatenate([
         coordinate_projections(field, obj.dim),
         random_rank1_projections(field, obj, count, rng),
     ])
 
 
-def random_rank1_subprojection(p: Morphism, rng: np.random.Generator) -> Morphism:
-    """w . w-dagger for a random unit column w in the range of the
-    projection p: p applied to a Gaussian column, divided by its length.
-    A column that Gram-Schmidt would drop is drawn again."""
-    while True:
-        w = isometry_factor(compose(p, random_morphism(p.field, UNIT, p.cod, rng)))
-        if w is not None:
-            return compose(w, w.dagger())
+def random_rank1_subprojections(p: Morphism, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Stacked native arrays of `count` projections w . w-dagger for
+    random unit columns w in the range of the projection p: p applied to
+    a Gaussian column, divided by its length.  The columns are one block
+    (`_rank1_block`), the same stream as `count` calls of
+    `random_morphism(p.field, UNIT, p.cod, rng)` in a row."""
+    return _rank1_block(p.field, p.cod.dim, count, rng, through=native_stack([p]))
 
 
 def random_coordinate_projection(

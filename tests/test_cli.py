@@ -13,7 +13,8 @@ import pytest
 import daggerlab
 from daggerlab import axioms
 from daggerlab.cli import build_parser, main
-from daggerlab.matcat import Morphism
+from daggerlab.matcat import Morphism, Obj
+from daggerlab.sampling import random_unitary
 from daggerlab.scalars import Field
 from test_report_pins import PINS
 
@@ -191,6 +192,18 @@ def test_sqrt_names_why_its_input_has_no_strict_root(tmp_path, capsys, entry, fl
     src.write_text(json.dumps(Morphism.from_complex([[entry + 0j]]).to_json()))
     assert main(["sqrt", "--input", str(src), *flags]) == 2
     assert capsys.readouterr().err == f"cannot take a strict square root: {reason}\n"
+
+
+def test_sqrt_of_a_unitary_at_zero_absolute_tolerance(tmp_path, capsys):
+    # the computed spectrum of a genuine unitary misses the unit circle
+    # by rounding, which a zero absolute tolerance must not reject
+    u = random_unitary(Field.COMPLEX, Obj(3), np.random.default_rng(0))
+    src, out = tmp_path / "u.json", tmp_path / "cert.json"
+    src.write_text(json.dumps(u.to_json()))
+    assert main(["sqrt", "--input", str(src), "--out", str(out), "--tol-abs", "0"]) == 0
+    assert capsys.readouterr().err == ""
+    root = Morphism.from_json(json.loads(out.read_text())["root"]).complex_view()
+    assert np.linalg.norm(root @ root - u.complex_view()) <= 1e-12
 
 
 def test_seed_env_fallback(tmp_path, monkeypatch):

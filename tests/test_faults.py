@@ -8,8 +8,10 @@ category without positivity, whose every hypothesis is read and judged
 by a check instead of ending a check in a library guard.
 """
 
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from daggerlab import axioms, campaigns, cli, matcat, reconstruct, scalars
@@ -63,6 +65,25 @@ def transpose_dagger(monkeypatch):
                         lambda m: matcat._wrap(m.field, m.cod, m.dom, m._a.T))
 
 
+def scaled_dagger(monkeypatch):
+    """The dagger times 1 + 1e-6."""
+    dagger = Morphism.dagger
+    monkeypatch.setattr(Morphism, "dagger", lambda m: matcat.scaled(dagger(m), 1.0 + 1e-6))
+
+
+def rotated_root(monkeypatch):
+    """The strict root times the phase e^(i 1e-6), with the certificate's
+    residual left at the genuine root's."""
+    strict_sqrt = axioms.strict_sqrt_complex
+
+    def rotated(u):
+        cert = strict_sqrt(u)
+        root = Morphism.from_complex(cert.root.complex_view() * np.exp(1e-6j))
+        return dataclasses.replace(cert, root=root)
+
+    monkeypatch.setattr(axioms, "strict_sqrt_complex", rotated)
+
+
 def _reason_starts(prefix):
     return lambda r: r.details["reason"].startswith(prefix) and r.witness is not None
 
@@ -92,6 +113,12 @@ FAULT_TABLE = [
     (transpose_dagger, [C], campaigns.check_uniformity,
      _reason_starts("squared length not positive real")),
     (transpose_dagger, [C], campaigns.check_h3_complement, lambda r: r.witness is not None),
+    # (f-dagger)-dagger is (1 + 1e-6)^2 f
+    (scaled_dagger, [R, C, H], campaigns.check_dagger_functor_laws, lambda r: r.residual > 1e-6),
+    # still strict and a polynomial in u, but its square is u times e^(i 2e-6)
+    (rotated_root, [C], campaigns.check_h5_strict_sqrt,
+     lambda r: r.details["square_residual"] > campaigns.SQRT_RESIDUAL_TARGET
+     and r.details["poly_fit_residual"] <= campaigns.POLYFIT_RESIDUAL_TARGET),
 ]
 
 ROWS = [(fault, field, check, shows) for fault, fields, check, shows in FAULT_TABLE

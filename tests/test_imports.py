@@ -1,7 +1,8 @@
 """Import hygiene of the package, read from its source with `ast`: every
-import sits at module level, the package's modules import each other
-without a cycle, and every module-level function and class, and every
-non-dunder method of such a class, is used by other library code."""
+import sits at module level, every name a module imports is read by it,
+the package's modules import each other without a cycle, and every
+module-level function and class, and every non-dunder method of such a
+class, is used by other library code."""
 
 import ast
 from pathlib import Path
@@ -79,9 +80,35 @@ def _graph(sources):
 TEST_ONLY = [
     "axioms.subset_diagram",
     "matcat.is_projection",
-    "reconstruct.onb_expand",
     "sampling.random_coordinate_projection",
 ]
+
+
+# imported for the side effect of loading the module, never read
+SIDE_EFFECT_IMPORTS = ["sampling.numpy.random"]
+
+
+def _unused_imports(sources):
+    """The names that a module's module-level imports bind and that it
+    never reads, as "module.name" with the name as imported; a name
+    listed in the module's `__all__` is read."""
+    unused = []
+    for module, src in sorted(sources.items()):
+        tree = ast.parse(src)
+        bound = {}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound.update((a.asname or a.name.split(".")[0], a.asname or a.name)
+                             for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound.update((a.asname or a.name, a.asname or a.name) for a in node.names)
+        read = {inner.id for inner in ast.walk(tree)
+                if isinstance(inner, ast.Name) and isinstance(inner.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and "__all__" in [ast.unparse(t) for t in node.targets]:
+                read |= set(ast.literal_eval(node.value))
+        unused += [f"{module}.{shown}" for name, shown in bound.items() if name not in read]
+    return unused
 
 
 def _references(node, skip=None):
@@ -129,6 +156,10 @@ def test_no_import_inside_a_function():
     deferred = {name: lines for name, src in _sources().items()
                 if (lines := _function_imports(src))}
     assert deferred == {}
+
+
+def test_every_imported_name_is_read():
+    assert _unused_imports(_sources()) == SIDE_EFFECT_IMPORTS
 
 
 def test_every_definition_is_used_by_library_code():
@@ -197,3 +228,15 @@ def test_the_scan_sees_unused_definitions():
               "@h\ndef k():\n    pass\n"),  # unused, but uses h as decorator
     }
     assert _unused_definitions(sources) == ["a.f", "a.g", "a.D", "a.D.m", "a.E.p", "a.E.q", "b.k"]
+
+
+def test_the_scan_sees_unused_imports():
+    sources = {
+        "a": ("from __future__ import annotations\n"  # a compiler directive
+              "import os\nimport numpy as np\nimport numpy.linalg\n"
+              "from .b import f, g as h\nfrom . import c\n\n"
+              "__all__ = ['f']\n\n"  # a re-export is read
+              "def k(x: np.ndarray) -> c.T:\n    return h(x)\n"),  # annotations are read
+        "b": "import json\n\nx = json.dumps\njson = None\n",
+    }
+    assert _unused_imports(sources) == ["a.os", "a.numpy.linalg"]

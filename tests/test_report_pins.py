@@ -20,7 +20,7 @@ def _dims(first, last):
 
 PINS = [
     (["lemmas", "--field", "C", "--trials", "20"],
-     "098be715686953b571a2974a9481e8c9d404610c71b50c494d8700fb4ae63841", 0),
+     "e472313226e86e748afae11baa6beb9d4d004af05fa24bb1d2830379ea007351", 0),
     (["lemmas", "--field", "R", "--trials", "20"],
      "bc685bacb11b40176074a9837d7c6ae3b7dbe1ecbf8f342da853a75d1552520a", 0),
     (["lemmas", "--field", "H", "--trials", "30"],
@@ -36,7 +36,7 @@ PINS = [
     (["verify-axioms", "--field", "H", "--dims", _dims(0, 8), "--trials", "5"],
      "6209386d4761b82f843b631a3af9c259235854314e827d055c58b1f65eb9e709", 1),
     (["verify-axioms", "--field", "C", "--dims", _dims(0, 6), "--trials", "5"],
-     "5d3a608ce157c654184f8ada63f68de30ab5a44cd2214cf673639bef393ef883", 0),
+     "3a244e49b194b1844407e55869fca9503ac9d24d18ec89875e744ca809190ebc", 0),
     (["verify-axioms", "--field", "C", "--dims", "1,2", "--trials", "2",
       "--tol-abs", "0", "--tol-rel", "0"],
      "bf46fdfe64123aed1692e635c5d54647db6482ef366bad8fe117c072bd41e492", 1),

@@ -13,7 +13,7 @@ from daggerlab.sampling import (
     random_dagger_mono,
     random_morphism,
     random_rank1_projections,
-    random_rank1_subprojection,
+    random_rank1_subprojections,
     random_unit_column,
 )
 from daggerlab.scalars import ALL_FIELDS, Field, TolerancePolicy
@@ -209,10 +209,19 @@ def test_rank1_subprojection_lies_inside_the_projection(field):
     rng = np.random.default_rng(8)
     inside = random_dagger_mono(field, Obj(2), Obj(4), rng)
     p = inside @ inside.dagger()
-    q = random_rank1_subprojection(p, rng)
-    assert matcat.is_projection(q)
-    assert matcat.approx_eq(p @ q, q) and matcat.approx_eq(q @ p, q)
-    assert abs(q.norm() - 1.0) <= 1e-12  # rank 1
+    seq_rng, block_rng = np.random.default_rng(9), np.random.default_rng(9)
+    block = random_rank1_subprojections(p, 5, block_rng)
+    assert block.shape == (5, *p._a.shape)
+    for k, q in enumerate(matcat.unstack(field, Obj(4), Obj(4), block)):
+        assert matcat.is_projection(q)
+        assert matcat.approx_eq(p @ q, q) and matcat.approx_eq(q @ p, q)
+        assert abs(q.norm() - 1.0) <= 1e-12  # rank 1
+        # the k-th of five one-at-a-time draws: p . g over its length
+        w = p @ random_morphism(field, UNIT, Obj(4), seq_rng)
+        w = matcat.scaled(w, 1.0 / np.sqrt(matcat.column_sq_norm(w)))
+        assert matcat.frobenius_distance(q, w @ w.dagger()) <= 1e-14, k
+    assert seq_rng.random() == block_rng.random()  # both consumed the same stream
+    assert random_rank1_subprojections(p, 0, block_rng).shape == (0, *p._a.shape)
 
 
 def test_samplers_reject_impossible_isometries():
