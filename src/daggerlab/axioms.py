@@ -12,9 +12,10 @@ reals and quaternions the scalar obstruction (no central square root of
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
@@ -34,11 +35,11 @@ from .matcat import (
     Obj,
     UNIT,
     basis_column,
-    commutator_blocks,
     commuting,
     frobenius_distance,
     is_dagger_iso,
     native_stack,
+    rank1_commutant_map,
 )
 from .reports import FAIL, INFEASIBLE, Report, worse
 from .sampling import (
@@ -162,7 +163,8 @@ def _cluster_indices(eigs: np.ndarray, eps: float) -> list[list[int]]:
     return groups
 
 
-def _spectral_decomposition(u: Morphism) -> list[tuple[np.ndarray, np.ndarray]]:
+@functools.lru_cache(maxsize=1)
+def _spectral_decomposition(u: Morphism) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """(eigenvalues, orthonormal eigenspace basis) per eigenvalue cluster
     of a complex unitary on a nonzero object.
 
@@ -175,16 +177,18 @@ def _spectral_decomposition(u: Morphism) -> list[tuple[np.ndarray, np.ndarray]]:
     keeps the blocks orthogonal to rounding level when two clusters lie
     close: computed eigenvectors of distinct eigenvalues are orthogonal
     only to about eps / gap.
+
+    The decomposition of the last u is kept, keyed by the morphism
+    itself (immutable, and hashed by identity): the H5 check builds the
+    root of a drawn unitary and then tests strictness on the spectral
+    projections of that one decomposition, so each drawn unitary costs
+    one `eig`.  Its arrays are shared, so callers only read them.
     """
     eigs, vecs = np.linalg.eig(u.complex_view())
     clusters = _cluster_indices(eigs, EIGENVALUE_CLUSTER_EPS)
     q, _ = np.linalg.qr(vecs[:, [i for idx in clusters for i in idx]])
-    out = []
-    start = 0
-    for idx in clusters:
-        out.append((eigs[idx], q[:, start:start + len(idx)]))
-        start += len(idx)
-    return out
+    ends = itertools.accumulate(len(idx) for idx in clusters)
+    return tuple((eigs[idx], q[:, end - len(idx):end]) for idx, end in zip(clusters, ends))
 
 
 def strict_sqrt_complex(u: Morphism) -> StrictSqrtCertificate:
@@ -267,7 +271,10 @@ def is_strict_sqrt(
     that is not a function of u on a repeated eigenvalue.  The converse
     (commutes with v, so with u = v^2) is automatic, and so is left out.
     Whether v is a unitary and v^2 = u is the caller's to judge.  The
-    family is one stack of native arrays, and each side of the
+    spectral projections come from the decomposition that
+    `strict_sqrt_complex` built the root of u from, when it was the last
+    one made (`_spectral_decomposition` keeps it).  The family is one
+    stack of native arrays, and each side of the
     implication is tested on the whole stack at once
     (`matcat.commuting`)."""
     if u.field is not Field.COMPLEX:
@@ -311,43 +318,42 @@ def polynomial_fit_residual(u: Morphism, v: Morphism) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _null_space_of_blocks(blocks: Iterable[np.ndarray], width: int) -> tuple[int, np.ndarray]:
+def _null_space_of_blocks(blocks: np.ndarray) -> tuple[int, np.ndarray]:
     """Nullity and null-space basis (as columns) of the matrix whose
-    rows are `blocks`, in order, each `width` columns wide.
+    rows are the blocks of `blocks`, a (count, rows, width) array, in
+    order.
 
-    Each block is folded into the triangular factor R of a QR of the
-    rows so far (tall-skinny QR: Demmel, Grigori, Hoemmen & Langou,
-    SIAM J. Sci. Comput. 34, 2012), so only one block and a
-    width x width R are alive at once.  The matrix and R have the same
-    singular values and right singular vectors (R-SVD: Chan, ACM TOMS 8,
-    1982), and the SVD_RANK_EPS rank rule runs on R.  With no block,
-    every vector is null."""
-    r = np.zeros((0, width))
-    for block in blocks:
-        r = np.linalg.qr(np.concatenate([r, block]), mode="r")
-    if not r.size:
-        return width, np.eye(width)
-    _, s, vh = np.linalg.svd(r, full_matrices=False)
+    One QR gives its width x width triangular factor R, which has the
+    matrix's singular values and right singular vectors (R-SVD: Chan,
+    ACM TOMS 8, 1982), and the SVD_RANK_EPS rank rule runs on R.  With
+    no block, every vector is null."""
+    rows = blocks.reshape(-1, blocks.shape[-1])
+    if not rows.size:
+        return rows.shape[1], np.eye(rows.shape[1])
+    _, s, vh = np.linalg.svd(np.linalg.qr(rows, mode="r"), full_matrices=False)
     rank = int(np.count_nonzero(s > SVD_RANK_EPS * max(s[0], 1.0)))
     return vh.shape[0] - rank, vh[rank:].T
 
 
 def _commutant_of_projections(field: Field, dim: int, rank1: np.ndarray) -> tuple[int, np.ndarray]:
     """Nullity and null-space basis of M -> (p M - M p) over the
-    coordinate projections of Obj(dim) and the native arrays `rank1`,
-    as a real-linear map on endomorphism space with coordinates
-    (i, j, c) (see `matcat.commutator_blocks`).
+    coordinate projections of Obj(dim) and the rank-1 projections
+    `rank1` (native arrays), as a real-linear map on endomorphism space
+    with coordinates (i, j, c), component c of entry (i, j).
 
-    The coordinate projections enter as a lemma, not as data: E_kk
-    multiplies coordinate (i, j, c) by [i = k] - [j = k] and touches no
-    other, so every M commuting with all of them is exactly zero off the
-    diagonal.  Only the blocks of `rank1` are built, on the dim * width
-    diagonal coordinates and one at a time; `_null_space_of_blocks`
-    folds each into a small triangular factor and runs the SVD rank
-    rule on that.  The null vectors are embedded back with exact zeros
-    off the diagonal.  With no block, the diagonal is the null space."""
+    Two lemmas stand in for the map.  The coordinate projections enter
+    as one: E_kk multiplies coordinate (i, j, c) by [i = k] - [j = k]
+    and touches no other, so every M commuting with all of them is
+    exactly zero off the diagonal.  The rank-1 ones enter as the other:
+    a diagonal M commutes with p iff (I - p) M x and (I - p) M-dagger x
+    are zero, for x a nonzero column of p (`matcat.rank1_commutant_map`),
+    a 2 * dim * width x dim * width block per projection.
+    `_null_space_of_blocks` reads the null space of the stacked blocks,
+    and the null vectors are embedded back with exact zeros off the
+    diagonal.  With no rank-1 projection, the diagonal is the null
+    space."""
     w = field.width
-    nullity, diagonal_basis = _null_space_of_blocks(commutator_blocks(field, dim, rank1), dim * w)
+    nullity, diagonal_basis = _null_space_of_blocks(rank1_commutant_map(field, dim, rank1))
     null_basis = np.zeros((dim, dim, w, nullity))
     null_basis[np.arange(dim), np.arange(dim)] = diagonal_basis.reshape(dim, w, nullity)
     return nullity, null_basis.reshape(dim * dim * w, nullity)

@@ -21,7 +21,7 @@ their native arrays (`native_stack`, `coordinate_projections`, or
 `component_stack` from drawn components), which it only slices,
 concatenates, multiplies and subtracts, and hand it back to
 `stack_norms`, `unit_columns`, `outer_products`, `commuting`,
-`commutator_blocks` and `unstack`.
+`rank1_commutant_map` and `unstack`.
 Scalars act on columns from the right (a 1x1 morphism composed after
 the column), which keeps the quaternionic module structure free of
 left/right ambiguity.
@@ -32,7 +32,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -507,31 +507,33 @@ def coordinate_projections(field: Field, dim: int) -> np.ndarray:
     return blocks[:, :, None] * np.eye(s * dim, dtype=_dtype(field))
 
 
-def commutator_blocks(field: Field, dim: int, stack: np.ndarray) -> Iterator[np.ndarray]:
-    """Real matrix of M -> p M - M p on the endomorphisms of Obj(dim),
-    restricted to the dim * width diagonal coordinates, yielded as one
-    n x (dim * width) block per native array p of `stack`, in order
-    (n = dim^2 * width).
+def rank1_commutant_map(field: Field, dim: int, stack: np.ndarray) -> np.ndarray:
+    """Real matrix of M -> ((I - p) M x, (I - p) M-dagger x) on the
+    diagonal endomorphisms M of Obj(dim), as one (2 * dim * width) x
+    (dim * width) block per native array p of `stack`, in order; x is
+    the column of p at its largest diagonal entry.
 
-    Coordinate k = (i * dim + j) * width + c is component c of entry
-    (i, j): row k of a block reads that component of the image, and its
-    columns are the images of the unit endomorphisms with component c
-    of a diagonal entry (i, i) equal to 1, in the order of k.  The units
-    are one stacked native array, built once, so each block costs one
-    batched product on each side of it, and only one block is alive at
-    a time.  Each product multiplies by a unit entry and adds exact
-    zeros, so every entry is exact.
+    For a rank-1 projection p = v v-dagger, p M - M p is
+    p M (I - p) - (I - p) M p, the two off-diagonal blocks of M along
+    range(p) (+) ker(p).  x is v times a nonzero scalar on the right,
+    so (I - p) M p = 0 iff (I - p) M x = 0, and p M (I - p), the dagger
+    of (I - p) M-dagger p, is 0 iff (I - p) M-dagger x = 0: M commutes
+    with p iff the block maps M to zero.  Column i * width + c is the
+    image of E_ic, the unit scalar c at entry (i, i); row (h, k, c')
+    reads component c' of entry k of half h.  A diagonal projection,
+    which commutes with every diagonal M, gives a zero block.
     """
-    w = field.width
-    f = dim * w
-    i, c = np.divmod(np.arange(f), w)
-    units = np.zeros((f, dim, dim, 4))
-    units[np.arange(f), i, i, c] = 1.0
-    units = _native(field, units)
-    for p in stack:
-        image = p @ units
-        image -= units @ p  # in place: one block of products fewer alive at once
-        yield _components(field, image)[..., :w].reshape(f, dim * f).T
+    s, w, count = _block(field), field.width, len(stack)
+    n = s * dim
+    units = _native(field, np.eye(4)[:w, None, None])  # the unit scalars, (w, s, s)
+    units = np.concatenate([units, units.conj().swapaxes(-1, -2)])  # and their daggers
+    j = np.argmax(stack.diagonal(axis1=1, axis2=2)[:, ::s].real, axis=1)
+    x = stack.reshape(count, n, dim, s)[np.arange(count), :, j]
+    rest = (np.eye(n) - stack).reshape(count, n, dim, s).transpose(0, 2, 1, 3)
+    # the images are freed once _components has read them
+    comps = _components(field, rest[:, :, None] @ (units @ x.reshape(count, dim, 1, s, s)))
+    comps = comps[..., 0, :w].reshape(count, dim, 2, w, dim, w)
+    return comps.transpose(0, 2, 4, 5, 1, 3).reshape(count, 2 * dim * w, dim * w)
 
 
 def component_stack(field: Field, comps: np.ndarray) -> np.ndarray:

@@ -253,6 +253,27 @@ def test_failed_strictness_sampling_fails_the_strict_sqrt_law(monkeypatch):
     assert report.details == {"reason": "strictness sampling failed"}
 
 
+def test_strict_sqrt_law_decomposes_each_drawn_unitary_once(monkeypatch):
+    # the root and the strictness family of a drawn unitary come from
+    # one eig of it, as in `lemmas --field C --trials 20 --seed 42`
+    calls = {"eig": 0, "root": 0}
+    eig, strict_sqrt = np.linalg.eig, axioms.strict_sqrt_complex
+
+    def counting_eig(a):
+        calls["eig"] += 1
+        return eig(a)
+
+    def counting_root(u):
+        calls["root"] += 1
+        return strict_sqrt(u)
+
+    monkeypatch.setattr(axioms.np.linalg, "eig", counting_eig)
+    monkeypatch.setattr(axioms, "strict_sqrt_complex", counting_root)
+    reports = campaigns.run_lemma_suite(CampaignConfig(field=Field.COMPLEX, seed=42, trials=20))
+    assert all(r.status == PASS for r in reports)
+    assert calls == {"eig": 20, "root": 20}
+
+
 @pytest.mark.parametrize("isometric", [True, False])
 def test_constant_isometry_test_fails_the_copairing_biconditional(monkeypatch, isometric):
     # a Gaussian column list reads isometric, or an isometry reads not

@@ -32,9 +32,9 @@ PINS = [
     (["reconstruct", "--field", "H", "--trials", "20"],
      "c4d578b273e10ef51f3309ea13a70634c482d56b513b214786eac9390a1a8b6f", 0),
     (["verify-axioms", "--field", "R", "--dims", _dims(0, 12), "--trials", "5"],
-     "55c053441aff9875648c0966a9fdb1dc72ed42d1b6e8253940723961873ad742", 1),
+     "a7db6a768b74d7205a6530e219d0bf3fb7a3b1648f14c16d9377fec9c2f6eef4", 1),
     (["verify-axioms", "--field", "H", "--dims", _dims(0, 8), "--trials", "5"],
-     "6209386d4761b82f843b631a3af9c259235854314e827d055c58b1f65eb9e709", 1),
+     "0e0be8966e275095bb75527c51e14437f4ad5a20b9642888e18ccbe24457bed0", 1),
     (["verify-axioms", "--field", "C", "--dims", _dims(0, 6), "--trials", "5"],
      "3a244e49b194b1844407e55869fca9503ac9d24d18ec89875e744ca809190ebc", 0),
     (["verify-axioms", "--field", "C", "--dims", "1,2", "--trials", "2",
