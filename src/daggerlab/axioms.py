@@ -19,11 +19,7 @@ from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
-from .biproduct import (
-    copairing,
-    nfold_biproduct,
-    orthonormal_columns,
-)
+from .biproduct import nfold_biproduct, orthonormal_columns
 from .errors import (
     DomainError,
     NoMorphismError,
@@ -35,6 +31,7 @@ from .matcat import (
     Obj,
     UNIT,
     basis_column,
+    column_block,
     commuting,
     frobenius_distance,
     is_dagger_iso,
@@ -59,7 +56,7 @@ SVD_RANK_EPS = 1e-8
 # ---------------------------------------------------------------------------
 
 
-def complement_h3(f: Morphism, tol: TolerancePolicy = DEFAULT_TOL) -> Morphism:
+def complement_h3(f: Morphism) -> Morphism:
     """Complete an isometry f: A -> X to a biproduct (A -> X <- B).
 
     The complement is obtained by orthonormalising the canonical basis
@@ -67,15 +64,16 @@ def complement_h3(f: Morphism, tol: TolerancePolicy = DEFAULT_TOL) -> Morphism:
     isometry; the domain of the complement then has dimension exactly
     X.dim - A.dim.  Nothing here judges that: the H3 check reads the
     complement's dimension and the biproduct laws of (f, complement),
-    whose residual includes f-dagger . f - I.
+    whose residual includes f-dagger . f - I.  Like the Gram-Schmidt it
+    runs, it reads no tolerance: its one threshold is DROP_EPS.
     """
     x = f.cod
     against = [f.col(j) for j in range(f.dom.dim)]
     candidates = [basis_column(f.field, x, k) for k in range(x.dim)]
-    completed = orthonormal_columns(candidates, against=against, tol=tol)
+    completed = orthonormal_columns(candidates, against=against)
     if not completed:
         return Morphism.zero(f.field, Obj(0), x)
-    return copairing(completed)
+    return column_block(completed)
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +529,7 @@ def _selection_arrow(field: Field, small: frozenset, large: frozenset) -> Morphi
     injections at the positions of small's labels."""
     order = sorted(large)
     injections = nfold_biproduct(UNIT, len(large), field)
-    return copairing([injections[order.index(k)] for k in sorted(small)])
+    return column_block([injections[order.index(k)] for k in sorted(small)])
 
 
 def subset_diagram(labels: Sequence[Hashable], field: Field) -> DirectedDiagram:

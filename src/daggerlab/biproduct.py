@@ -4,6 +4,11 @@ The addition of parallel morphisms is not an entrywise shortcut: it is
 computed literally as codiagonal . (f (+) g) . diagonal, so the block
 constructions are exercised by every additive step in the package.  The
 entrywise sum appears only inside test oracles.
+
+A `Biproduct` is its two injections; the total object is their shared
+codomain.  Gram-Schmidt (`orthonormal_columns`) reads no tolerance: its
+one threshold is DROP_EPS, and only `verify_biproduct` judges against a
+TolerancePolicy.
 """
 
 from __future__ import annotations
@@ -30,41 +35,37 @@ from .matcat import (
     scaled,
 )
 from .reports import worse
-from .scalars import ALL_FIELDS, DEFAULT_TOL, Field, Scalar, TolerancePolicy, real_sqrt
+from .scalars import ALL_FIELDS, DEFAULT_TOL, Field, Scalar, TolerancePolicy
 
 # -1 as a 1x1 morphism: the Gram-Schmidt step subtracts Q . c as Q . (c . -1)
 _MINUS_ONE = {f: read_only(Morphism.single(Scalar(f, -1.0))) for f in ALL_FIELDS}
 
 
-def oplus_obj(a: Obj, b: Obj) -> Obj:
-    return Obj(a.dim + b.dim)
-
-
 @dataclass(frozen=True)
 class Biproduct:
-    """A pair of injections witnessing total = left (+) right."""
+    """A pair of injections into one object, the total, witnessing
+    total = inj_left.dom (+) inj_right.dom."""
 
-    left: Obj
-    right: Obj
-    total: Obj
     inj_left: Morphism
     inj_right: Morphism
 
-    @classmethod
-    def from_injections(cls, inj_left: Morphism, inj_right: Morphism) -> "Biproduct":
-        if inj_left.cod != inj_right.cod:
+    def __post_init__(self):
+        if self.inj_left.cod != self.inj_right.cod:
             raise ShapeMismatchError("injections must share their codomain")
-        return cls(inj_left.dom, inj_right.dom, inj_left.cod, inj_left, inj_right)
+
+    @property
+    def total(self) -> Obj:
+        return self.inj_left.cod
 
 
 def make_biproduct(field: Field, a: Obj, b: Obj) -> Biproduct:
     """Canonical block injections [I; 0] and [0; I].  When one leg is the
     zero object the other injection degenerates to the identity, so the
     zero object is neutral by construction."""
-    total = oplus_obj(a, b)
+    total = Obj(a.dim + b.dim)
     inj_left = embed(field, a, total, [(0, 0, Morphism.identity(field, a))])
     inj_right = embed(field, b, total, [(a.dim, 0, Morphism.identity(field, b))])
-    return Biproduct(a, b, total, inj_left, inj_right)
+    return Biproduct(inj_left, inj_right)
 
 
 def verify_biproduct(bp: Biproduct, tol: TolerancePolicy = DEFAULT_TOL) -> tuple[bool, float]:
@@ -95,14 +96,6 @@ def oplus_mor(f: Morphism, g: Morphism) -> Morphism:
     return direct_sum(f, g)
 
 
-def copairing(fs: Sequence[Morphism]) -> Morphism:
-    """[f_1, ..., f_n]: A_1 (+) ... (+) A_n -> X for morphisms with a
-    common codomain and field; block-concatenates the columns."""
-    if not fs:
-        raise ShapeMismatchError("copairing of an empty list")
-    return column_block(fs)
-
-
 def pairing(fs: Sequence[Morphism]) -> Morphism:
     """(f_1, ..., f_n): X -> A_1 (+) ... (+) A_n for morphisms with a
     common domain; block-stacks the rows."""
@@ -124,7 +117,6 @@ def pairing(fs: Sequence[Morphism]) -> Morphism:
 class DiagonalPair:
     """Diagonal X -> X (+) X and its dagger, the codiagonal."""
 
-    object: Obj
     diagonal: Morphism
     codiagonal: Morphism
 
@@ -142,7 +134,7 @@ def _diagonal_pair(field: Field, dim: int) -> DiagonalPair:
     corrupt them."""
     ident = Morphism.identity(field, Obj(dim))
     diag = read_only(pairing([ident, ident]))
-    return DiagonalPair(ident.dom, diag, read_only(diag.dagger()))
+    return DiagonalPair(diag, read_only(diag.dagger()))
 
 
 def derived_add(f: Morphism, g: Morphism) -> Morphism:
@@ -168,13 +160,14 @@ def nfold_biproduct(x: Obj, n: int, field: Field) -> list[Morphism]:
 def orthonormal_columns(
     vectors: Sequence[Morphism],
     against: Sequence[Morphism] = (),
-    tol: TolerancePolicy = DEFAULT_TOL,
 ) -> list[Morphism]:
     """Right Gram-Schmidt over the ambient field, in blocks (CGS2).
 
     Extends the (assumed orthonormal) `against` prefix by unit columns
     spanning `vectors`; candidates whose residual norm falls below
-    DROP_EPS are treated as dependent and dropped.  The basis so far
+    DROP_EPS are treated as dependent and dropped.  That length is the
+    square root of `column_sq_norm`, a sum of squared moduli and so never
+    negative: no tolerance enters.  The basis so far
     is one column block Q = [against..., accepted...], and Q-dagger is
     formed at most once per accepted column.  Each candidate u is
     projected out of it twice, each pass forming Q . ((Q-dagger . u) .
@@ -225,7 +218,7 @@ def orthonormal_columns(
             for _ in range(2):  # re-orthogonalise once against rounding
                 u = derived_add(u, range_component(q, q_dagger, u, minus_one))
                 u = project_to_field(u)
-        length = real_sqrt(column_sq_norm(u), tol)
+        length = math.sqrt(column_sq_norm(u))
         if length < DROP_EPS:
             continue
         unit = scaled(u, 1.0 / length)

@@ -551,10 +551,11 @@ DROP_EPS = 1e-8
 def unit_columns(stack: np.ndarray) -> np.ndarray:
     """The columns of a stack of native (cod, 1) arrays that are at least
     DROP_EPS long, each divided by its length, in order.  Each length is
-    reckoned as for one column: `column_sq_norm`, its square root with
-    real_sqrt's clamp at 0, and then the product with 1 / length."""
+    reckoned as for one column: `column_sq_norm`, its square root, and
+    then the product with 1 / length.  A squared length is a sum of
+    squared moduli, so it is +0.0 or more, +inf or NaN, never negative."""
     sq = (stack.conj().swapaxes(-1, -2) @ stack)[:, 0, 0].real
-    lengths = np.sqrt(np.maximum(sq, 0.0))
+    lengths = np.sqrt(sq)
     keep = ~(lengths < DROP_EPS)
     return stack[keep] * (1.0 / lengths[keep])[:, None, None]
 

@@ -53,16 +53,16 @@ def projection_generators(
     dim: int,
     seed: int,
     count: int = DEFAULT_RANDOM_GENERATORS,
-    field: Field = Field.COMPLEX,
 ) -> list[Morphism]:
     """Coordinate projections plus `count` random rank-1 projections
-    built from unit columns with generic phases."""
+    of a complex object, built from unit columns with generic phases."""
     if dim < 1:
         raise ShapeMismatchError("generators need dimension >= 1")
     if count < 0:
         raise DomainError(f"cannot draw {count} random generators")
     x = Obj(dim)
-    return unstack(field, x, x, probe_projections(field, x, count, np.random.default_rng(seed)))
+    rng = np.random.default_rng(seed)
+    return unstack(Field.COMPLEX, x, x, probe_projections(Field.COMPLEX, x, count, rng))
 
 
 def word_closure(gens: list[Morphism], max_len: int = DEFAULT_MAX_LEN) -> list[Morphism]:

@@ -31,7 +31,7 @@ from .matcat import (
     basis_column,
     column_block,
 )
-from .scalars import DEFAULT_TOL, Field, Scalar, TolerancePolicy
+from .scalars import Field, Scalar, TolerancePolicy
 from .scalars import inv as scalar_inv
 
 
@@ -72,12 +72,8 @@ def orthonormality_residual(b: Morphism) -> float:
     return float(np.abs(gram).max())  # max() propagates a NaN
 
 
-def gram_schmidt(
-    vectors: list[Morphism],
-    field: Field | None = None,
-    ambient: Obj | None = None,
-    tol: TolerancePolicy = DEFAULT_TOL,
-) -> Morphism:
+def gram_schmidt(vectors: list[Morphism], field: Field | None = None,
+                 ambient: Obj | None = None) -> Morphism:
     """Orthonormalise a list of vectors into the isometry of the subspace
     they span, dropping near-dependent ones; quaternionic normalisation
     divides on the right."""
@@ -87,7 +83,7 @@ def gram_schmidt(
         raise ShapeMismatchError("empty vector list needs explicit field and ambient")
     for v in vectors:
         _require_vector(v)
-    onb = orthonormal_columns(vectors, tol=tol)
+    onb = orthonormal_columns(vectors)
     return column_block(onb) if onb else Morphism.zero(field, ZERO_OBJ, ambient)
 
 
@@ -107,8 +103,8 @@ def projection_of_subspace(b: Morphism) -> Morphism:
     return b @ b.dagger()
 
 
-def orthocomplement(b: Morphism, tol: TolerancePolicy = DEFAULT_TOL) -> Morphism:
-    return complement_h3(b, tol)
+def orthocomplement(b: Morphism) -> Morphism:
+    return complement_h3(b)
 
 
 def functor_v(f: Morphism, basis_dom: Morphism, basis_cod: Morphism) -> Morphism:
@@ -158,13 +154,11 @@ class EndoField:
     def star(self, a: Morphism) -> Morphism:
         return a.dagger()
 
-    def inv(self, a: Morphism, tol: TolerancePolicy = DEFAULT_TOL) -> Morphism:
-        return Morphism.single(scalar_inv(a.scalar(), tol))
+    def inv(self, a: Morphism) -> Morphism:
+        return Morphism.single(scalar_inv(a.scalar()))
 
 
-def scalar_field_witness(
-    field: Field, tol: TolerancePolicy = DEFAULT_TOL
-) -> tuple[Scalar, Scalar]:
+def scalar_field_witness(field: Field) -> tuple[Scalar, Scalar]:
     """Two unit-object endomorphisms that should be nonzero and sum to zero.
 
     Replays the construction that turns the endomorphism semiring into a
@@ -177,7 +171,7 @@ def scalar_field_witness(
     delta = diagonal_pair(field, UNIT).diagonal
     h = normalize_h4b(delta)
     m = delta @ Morphism.single(h)
-    f = complement_h3(m, tol)
+    f = complement_h3(m)
     g = construct_h4a(field, f.dom)
     k = (f @ g).dagger()
     bp = make_biproduct(field, UNIT, UNIT)

@@ -94,12 +94,6 @@ class Scalar:
     def components(self) -> tuple[float, float, float, float]:
         return (self.w, self.x, self.y, self.z)
 
-    def __mul__(self, other: "Scalar") -> "Scalar":
-        return mul(self, other)
-
-    def __neg__(self) -> "Scalar":
-        return Scalar(self.field, -self.w, -self.x, -self.y, -self.z)
-
     def to_json(self) -> list[float]:
         """Array of 1/2/4 numbers matching the field width."""
         return list(self.components()[: self.field.width])
@@ -118,10 +112,6 @@ class Scalar:
 
 def one(field: Field) -> Scalar:
     return Scalar(field, 1.0)
-
-
-def zero(field: Field) -> Scalar:
-    return Scalar(field, 0.0)
 
 
 def _require_same_field(a: Scalar, b: Scalar) -> None:
@@ -165,11 +155,3 @@ def inv(a: Scalar, tol: TolerancePolicy = DEFAULT_TOL) -> Scalar:
     c = conj(a)
     s = 1.0 / (n * n)
     return Scalar(a.field, c.w * s, c.x * s, c.y * s, c.z * s)
-
-
-def real_sqrt(r: float, tol: TolerancePolicy = DEFAULT_TOL) -> float:
-    """Square root of a nonnegative real; inputs in [-abs_eps, 0] are
-    clamped to 0 to absorb rounding noise in norms."""
-    if r < -tol.abs_eps:
-        raise DomainError(f"square root of negative value {r!r}")
-    return math.sqrt(max(r, 0.0))

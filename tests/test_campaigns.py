@@ -99,7 +99,7 @@ def test_raising_check_is_an_error_next_to_passing_checks(monkeypatch):
 
 
 def test_raising_check_is_labelled_by_its_check_id(monkeypatch):
-    def refuse(f, tol=None):
+    def refuse(f):
         raise DomainError("no complement")
 
     monkeypatch.setattr(campaigns.axioms, "complement_h3", refuse)
@@ -146,6 +146,18 @@ def test_check_with_every_sample_skipped_is_an_error(monkeypatch, check, cid):
     report = check(cfg)
     assert (report.axiom, report.status) == (cid, ERROR)
     assert report.details == {"error": campaigns.NO_SAMPLE}
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX, Field.QUATERNION])
+def test_an_empty_nfold_biproduct_is_a_passing_sample(field):
+    # the one draw at this seed is n = 0 copies: the empty biproduct, which
+    # has no injection, and that is its whole law
+    cfg = CampaignConfig(field=field, seed=12, trials=1)
+    rng = cfg.rng("biproduct.nfold-injections-orthonormal")
+    rng.integers(0, 4)  # the summand's dimension
+    assert int(rng.integers(0, 4)) == 0
+    report = campaigns.check_nfold_injections(cfg)
+    assert (report.status, report.residual, report.details) == (PASS, 0.0, {})
 
 
 def test_inverse_check_with_only_zero_scalars_is_an_error(monkeypatch):

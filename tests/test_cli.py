@@ -326,24 +326,28 @@ def test_zero_tolerances_give_verdicts_not_errors(tmp_path):
     assert statuses == {"H1": "pass", "H2": "fail", "H3": "fail", "H4": "fail", "H5": "fail"}
 
 
-def test_check_that_draws_no_sample_exits_3(tmp_path, capsys):
-    # At this seed the one trial of biproduct.nfold-injections-orthonormal
-    # draws n = 0 copies, which has no residual to measure.
+def test_check_that_draws_no_sample_exits_3(tmp_path, capsys, monkeypatch):
+    from daggerlab import campaigns
+
+    # with every drawn morphism zero, no pair of reconstruct.functor-faithful
+    # is distinct, so each of its draws is skipped
+    check = campaigns.check_functor_faithful
+    monkeypatch.setattr(campaigns, "random_morphism",
+                        lambda field, dom, cod, rng: Morphism.zero(field, dom, cod))
+    monkeypatch.setattr(campaigns, "lemma_checks", lambda field: [check])
     out = tmp_path / "r.json"
-    argv = ["lemmas", "--field", "C", "--trials", "1", "--seed", "12"]
+    argv = ["lemmas", "--field", "C", "--trials", "3", "--seed", "12"]
     assert main(argv + ["--format", "json", "--out", str(out)]) == 3
     payload = json.loads(out.read_text())
     assert payload["passed"] is False
-    errors = [r for r in payload["reports"] if r["status"] == "error"]
-    assert errors == [{
-        "axiom": "biproduct.nfold-injections-orthonormal",
+    assert payload["reports"] == [{
+        "axiom": "reconstruct.functor-faithful",
         "field": "C",
         "status": "error",
         "residual": 0.0,
         "witness": None,
         "details": {"error": "no sample drawn"},
     }]
-    assert {r["status"] for r in payload["reports"]} == {"pass", "error"}
 
 
 @pytest.mark.parametrize("field, dom, reason", [("Q", 1, "unknown field"),

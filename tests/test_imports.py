@@ -1,8 +1,9 @@
 """Import hygiene of the package, read from its source with `ast`: every
 import sits at module level, every name a module imports is read by it,
 the package's modules import each other without a cycle, and every
-module-level function and class, and every non-dunder method of such a
-class, is used by other library code."""
+module-level function and class, every non-dunder method of such a
+class and every field of such a dataclass is used by other library
+code."""
 
 import ast
 from pathlib import Path
@@ -127,28 +128,93 @@ def _references(node, skip=None):
     return found
 
 
+def _package_bindings(tree, modules):
+    """The names that a module's module-level imports bind to the
+    package: a module, as (module, None), or a module's member, as
+    (module, member)."""
+    bound = {}
+    for node in tree.body:
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 1:
+            source = node.module
+        elif node.module and node.module.split(".")[0] == "daggerlab":
+            source = ".".join(node.module.split(".")[1:]) or None
+        else:
+            continue
+        for a in node.names:
+            if source is None and a.name in modules:
+                bound[a.asname or a.name] = (a.name, None)
+            elif source in modules:
+                bound[a.asname or a.name] = (source, a.name)
+    return bound
+
+
+def _qualified_uses(node, module, bindings):
+    """The module-level names, as (owner module, name), that a statement
+    of `module` reads: a bare name of its own module, a name imported
+    from another module, or `m.name` on an imported module m.  A name
+    imported through a module that imports it in turn resolves to its
+    owner."""
+    def owner(mod, name):
+        target = bindings[mod].get(name)
+        return owner(*target) if target and target[1] is not None else (mod, name)
+
+    found = set()
+    for inner in ast.walk(node):
+        if isinstance(inner, ast.Name) and isinstance(inner.ctx, ast.Load):
+            target = bindings[module].get(inner.id)
+            if target is None:
+                found.add((module, inner.id))
+            elif target[1] is not None:
+                found.add(owner(*target))
+        elif isinstance(inner, ast.Attribute) and isinstance(inner.value, ast.Name):
+            target = bindings[module].get(inner.value.id)
+            if target is not None and target[1] is None:
+                found.add(owner(target[0], inner.attr))
+    return found
+
+
+def _dataclass_fields(node):
+    """The annotated field names of a class decorated with `dataclass`."""
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    if not any(ast.unparse(d).split(".")[-1] == "dataclass" for d in decorators):
+        return []
+    return [stmt.target.id for stmt in node.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+
+
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _unused_definitions(sources):
-    """The module-level functions and classes, as "module.name", and the
-    non-dunder methods and properties of those classes, as
-    "module.Class.name", that no statement of the package refers to
-    outside their own definition.  An import alone is no use."""
-    statements = [(module, node) for module, src in sorted(sources.items())
-                  for node in ast.parse(src).body]
+    """The module-level functions and classes, as "module.name", that no
+    statement of the package uses outside their own definition, by
+    qualified name; the non-dunder methods and properties of those
+    classes, as "module.Class.name", that no statement refers to by name
+    outside their own definition; and the fields of those classes that
+    are dataclasses, as "module.Class.field", that no attribute load of
+    the package reads.  An import alone is no use."""
+    trees = {module: ast.parse(src) for module, src in sorted(sources.items())}
+    bindings = {module: _package_bindings(tree, set(trees)) for module, tree in trees.items()}
+    statements = [(module, node) for module, tree in trees.items() for node in tree.body]
+    uses = [(node, _qualified_uses(node, module, bindings)) for module, node in statements]
     refs = [(node, _references(node)) for _, node in statements]
+    loaded = {inner.attr for tree in trees.values() for inner in ast.walk(tree)
+              if isinstance(inner, ast.Attribute) and isinstance(inner.ctx, ast.Load)}
     unused = []
     for module, node in statements:
         if not isinstance(node, (*_FUNCTIONS, ast.ClassDef)):
             continue
-        if not any(node.name in names for other, names in refs if other is not node):
+        if not any((module, node.name) in used for other, used in uses if other is not node):
             unused.append(f"{module}.{node.name}")
         if isinstance(node, ast.ClassDef):
             unused += [f"{module}.{node.name}.{method.name}" for method in node.body
                        if isinstance(method, _FUNCTIONS) and not method.name.startswith("__")
                        and method.name not in _references(node, skip=method)
                        and not any(method.name in names for other, names in refs if other is not node)]
+            unused += [f"{module}.{node.name}.{name}" for name in _dataclass_fields(node)
+                       if name not in loaded]
     return unused
 
 
@@ -213,7 +279,8 @@ def test_the_scan_sees_deferred_imports_and_cycles():
 
 def test_the_scan_sees_unused_definitions():
     sources = {
-        "a": ("def f():\n    return f()\n\n"  # only itself
+        "a": ("from dataclasses import dataclass\n\n"
+              "def f():\n    return f()\n\n"  # only itself
               "def g():\n    return _helper()\n\n"  # only imported
               "def _helper():\n    return 1\n\n"  # called by g, itself unused
               "class C:\n    pass\n\n"  # an attribute of b
@@ -222,12 +289,18 @@ def test_the_scan_sees_unused_definitions():
               "    def __init__(self):\n        self.n()\n"  # a dunder is never reported
               "    def n(self):\n        return self.n()\n"  # called by __init__
               "    @property\n    def p(self):\n        return self.p\n"  # only itself
-              "    def q(self):\n        pass\n"),  # no one calls it
-        "b": ("from . import a\nfrom .a import g\n\n"
-              "def h():\n    return a.C(), a.E()\n\n"  # no one calls it
+              "    def q(self):\n        pass\n\n"  # no one calls it
+              "def zero():\n    return 0\n\n"  # only its namesake F.zero is used
+              "class F:\n    def zero(self):\n        return 0\n\n"
+              "@dataclass(frozen=True)\nclass P:\n    x: int\n    y: int\n\n"  # y is never read
+              "def s():\n    return 1\n"),  # used by c through b's import
+        "b": ("from . import a\nfrom .a import g, s\n\n"
+              "def h():\n    return a.C(), a.E(), a.F().zero(), a.P(1, 2).x\n\n"  # no one calls it
               "@h\ndef k():\n    pass\n"),  # unused, but uses h as decorator
+        "c": "from .b import s as t\n\nu = t()\n",
     }
-    assert _unused_definitions(sources) == ["a.f", "a.g", "a.D", "a.D.m", "a.E.p", "a.E.q", "b.k"]
+    assert _unused_definitions(sources) == ["a.f", "a.g", "a.D", "a.D.m", "a.E.p", "a.E.q",
+                                            "a.zero", "a.P.y", "b.k"]
 
 
 def test_the_scan_sees_unused_imports():

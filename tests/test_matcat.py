@@ -331,6 +331,31 @@ def test_column_helpers_match_the_scalar_path(pair):
     assert (matcat.scaled(u, r).dom, matcat.scaled(u, r).cod) == (u.dom, u.cod)
 
 
+# entries whose squares are zero, underflow, overflow to inf or are NaN
+_EDGE_COMPONENTS = [0.0, -0.0, 5e-324, -5e-324, 1e200, -1e200, np.nan]
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS)
+def test_squared_lengths_are_never_negative(monkeypatch, field):
+    """A squared length is a sum of squared moduli: +0.0 or more, +inf or
+    NaN, never negative, so its square root needs no clamp at 0."""
+    rng = np.random.default_rng(5)
+    comps = rng.choice(_EDGE_COMPONENTS, size=(300, 3, 1, field.width))
+    comps[:len(_EDGE_COMPONENTS)] = np.reshape(_EDGE_COMPONENTS, (-1, 1, 1, 1))
+    columns = [matcat.from_components(field, UNIT, Obj(3), c) for c in comps]
+    seen = []
+    sqrt = np.sqrt
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = np.array([matcat.column_sq_norm(u) for u in columns])
+        monkeypatch.setattr(np, "sqrt", lambda a: seen.append(a.copy()) or sqrt(a))
+        matcat.unit_columns(matcat.native_stack(columns))
+        monkeypatch.undo()
+    (batched,) = seen
+    for lengths in (sq, batched):
+        assert np.all(np.isnan(lengths) | ((lengths >= 0.0) & ~np.signbit(lengths)))
+    assert np.isnan(sq).any() and np.isinf(sq).any() and (sq == 0.0).any()
+
+
 def _blocks_by_embedding(field, f, g):
     dom, cod = Obj(f.dom.dim + g.dom.dim), Obj(f.cod.dim + g.cod.dim)
     return embed(field, dom, cod, [(0, 0, f), (f.cod.dim, f.dom.dim, g)])

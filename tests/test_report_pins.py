@@ -26,7 +26,7 @@ PINS = [
     (["lemmas", "--field", "H", "--trials", "30"],
      "d25885267fa7beee3828033f2f0951f9488e4ecda166a8109b99ec902cd95345", 0),
     (["lemmas", "--field", "C", "--trials", "1", "--seed", "12"],
-     "e861cb6173e840935f169e5197cf8c7b3f294b2f592b4e1a1af0718d8563ca28", 3),
+     "5c46c46d6eec40e87e4af282b17580f1825e064aede94e86b93d9e8df90366d5", 0),
     (["reconstruct", "--field", "C", "--trials", "20"],
      "c0c12d065979d530e5856b93cac6fc1f91436cbf8156ca4b20ae715d9a5c7392", 0),
     (["reconstruct", "--field", "H", "--trials", "20"],

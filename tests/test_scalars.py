@@ -1,6 +1,5 @@
 """Scalar arithmetic: involution, products, inverses, centrality."""
 
-import math
 import sys
 
 import numpy as np
@@ -19,7 +18,6 @@ from daggerlab.scalars import (
     mul,
     norm,
     one,
-    real_sqrt,
 )
 
 
@@ -62,10 +60,6 @@ def test_inv_examples():
 
 def test_norm_and_sqrt():
     assert norm(c(3, 4)) == 5.0
-    assert real_sqrt(4.0) == 2.0
-    assert real_sqrt(-1e-10) == 0.0  # clamped rounding noise
-    with pytest.raises(DomainError):
-        real_sqrt(-1.0)
 
 
 def test_width_enforced():
@@ -125,11 +119,6 @@ def test_inverse_two_sided(field):
         b = inv(a)
         assert distance(mul(a, b), one(field)) < 1e-9
         assert distance(mul(b, a), one(field)) < 1e-9
-
-
-def test_real_sqrt_matches_math():
-    for v in [0.0, 1.0, 2.0, 1e-12, 123.456]:
-        assert real_sqrt(v) == math.sqrt(v)
 
 
 def test_field_names():
