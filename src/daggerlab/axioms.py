@@ -485,18 +485,15 @@ class DirectedDiagram:
 
 @dataclass(frozen=True)
 class ColimitCocone:
+    """The colimit of a directed diagram: the apex, one leg per node and
+    the greatest node `top`, whose leg is the identity.  Its cocone
+    equation leg_b . arrow(a, b) = leg_a is the functoriality term of
+    `DirectedDiagram.validate` at (a, b, top), and an exact 0 at b = top,
+    so `validate()` is the one residual that judges it."""
+
     apex: Obj
     legs: Mapping[Hashable, Morphism]
     top: Hashable
-
-    def commutation_residual(self, diagram: DirectedDiagram) -> float:
-        worst = 0.0
-        for a, b in diagram.leq:
-            worst = worse(
-                worst,
-                frobenius_distance(self.legs[b] @ diagram.arrow(a, b), self.legs[a]),
-            )
-        return worst
 
 
 def finite_directed_colimit(d: DirectedDiagram) -> ColimitCocone:

@@ -838,8 +838,12 @@ def test_chain_colimit():
     d = _chain_diagram(Field.COMPLEX)
     cocone = finite_directed_colimit(d)
     assert cocone.apex.dim == 3
-    assert cocone.commutation_residual(d) < 1e-14
+    assert d.validate() < 1e-14
     assert frobenius_distance(cocone.legs[3], Morphism.identity(Field.COMPLEX, Obj(3))) == 0.0
+    m = Morphism.from_real(Field.COMPLEX, np.eye(4, 3)[::-1])  # an isometry out of the apex
+    competing = {n: m @ leg for n, leg in cocone.legs.items()}
+    u = mediating_dagger_mono(cocone, competing)
+    assert all(frobenius_distance(u @ leg, competing[n]) == 0.0 for n, leg in cocone.legs.items())
 
 
 def test_single_object_diagram():
@@ -930,12 +934,13 @@ def test_random_colimits_and_mediators(field):
     rng = np.random.default_rng(11)
     for _ in range(15):
         d = random_directed_diagram(field, rng)
+        assert d.validate() <= 1e-8
         cocone = finite_directed_colimit(d)
-        assert cocone.commutation_residual(d) <= 1e-8
         m = random_dagger_mono(field, cocone.apex, Obj(cocone.apex.dim + 1), rng)
         competing = {n: m @ leg for n, leg in cocone.legs.items()}
         u = mediating_dagger_mono(cocone, competing)
-        assert frobenius_distance(u, m) <= 1e-8
+        assert all(frobenius_distance(u @ leg, competing[n]) <= 1e-8
+                   for n, leg in cocone.legs.items())
         assert is_dagger_mono(u)
 
 

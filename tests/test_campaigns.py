@@ -2,6 +2,7 @@
 draws no sample is reported as an error next to the others instead of
 ending the run or passing."""
 
+import dataclasses
 import io
 import math
 
@@ -15,7 +16,7 @@ from daggerlab.errors import DomainError
 from daggerlab.matcat import Morphism, Obj, native_stack
 from daggerlab.reports import ERROR, FAIL, INFEASIBLE, PASS, worse
 from daggerlab.sampling import random_coordinate_projection
-from daggerlab.scalars import Field, Scalar
+from daggerlab.scalars import Field, Scalar, TolerancePolicy
 
 
 def _nan_after_first(fn):
@@ -54,13 +55,21 @@ def test_nan_residual_fails_the_biproduct_laws(monkeypatch):
     assert not ok and math.isnan(worst)
 
 
-def test_nan_residual_fails_the_colimit_commutation(monkeypatch):
-    diagram = axioms.random_directed_diagram(Field.REAL, np.random.default_rng(0))
-    assert len(diagram.leq) >= 2
-    cocone = axioms.finite_directed_colimit(diagram)
-    monkeypatch.setattr(axioms, "frobenius_distance",
-                        _nan_after_first(axioms.frobenius_distance))
-    assert math.isnan(cocone.commutation_residual(diagram))
+def test_nan_arrows_fail_the_colimit_check(monkeypatch):
+    draw = axioms.random_directed_diagram
+
+    def nan_arrows(field, rng):
+        d = draw(field, rng)
+        return dataclasses.replace(d, arrows={
+            k: _nan_morphism(field, a.dom, a.cod, rng) for k, a in d.arrows.items()})
+
+    cfg = CampaignConfig(field=Field.REAL, seed=0, trials=3)
+    assert campaigns.check_h2_directed_colimits(cfg).status == PASS
+    monkeypatch.setattr(axioms, "random_directed_diagram", nan_arrows)
+    report = campaigns.check_h2_directed_colimits(cfg)
+    assert (report.axiom, report.status) == ("axioms.h2-directed-colimits", FAIL)
+    assert report.details == {"reason": "not a diagram of isometries"}
+    assert math.isnan(report.residual)
 
 
 @pytest.mark.parametrize("w, x", [(1.0, 0.5), (-1.0, 0.0), (0.0, 0.0), (math.nan, 0.0)])
@@ -169,6 +178,28 @@ def test_inverse_check_with_only_zero_scalars_is_an_error(monkeypatch):
     assert report.details == {"error": "no sample drawn"}
 
 
+SKIPPING_CHECKS = [
+    campaigns.check_h4_unit_and_normalisation,
+    campaigns.check_unique_simple_object,
+    campaigns.check_hermitian_form_laws,
+    campaigns.check_uniformity,
+    campaigns.check_inverse_two_sided,
+]
+
+
+@pytest.mark.parametrize("check", SKIPPING_CHECKS, ids=[c.check_id for c in SKIPPING_CHECKS])
+@pytest.mark.parametrize("field", list(Field))
+def test_a_looser_tolerance_keeps_a_pass(field, check):
+    # each skip rule reads the threshold of the predicate it guards, so a
+    # looser tolerance skips more draws and judges none it cannot pass
+    for seed in (0, 1):
+        statuses = [campaigns._run([check], CampaignConfig(
+            field=field, seed=seed, trials=50, tol=TolerancePolicy(t, t)))[0].status
+            for t in (1e-12, 1e-9, 1e-6, 1e-4, 1e-3, 1e-2)]
+        first_pass = statuses.index(PASS) if PASS in statuses else len(statuses)
+        assert statuses[first_pass:] == [PASS] * (len(statuses) - first_pass), (seed, statuses)
+
+
 @pytest.mark.parametrize("field", [Field.REAL, Field.QUATERNION])
 def test_h5_refutation_fails_when_only_coordinate_projections_are_sampled(monkeypatch, field):
     cfg = CampaignConfig(field=field, dims=(2, 3, 4), seed=5)
@@ -235,27 +266,31 @@ def test_nan_columns_fail_the_copairing_biconditional(monkeypatch, field):
     assert math.isnan(report.residual)
 
 
-H5_GROUPS = {"square_residual", "poly_fit_residual"}
-
-
-def test_nan_fit_fails_the_strict_sqrt_law(monkeypatch):
-    monkeypatch.setattr(axioms, "polynomial_fit_residual",
-                        _nan_after_first(axioms.polynomial_fit_residual))
+def test_nan_square_residual_fails_the_strict_sqrt_law(monkeypatch):
+    monkeypatch.setattr(campaigns, "frobenius_distance",
+                        _nan_after_first(campaigns.frobenius_distance))
     report = campaigns.check_h5_strict_sqrt(CampaignConfig(field=Field.COMPLEX, seed=42, trials=3))
     assert (report.axiom, report.status) == ("axioms.h5-strict-sqrt", FAIL)
-    assert math.isnan(report.residual) and math.isnan(report.details["poly_fit_residual"])
-    assert set(report.details) == H5_GROUPS
+    assert math.isnan(report.residual)
 
 
-def test_strict_sqrt_judges_each_group_against_its_own_target(monkeypatch):
-    # above the square-root target, within the polynomial-fit target
-    fit = 5e-8
-    assert campaigns.SQRT_RESIDUAL_TARGET < fit <= campaigns.POLYFIT_RESIDUAL_TARGET
-    monkeypatch.setattr(axioms, "polynomial_fit_residual", lambda u, v: fit)
+@pytest.mark.parametrize("miss, status", [(5e-8, FAIL), (5e-9, PASS)])
+def test_strict_sqrt_judges_the_square_against_its_target(monkeypatch, miss, status):
+    # the strict root times a phase e^(i t): still strict and unitary, and
+    # its square misses u by |e^(2 i t) - 1| |u| = 2 sin(t) sqrt(n) = miss
+    strict_sqrt = axioms.strict_sqrt_complex
+
+    def missing(u):
+        cert = strict_sqrt(u)
+        t = math.asin(miss / (2 * math.sqrt(u.dom.dim)))
+        return dataclasses.replace(cert, root=Morphism.from_complex(
+            cert.root.complex_view() * np.exp(1j * t)))
+
+    monkeypatch.setattr(axioms, "strict_sqrt_complex", missing)
     report = campaigns.check_h5_strict_sqrt(CampaignConfig(field=Field.COMPLEX, seed=42, trials=3))
-    assert (report.status, report.residual) == (PASS, fit)
-    assert set(report.details) == H5_GROUPS
-    assert report.details["square_residual"] <= campaigns.SQRT_RESIDUAL_TARGET
+    assert (report.status, report.details) == (status, {})
+    assert report.residual == pytest.approx(miss, rel=1e-6)
+    assert (report.residual <= campaigns.SQRT_RESIDUAL_TARGET) == (status == PASS)
 
 
 def test_failed_strictness_sampling_fails_the_strict_sqrt_law(monkeypatch):

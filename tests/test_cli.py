@@ -326,6 +326,12 @@ def test_zero_tolerances_give_verdicts_not_errors(tmp_path):
     assert statuses == {"H1": "pass", "H2": "fail", "H3": "fail", "H4": "fail", "H5": "fail"}
 
 
+def test_a_column_skipped_by_its_squared_length_exits_0(capsys):
+    # at --tol-abs 1e-3 a column with u-dagger u <= 1e-3 is skipped, not
+    # judged by the positivity predicate that reads the same bound
+    assert main(["lemmas", "--field", "R", "--seed", "0", "--tol-abs", "1e-3"]) == 0
+
+
 def test_check_that_draws_no_sample_exits_3(tmp_path, capsys, monkeypatch):
     from daggerlab import campaigns
 

@@ -90,9 +90,9 @@ def _reason_starts(prefix):
 
 # fault, fields, check, what its failing report must show
 FAULT_TABLE = [
+    # -u misses the isometric leg u . leg by twice its norm, 2 sqrt(dim) >= 2
     (negated_mediator, [R, C, H], campaigns.check_h2_directed_colimits,
-     lambda r: r.residual > campaigns.COLIMIT_RESIDUAL_TARGET
-     and r.details["reason"].startswith("mediator fails at node")),
+     lambda r: r.residual > 1.0 and r.details["reason"].startswith("mediator fails at node")),
     (square_of_i_is_one, [C], campaigns.check_center_classification,
      lambda r: r.residual == 2.0),  # |1 - (-1)|
     # every isometry read as non-unitary breaks dimension 1; every one
@@ -115,10 +115,9 @@ FAULT_TABLE = [
     (transpose_dagger, [C], campaigns.check_h3_complement, lambda r: r.witness is not None),
     # (f-dagger)-dagger is (1 + 1e-6)^2 f
     (scaled_dagger, [R, C, H], campaigns.check_dagger_functor_laws, lambda r: r.residual > 1e-6),
-    # still strict and a polynomial in u, but its square is u times e^(i 2e-6)
+    # still strict, but its square is u times e^(i 2e-6)
     (rotated_root, [C], campaigns.check_h5_strict_sqrt,
-     lambda r: r.details["square_residual"] > campaigns.SQRT_RESIDUAL_TARGET
-     and r.details["poly_fit_residual"] <= campaigns.POLYFIT_RESIDUAL_TARGET),
+     lambda r: r.residual > campaigns.SQRT_RESIDUAL_TARGET),
 ]
 
 ROWS = [(fault, field, check, shows) for fault, fields, check, shows in FAULT_TABLE

@@ -79,6 +79,8 @@ def _graph(sources):
 
 # definitions that only the tests use, kept on purpose
 TEST_ONLY = [
+    # the oracle of the fixed acceptance gate `test_strict_sqrt_over_c`
+    "axioms.polynomial_fit_residual",
     "axioms.subset_diagram",
     "matcat.is_projection",
     "sampling.random_coordinate_projection",

@@ -20,23 +20,23 @@ def _dims(first, last):
 
 PINS = [
     (["lemmas", "--field", "C", "--trials", "20"],
-     "e472313226e86e748afae11baa6beb9d4d004af05fa24bb1d2830379ea007351", 0),
+     "dee2b5f103bb0c3ba45412adb44729dc39c1fb1c15785bad1c3e877afd8ee62a", 0),
     (["lemmas", "--field", "R", "--trials", "20"],
-     "bc685bacb11b40176074a9837d7c6ae3b7dbe1ecbf8f342da853a75d1552520a", 0),
+     "93146286be491ad45221a20bfe9c828e28ac53f93a3a5afbf31dec6a88e0b012", 0),
     (["lemmas", "--field", "H", "--trials", "30"],
-     "d25885267fa7beee3828033f2f0951f9488e4ecda166a8109b99ec902cd95345", 0),
+     "4f3fbf6774449799790eb50092c854742a92b3865be572347a7e0d86da071468", 0),
     (["lemmas", "--field", "C", "--trials", "1", "--seed", "12"],
-     "5c46c46d6eec40e87e4af282b17580f1825e064aede94e86b93d9e8df90366d5", 0),
+     "6f5c716dbe7e32dab5a199fca1da76720845ff956e6f8974aab2322b00b623f5", 0),
     (["reconstruct", "--field", "C", "--trials", "20"],
      "c0c12d065979d530e5856b93cac6fc1f91436cbf8156ca4b20ae715d9a5c7392", 0),
     (["reconstruct", "--field", "H", "--trials", "20"],
      "c4d578b273e10ef51f3309ea13a70634c482d56b513b214786eac9390a1a8b6f", 0),
     (["verify-axioms", "--field", "R", "--dims", _dims(0, 12), "--trials", "5"],
-     "a7db6a768b74d7205a6530e219d0bf3fb7a3b1648f14c16d9377fec9c2f6eef4", 1),
+     "d9d04702bea5805cab60de3724bd7d935d7986325b0f93f9945ffc98fbcf1759", 1),
     (["verify-axioms", "--field", "H", "--dims", _dims(0, 8), "--trials", "5"],
-     "0e0be8966e275095bb75527c51e14437f4ad5a20b9642888e18ccbe24457bed0", 1),
+     "1d9505564c24cc577f3cefec5e1191c29fa1188dc8b19dd42b363ff5010eaab1", 1),
     (["verify-axioms", "--field", "C", "--dims", _dims(0, 6), "--trials", "5"],
-     "3a244e49b194b1844407e55869fca9503ac9d24d18ec89875e744ca809190ebc", 0),
+     "03972012ac1c07af33ab52a3c360e43e40665bb3ee77582ca09d34e1db30a79b", 0),
     (["verify-axioms", "--field", "C", "--dims", "1,2", "--trials", "2",
       "--tol-abs", "0", "--tol-rel", "0"],
      "bf46fdfe64123aed1692e635c5d54647db6482ef366bad8fe117c072bd41e492", 1),
