@@ -19,7 +19,7 @@ from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
-from .biproduct import nfold_biproduct, orthonormal_columns
+from .biproduct import orthonormal_columns
 from .errors import (
     DomainError,
     NoMorphismError,
@@ -522,11 +522,10 @@ def mediating_dagger_mono(
 
 def _selection_arrow(field: Field, small: frozenset, large: frozenset) -> Morphism:
     """Block injection of the sub-biproduct indexed by `small` into the
-    biproduct indexed by `large`: the copairing of the canonical
-    injections at the positions of small's labels."""
-    order = sorted(large)
-    injections = nfold_biproduct(UNIT, len(large), field)
-    return column_block([injections[order.index(k)] for k in sorted(small)])
+    biproduct indexed by `large`: the copairing of the basis columns at
+    the positions of small's labels."""
+    order, x = sorted(large), Obj(len(large))
+    return column_block([basis_column(field, x, order.index(k)) for k in sorted(small)])
 
 
 def subset_diagram(labels: Sequence[Hashable], field: Field) -> DirectedDiagram:

@@ -5,10 +5,11 @@ computed literally as codiagonal . (f (+) g) . diagonal, so the block
 constructions are exercised by every additive step in the package.  The
 entrywise sum appears only inside test oracles.
 
-A `Biproduct` is its two injections; the total object is their shared
-codomain.  Gram-Schmidt (`orthonormal_columns`) reads no tolerance: its
-one threshold is DROP_EPS, and only `verify_biproduct` judges against a
-TolerancePolicy.
+A biproduct is its list of injections, the legs; the total object is
+their shared codomain.  `injections` gives the canonical legs of any
+number of summands, and `verify_biproduct` judges the laws of any legs
+against a TolerancePolicy.  Gram-Schmidt (`orthonormal_columns`) reads
+no tolerance: its one threshold is DROP_EPS.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, combinations
 from typing import Sequence
 
-from .errors import DomainError, FieldMismatchError, ShapeMismatchError
+from .errors import FieldMismatchError, ShapeMismatchError
 from .matcat import (
     DROP_EPS,
     Morphism,
@@ -27,8 +28,8 @@ from .matcat import (
     column_block,
     column_sq_norm,
     direct_sum,
-    embed,
     frobenius_distance,
+    identity_columns,
     project_to_field,
     range_component,
     read_only,
@@ -41,50 +42,35 @@ from .scalars import ALL_FIELDS, DEFAULT_TOL, Field, Scalar, TolerancePolicy
 _MINUS_ONE = {f: read_only(Morphism.single(Scalar(f, -1.0))) for f in ALL_FIELDS}
 
 
-@dataclass(frozen=True)
-class Biproduct:
-    """A pair of injections into one object, the total, witnessing
-    total = inj_left.dom (+) inj_right.dom."""
-
-    inj_left: Morphism
-    inj_right: Morphism
-
-    def __post_init__(self):
-        if self.inj_left.cod != self.inj_right.cod:
-            raise ShapeMismatchError("injections must share their codomain")
-
-    @property
-    def total(self) -> Obj:
-        return self.inj_left.cod
+def injections(field: Field, objs: Sequence[Obj]) -> list[Morphism]:
+    """The canonical injections of objs[0] (+) ... (+) objs[-1]: the
+    column slices of the cached identity of the total, read-only views
+    of its array.  A zero summand gets a 0-width leg, so the zero object
+    is neutral, and no summand gives no leg: the zero object."""
+    starts = list(accumulate((a.dim for a in objs), initial=0))
+    total = Obj(starts[-1])
+    return [identity_columns(field, total, start, a.dim) for start, a in zip(starts, objs)]
 
 
-def make_biproduct(field: Field, a: Obj, b: Obj) -> Biproduct:
-    """Canonical block injections [I; 0] and [0; I].  When one leg is the
-    zero object the other injection degenerates to the identity, so the
-    zero object is neutral by construction."""
-    total = Obj(a.dim + b.dim)
-    inj_left = embed(field, a, total, [(0, 0, Morphism.identity(field, a))])
-    inj_right = embed(field, b, total, [(a.dim, 0, Morphism.identity(field, b))])
-    return Biproduct(inj_left, inj_right)
-
-
-def verify_biproduct(bp: Biproduct, tol: TolerancePolicy = DEFAULT_TOL) -> tuple[bool, float]:
-    """Check the laws on an arbitrary injection pair: both legs are
-    isometries, their ranges are orthogonal, and the range projections
-    sum (derived addition) to the identity of the total object.
+def verify_biproduct(
+    legs: Sequence[Morphism], tol: TolerancePolicy = DEFAULT_TOL
+) -> tuple[bool, float]:
+    """Check the laws on arbitrary legs into one object: each leg is an
+    isometry, the ranges are pairwise orthogonal, and the range
+    projections, summed by derived addition from the first leg on, are
+    the identity of the total object.  Legs of different codomains, or
+    no leg, raise ShapeMismatchError.
 
     Returns (ok, worst residual)."""
-    f, g = bp.inj_left, bp.inj_right
-    f_dagger, g_dagger = f.dagger(), g.dagger()
-    id_left = Morphism.identity(f.field, f.dom)
-    id_right = Morphism.identity(g.field, g.dom)
-    id_total = Morphism.identity(f.field, bp.total)
-    residuals = [
-        frobenius_distance(f_dagger @ f, id_left),
-        frobenius_distance(g_dagger @ g, id_right),
-        (g_dagger @ f).norm(),
-        frobenius_distance(derived_add(f @ f_dagger, g @ g_dagger), id_total),
-    ]
+    if len({leg.cod for leg in legs}) != 1:
+        raise ShapeMismatchError("a biproduct's legs must share one codomain")
+    daggers = [leg.dagger() for leg in legs]
+    residuals = [frobenius_distance(d @ leg, Morphism.identity(leg.field, leg.dom))
+                 for leg, d in zip(legs, daggers)]
+    residuals += [(daggers[j] @ legs[i]).norm() for i, j in combinations(range(len(legs)), 2)]
+    id_total = Morphism.identity(legs[0].field, legs[0].cod)
+    total = functools.reduce(derived_add, [leg @ d for leg, d in zip(legs, daggers)])
+    residuals.append(frobenius_distance(total, id_total))
     worst = worse(*residuals)
     scale = max(1.0, id_total.norm())
     return worst <= tol.bound(scale, scale), worst
@@ -98,19 +84,9 @@ def oplus_mor(f: Morphism, g: Morphism) -> Morphism:
 
 def pairing(fs: Sequence[Morphism]) -> Morphism:
     """(f_1, ..., f_n): X -> A_1 (+) ... (+) A_n for morphisms with a
-    common domain; block-stacks the rows."""
-    if not fs:
-        raise ShapeMismatchError("pairing of an empty list")
-    dom = fs[0].dom
-    field = fs[0].field
-    for f in fs:
-        if f.field is not field:
-            raise FieldMismatchError(f"{f.field.value} vs {field.value}")
-        if f.dom != dom:
-            raise ShapeMismatchError("pairing requires a common domain")
-    starts = accumulate((f.cod.dim for f in fs), initial=0)
-    parts = [(row, 0, f) for row, f in zip(starts, fs)]
-    return embed(field, dom, Obj(sum(f.cod.dim for f in fs)), parts)
+    common domain: the dagger of the copairing [f_1-dagger, ...,
+    f_n-dagger].  Conjugating twice gives back every entry's bits."""
+    return column_block([f.dagger() for f in fs]).dagger()
 
 
 @dataclass(frozen=True)
@@ -145,16 +121,6 @@ def derived_add(f: Morphism, g: Morphism) -> Morphism:
     dp_dom = diagonal_pair(f.field, f.dom)
     dp_cod = diagonal_pair(f.field, f.cod)
     return dp_cod.codiagonal @ oplus_mor(f, g) @ dp_dom.diagonal
-
-
-def nfold_biproduct(x: Obj, n: int, field: Field) -> list[Morphism]:
-    """The n injections of x into n.x (empty list for n = 0, whose
-    biproduct is the zero object)."""
-    if n < 0:
-        raise DomainError(f"a biproduct has a natural number of summands, not {n}")
-    total = Obj(n * x.dim)
-    ident = Morphism.identity(field, x)
-    return [embed(field, x, total, [(i * x.dim, 0, ident)]) for i in range(n)]
 
 
 def orthonormal_columns(

@@ -32,7 +32,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -367,25 +367,6 @@ def from_components(field: Field, dom: Obj, cod: Obj, comps: np.ndarray) -> Morp
     return _wrap(field, dom, cod, _native(field, comps))
 
 
-def embed(
-    field: Field, dom: Obj, cod: Obj, parts: Iterable[tuple[int, int, Morphism]]
-) -> Morphism:
-    """The morphism dom -> cod that is zero outside the given blocks:
-    each part (row, col, m) places m with its top-left entry at
-    coordinate (row, col).  Pairings and biproduct injections go
-    through here; `direct_sum` and `column_block` write their two or n
-    blocks straight into one array."""
-    s = _block(field)
-    a = np.zeros((s * cod.dim, s * dom.dim), _dtype(field))
-    for row, col, m in parts:
-        if m.field is not field:
-            raise FieldMismatchError(f"{m.field.value} block in a {field.value} matrix")
-        if row < 0 or col < 0 or row + m.cod.dim > cod.dim or col + m.dom.dim > dom.dim:
-            raise ShapeMismatchError("block does not fit in the target matrix")
-        a[_span(field, row, m.cod.dim), _span(field, col, m.dom.dim)] = m._a
-    return _wrap(field, dom, cod, a)
-
-
 def direct_sum(f: Morphism, g: Morphism) -> Morphism:
     """The block-diagonal f (+) g: f and g written into one zero array."""
     if f.field is not g.field:
@@ -520,20 +501,23 @@ def rank1_commutant_map(field: Field, dim: int, stack: np.ndarray) -> np.ndarray
     of (I - p) M-dagger p, is 0 iff (I - p) M-dagger x = 0: M commutes
     with p iff the block maps M to zero.  Column i * width + c is the
     image of E_ic, the unit scalar c at entry (i, i); row (h, k, c')
-    reads component c' of entry k of half h.  A diagonal projection,
-    which commutes with every diagonal M, gives a zero block.
+    reads component c' of entry k of half h.  Only the first half is
+    multiplied out: E_ic-dagger is E_ic for c = 0 and -E_ic otherwise,
+    so the second half is the first with its columns c >= 1 negated
+    (over R, a copy).  A diagonal projection, which commutes with every
+    diagonal M, gives a zero block.
     """
     s, w, count = _block(field), field.width, len(stack)
     n = s * dim
     units = _native(field, np.eye(4)[:w, None, None])  # the unit scalars, (w, s, s)
-    units = np.concatenate([units, units.conj().swapaxes(-1, -2)])  # and their daggers
     j = np.argmax(stack.diagonal(axis1=1, axis2=2)[:, ::s].real, axis=1)
     x = stack.reshape(count, n, dim, s)[np.arange(count), :, j]
     rest = (np.eye(n) - stack).reshape(count, n, dim, s).transpose(0, 2, 1, 3)
     # the images are freed once _components has read them
     comps = _components(field, rest[:, :, None] @ (units @ x.reshape(count, dim, 1, s, s)))
-    comps = comps[..., 0, :w].reshape(count, dim, 2, w, dim, w)
-    return comps.transpose(0, 2, 4, 5, 1, 3).reshape(count, 2 * dim * w, dim * w)
+    half = comps[..., 0, :w].transpose(0, 3, 4, 1, 2).reshape(count, dim * w, dim * w)
+    sign = np.where(np.arange(dim * w) % w, -1.0, 1.0)
+    return np.concatenate([half, half * sign], axis=1)
 
 
 def component_stack(field: Field, comps: np.ndarray) -> np.ndarray:
@@ -678,7 +662,18 @@ def is_projection(p: Morphism, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
     return approx_eq(p, p.dagger(), tol) and approx_eq(p, p @ p, tol)
 
 
+def identity_columns(field: Field, x: Obj, start: int, count: int) -> Morphism:
+    """Columns start .. start + count - 1 of the identity of x, the
+    canonical injection Obj(count) -> x at coordinate start: a read-only
+    view of the cached identity's array."""
+    if start < 0 or count < 0 or start + count > x.dim:
+        raise ShapeMismatchError(
+            f"{count} columns from {start} out of range for dimension {x.dim}"
+        )
+    return _wrap(field, Obj(count), x, _identity(field, x.dim)._a[:, _span(field, start, count)])
+
+
 def basis_column(field: Field, X: Obj, k: int) -> Morphism:
-    """k-th canonical basis column as a morphism from the unit object: a
-    read-only view of column k of the cached identity of X."""
-    return Morphism.identity(field, X).col(k)
+    """k-th canonical basis column as a morphism from the unit object:
+    the one-column case of `identity_columns`."""
+    return identity_columns(field, X, k, 1)

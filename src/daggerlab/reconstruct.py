@@ -14,13 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .axioms import complement_h3, construct_h4a, normalize_h4b
-from .biproduct import (
-    derived_add,
-    diagonal_pair,
-    make_biproduct,
-    nfold_biproduct,
-    orthonormal_columns,
-)
+from .biproduct import derived_add, diagonal_pair, injections, orthonormal_columns
 from .errors import ShapeMismatchError
 from .matcat import (
     Morphism,
@@ -121,9 +115,7 @@ def functor_v(f: Morphism, basis_dom: Morphism, basis_cod: Morphism) -> Morphism
 def rank_object(field: Field, n: int) -> tuple[Obj, list[Morphism]]:
     """An object of any requested finite rank, with its orthonormal
     basis of unit-object columns (the n-fold biproduct injections)."""
-    x = Obj(n)
-    onb = nfold_biproduct(UNIT, n, field)
-    return x, onb
+    return Obj(n), injections(field, [UNIT] * n)
 
 
 class EndoField:
@@ -174,8 +166,8 @@ def scalar_field_witness(field: Field) -> tuple[Scalar, Scalar]:
     f = complement_h3(m)
     g = construct_h4a(field, f.dom)
     k = (f @ g).dagger()
-    bp = make_biproduct(field, UNIT, UNIT)
-    return (k @ bp.inj_left).scalar(), (k @ bp.inj_right).scalar()
+    left, right = injections(field, [UNIT, UNIT])
+    return (k @ left).scalar(), (k @ right).scalar()
 
 
 def separating_column(f: Morphism, g: Morphism, tol: TolerancePolicy) -> int | None:

@@ -23,7 +23,7 @@ from daggerlab.axioms import (
     strict_sqrt_complex,
     subset_diagram,
 )
-from daggerlab.biproduct import Biproduct, derived_add, verify_biproduct
+from daggerlab.biproduct import derived_add, verify_biproduct
 from daggerlab import axioms, campaigns, matcat
 from daggerlab.errors import (
     DomainError,
@@ -92,7 +92,7 @@ def test_complement_diagonal_direction():
     # agreement up to a right unit scalar: unit overlap
     overlap = inner_product(g.col(0), expected.col(0))
     assert abs(abs(overlap.w) - 1.0) < 1e-12
-    ok, residual = verify_biproduct(Biproduct(f, g))
+    ok, residual = verify_biproduct([f, g])
     assert ok and residual < 1e-12
 
 
@@ -100,7 +100,7 @@ def test_complement_of_a_non_mono_fails_the_biproduct_laws():
     # complement_h3 presumes an isometry and judges nothing; the laws that
     # the H3 check reads the pair against reject it (f-dagger . f = 2)
     f = Morphism.from_real(Field.REAL, [[1], [1]])
-    ok, residual = verify_biproduct(Biproduct(f, complement_h3(f)))
+    ok, residual = verify_biproduct([f, complement_h3(f)])
     assert not ok and residual >= 1.0
 
 
@@ -113,7 +113,7 @@ def test_complement_random_invariants(field):
         f = random_dagger_mono(field, a, x, rng)
         g = complement_h3(f)
         assert g.dom.dim == x.dim - a.dim
-        ok, residual = verify_biproduct(Biproduct(f, g))
+        ok, residual = verify_biproduct([f, g])
         assert ok and residual <= 1e-8
 
 

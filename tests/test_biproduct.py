@@ -12,11 +12,9 @@ import numpy as np
 import pytest
 
 from daggerlab.biproduct import (
-    Biproduct,
     derived_add,
     diagonal_pair,
-    make_biproduct,
-    nfold_biproduct,
+    injections,
     oplus_mor,
     orthonormal_columns,
     pairing,
@@ -24,7 +22,7 @@ from daggerlab.biproduct import (
 )
 from daggerlab import axioms, biproduct
 from daggerlab.axioms import complement_h3
-from daggerlab.errors import DomainError, FieldMismatchError, ShapeMismatchError
+from daggerlab.errors import FieldMismatchError, ShapeMismatchError
 from daggerlab.matcat import (
     Morphism,
     Obj,
@@ -44,36 +42,69 @@ from daggerlab.sampling import random_dagger_mono, random_morphism, random_unita
 from daggerlab.scalars import ALL_FIELDS, Field, Scalar
 
 
-def test_make_biproduct_examples():
-    bp = make_biproduct(Field.REAL, UNIT, UNIT)
-    assert np.allclose(bp.inj_left.entries[..., 0], [[1], [0]])
-    assert np.allclose(bp.inj_right.entries[..., 0], [[0], [1]])
+def test_injections_examples():
+    left, right = injections(Field.REAL, [UNIT, UNIT])
+    assert np.allclose(left.entries[..., 0], [[1], [0]])
+    assert np.allclose(right.entries[..., 0], [[0], [1]])
+    assert left.cod is right.cod is Obj(2)
 
-    bp20 = make_biproduct(Field.REAL, Obj(2), Obj(0))
-    assert frobenius_distance(bp20.inj_left, Morphism.identity(Field.REAL, Obj(2))) == 0.0
-    assert bp20.inj_right.dom.dim == 0 and bp20.inj_right.cod.dim == 2
+    left, right = injections(Field.REAL, [Obj(2), Obj(0)])
+    assert frobenius_distance(left, Morphism.identity(Field.REAL, Obj(2))) == 0.0
+    assert right.dom.dim == 0 and right.cod.dim == 2
 
-    assert make_biproduct(Field.REAL, Obj(0), Obj(0)).total.dim == 0
-    assert bp.total is Obj(2)
-    with pytest.raises(ShapeMismatchError):
-        Biproduct(bp.inj_left, Morphism.identity(Field.REAL, UNIT))
+    assert [leg.cod.dim for leg in injections(Field.REAL, [Obj(0), Obj(0)])] == [0, 0]
+    assert injections(Field.REAL, []) == []
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS)
+def test_injections_are_read_only_views_of_the_identity(field):
+    objs = [Obj(2), Obj(0), UNIT, Obj(3)]
+    ident = Morphism.identity(field, Obj(6))
+    for leg, a, start in zip(injections(field, objs), objs, [0, 2, 2, 3]):
+        assert (leg.dom, leg.cod) == (a, Obj(6))
+        assert np.shares_memory(leg._a, ident._a) is bool(a.dim)  # an empty slice shares nothing
+        assert not leg._a.flags.writeable
+        assert np.array_equal(leg.entries, ident.entries[:, start:start + a.dim])
 
 
 @pytest.mark.parametrize("field", ALL_FIELDS)
 def test_canonical_biproducts_verify(field):
     for a in range(4):
         for b in range(4):
-            ok, residual = verify_biproduct(make_biproduct(field, Obj(a), Obj(b)))
+            ok, residual = verify_biproduct(injections(field, [Obj(a), Obj(b)]))
             assert ok and residual < 1e-12
 
 
 def test_adversarial_injections_rejected():
-    bad = Biproduct(
+    bad = [
         Morphism.from_real(Field.REAL, [[1], [1]]),
         Morphism.from_real(Field.REAL, [[0], [1]]),
-    )
+    ]
     ok, residual = verify_biproduct(bad)
     assert not ok and residual > 0.5
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS)
+def test_verify_biproduct_judges_any_number_of_legs(field):
+    rng = np.random.default_rng(5)
+    u = random_unitary(field, Obj(4), rng)
+    # three legs of a rotated 1 (+) 0 (+) 3, one of them 0-width
+    legs = [u @ leg for leg in injections(field, [UNIT, Obj(0), Obj(3)])]
+    ok, residual = verify_biproduct(legs)
+    assert ok and residual < 1e-12
+    # one leg: the legs of a biproduct with one summand are the unitaries
+    assert verify_biproduct([u])[0]
+    assert verify_biproduct(injections(field, [Obj(0)])) == (True, 0.0)
+    # the first two legs of three miss the third's range
+    ok, residual = verify_biproduct(legs[:2])
+    assert not ok and residual == pytest.approx(3.0 ** 0.5)
+    # overlapping ranges
+    ok, residual = verify_biproduct([legs[0], legs[0], legs[2]])
+    assert not ok and residual == pytest.approx(1.0)
+    with pytest.raises(ShapeMismatchError):
+        verify_biproduct([legs[0], Morphism.identity(field, UNIT)])
+    with pytest.raises(ShapeMismatchError):
+        verify_biproduct([])
 
 
 def test_oplus_examples():
@@ -94,11 +125,11 @@ def test_oplus_commuting_squares():
     for field in ALL_FIELDS:
         f = random_morphism(field, Obj(2), Obj(3), rng)
         g = random_morphism(field, Obj(1), Obj(2), rng)
-        bp_dom = make_biproduct(field, f.dom, g.dom)
-        bp_cod = make_biproduct(field, f.cod, g.cod)
+        dom_left, dom_right = injections(field, [f.dom, g.dom])
+        cod_left, cod_right = injections(field, [f.cod, g.cod])
         fg = oplus_mor(f, g)
-        assert approx_eq(fg @ bp_dom.inj_left, bp_cod.inj_left @ f)
-        assert approx_eq(fg @ bp_dom.inj_right, bp_cod.inj_right @ g)
+        assert approx_eq(fg @ dom_left, cod_left @ f)
+        assert approx_eq(fg @ dom_right, cod_right @ g)
         # dagger distributes over the direct sum
         assert approx_eq(fg.dagger(), oplus_mor(f.dagger(), g.dagger()))
 
@@ -124,10 +155,9 @@ def test_diagonal_pair_laws():
     for field in ALL_FIELDS:
         dp = diagonal_pair(field, Obj(3))
         assert frobenius_distance(dp.diagonal.dagger(), dp.codiagonal) == 0.0
-        bp = make_biproduct(field, Obj(3), Obj(3))
         ident = Morphism.identity(field, Obj(3))
-        assert approx_eq(bp.inj_left.dagger() @ dp.diagonal, ident)
-        assert approx_eq(bp.inj_right.dagger() @ dp.diagonal, ident)
+        for leg in injections(field, [Obj(3), Obj(3)]):
+            assert approx_eq(leg.dagger() @ dp.diagonal, ident)
 
 
 def test_derived_add_examples():
@@ -162,8 +192,7 @@ def test_zero_left_leg_forces_unitary_right_leg(field):
     for _ in range(50):
         t = Obj(int(rng.integers(1, 6)))
         g = random_unitary(field, t, rng)
-        bp = Biproduct(Morphism.zero(field, Obj(0), t), g)
-        ok, _ = verify_biproduct(bp)
+        ok, _ = verify_biproduct([Morphism.zero(field, Obj(0), t), g])
         assert ok and is_dagger_iso(g)
         # replay of the argument: g . g-dagger fixes both legs
         assert approx_eq(g @ (g.dagger() @ g), g)
@@ -174,11 +203,12 @@ def test_range_projections_sum_to_identity(field):
     rng = np.random.default_rng(19)
     for _ in range(50):
         a, b = Obj(int(rng.integers(0, 4))), Obj(int(rng.integers(0, 4)))
-        bp = make_biproduct(field, a, b)
-        u = random_unitary(field, bp.total, rng)
-        left, right = u @ bp.inj_left, u @ bp.inj_right
-        total = derived_add(left @ left.dagger(), right @ right.dagger())
-        assert approx_eq(total, Morphism.identity(field, bp.total))
+        legs = injections(field, [a, b])
+        total = legs[0].cod
+        u = random_unitary(field, total, rng)
+        left, right = (u @ leg for leg in legs)
+        projections = derived_add(left @ left.dagger(), right @ right.dagger())
+        assert approx_eq(projections, Morphism.identity(field, total))
 
 
 @pytest.mark.parametrize("field", ALL_FIELDS)
@@ -209,24 +239,20 @@ def test_semiadditive_laws(field):
         assert approx_eq(derived_add(f, g) @ s, derived_add(f @ s, g @ s))
 
 
-def test_nfold_biproduct_examples():
-    injections = nfold_biproduct(UNIT, 2, Field.REAL)
-    assert np.allclose(injections[0].entries[..., 0], [[1], [0]])
-    assert np.allclose(injections[1].entries[..., 0], [[0], [1]])
+def test_nfold_injections_examples():
+    legs = injections(Field.REAL, [UNIT] * 2)
+    assert np.allclose(legs[0].entries[..., 0], [[1], [0]])
+    assert np.allclose(legs[1].entries[..., 0], [[0], [1]])
 
-    assert nfold_biproduct(UNIT, 0, Field.REAL) == []
-    with pytest.raises(DomainError):
-        nfold_biproduct(UNIT, -1, Field.REAL)
-
-    injections = nfold_biproduct(Obj(2), 2, Field.COMPLEX)
-    assert len(injections) == 2
-    assert all(i.cod.dim == 4 and i.dom.dim == 2 for i in injections)
+    legs = injections(Field.COMPLEX, [Obj(2)] * 2)
+    assert len(legs) == 2
+    assert all(i.cod.dim == 4 and i.dom.dim == 2 for i in legs)
     acc = Morphism.zero(Field.COMPLEX, Obj(4), Obj(4))
-    for inj in injections:
+    for inj in legs:
         assert is_dagger_mono(inj)
         acc = derived_add(acc, inj @ inj.dagger())
     assert approx_eq(acc, Morphism.identity(Field.COMPLEX, Obj(4)))
-    assert (injections[1].dagger() @ injections[0]).norm() == 0.0
+    assert (legs[1].dagger() @ legs[0]).norm() == 0.0
 
 
 def test_orthonormal_columns_drops_dependents():

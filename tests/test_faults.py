@@ -14,7 +14,7 @@ import json
 import numpy as np
 import pytest
 
-from daggerlab import axioms, campaigns, cli, matcat, reconstruct, scalars
+from daggerlab import axioms, biproduct, campaigns, cli, matcat, reconstruct, scalars
 from daggerlab.campaigns import CampaignConfig
 from daggerlab.matcat import Morphism
 from daggerlab.reports import FAIL, PASS
@@ -57,6 +57,14 @@ def offset_derived_addition(monkeypatch):
         return Morphism(total.field, total.dom, total.cod, entries)
 
     monkeypatch.setattr(reconstruct, "derived_add", offset)
+
+
+def offset_derived_addition_everywhere(monkeypatch):
+    """The same offset derived addition wherever a check or the library
+    reads it: the biproduct laws and Gram-Schmidt too."""
+    offset_derived_addition(monkeypatch)
+    for module in (biproduct, campaigns):
+        monkeypatch.setattr(module, "derived_add", reconstruct.derived_add)
 
 
 def transpose_dagger(monkeypatch):
@@ -103,6 +111,14 @@ FAULT_TABLE = [
      lambda r: r.details == {"dim": 2, "sampled_simple": True}),
     (offset_derived_addition, [R, C, H], campaigns.check_scalar_witness,
      lambda r: r.residual == pytest.approx(1e-3, abs=1e-12)),
+    # every derived sum is off by 1e-3 per entry, the derived sum of the
+    # projections of the n-fold legs included
+    (offset_derived_addition_everywhere, [R, C, H], campaigns.check_derived_add_matches_entrywise,
+     lambda r: r.residual >= 1e-3),
+    (offset_derived_addition_everywhere, [R, C, H], campaigns.check_semiadditive_laws,
+     lambda r: r.residual >= 1e-3),
+    (offset_derived_addition_everywhere, [R, C, H], campaigns.check_nfold_injections,
+     lambda r: r.residual >= 1e-3),
     # each hypothesis that a library function presumes, judged by its check
     (transpose_dagger, [C], campaigns.check_h2_directed_colimits,
      _reason_starts("mediator is not an isometry")),
@@ -183,6 +199,8 @@ SUITE_TABLE = [
      {"H1": PASS, "H2": FAIL, "H3": FAIL, "H4": FAIL, "H5": FAIL}),
     (transpose_dagger, ["lemmas", "--field", "C", "--trials", "20"], cli.EXIT_VIOLATION,
      TRANSPOSE_LEMMAS_C),
+    (offset_derived_addition_everywhere, ["verify-axioms", "--field", "C", "--trials", "5"],
+     cli.EXIT_VIOLATION, {"H1": FAIL, "H2": PASS, "H3": FAIL, "H4": PASS, "H5": PASS}),
     (square_of_i_is_one, ["reconstruct", "--field", "C", "--trials", "5"], cli.EXIT_VIOLATION,
      {fn.check_id: FAIL if fn is campaigns.check_center_classification else PASS
       for fn in campaigns.lemma_checks(C) if fn.check_id.startswith("reconstruct.")}),
