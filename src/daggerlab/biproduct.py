@@ -7,9 +7,10 @@ entrywise sum appears only inside test oracles.
 
 A biproduct is its list of injections, the legs; the total object is
 their shared codomain.  `injections` gives the canonical legs of any
-number of summands, and `verify_biproduct` judges the laws of any legs
-against a TolerancePolicy.  Gram-Schmidt (`orthonormal_columns`) reads
-no tolerance: its one threshold is DROP_EPS.
+number of summands, and `verify_biproduct` computes the worst residual
+of the laws of any legs, which the campaign checks judge.  Neither reads
+a tolerance, nor does Gram-Schmidt (`orthonormal_columns`): its one
+threshold is DROP_EPS.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .matcat import (
     scaled,
 )
 from .reports import worse
-from .scalars import ALL_FIELDS, DEFAULT_TOL, Field, Scalar, TolerancePolicy
+from .scalars import ALL_FIELDS, Field, Scalar
 
 # -1 as a 1x1 morphism: the Gram-Schmidt step subtracts Q . c as Q . (c . -1)
 _MINUS_ONE = {f: read_only(Morphism.single(Scalar(f, -1.0))) for f in ALL_FIELDS}
@@ -52,28 +53,21 @@ def injections(field: Field, objs: Sequence[Obj]) -> list[Morphism]:
     return [identity_columns(field, total, start, a.dim) for start, a in zip(starts, objs)]
 
 
-def verify_biproduct(
-    legs: Sequence[Morphism], tol: TolerancePolicy = DEFAULT_TOL
-) -> tuple[bool, float]:
-    """Check the laws on arbitrary legs into one object: each leg is an
-    isometry, the ranges are pairwise orthogonal, and the range
-    projections, summed by derived addition from the first leg on, are
-    the identity of the total object.  Legs of different codomains, or
-    no leg, raise ShapeMismatchError.
-
-    Returns (ok, worst residual)."""
+def verify_biproduct(legs: Sequence[Morphism]) -> float:
+    """The worst residual of the laws on arbitrary legs into one object:
+    each leg is an isometry, the ranges are pairwise orthogonal, and the
+    range projections, summed by derived addition from the first leg on,
+    are the identity of the total object.  A NaN residual is the worst.
+    Legs of different codomains, or no leg, raise ShapeMismatchError."""
     if len({leg.cod for leg in legs}) != 1:
         raise ShapeMismatchError("a biproduct's legs must share one codomain")
     daggers = [leg.dagger() for leg in legs]
     residuals = [frobenius_distance(d @ leg, Morphism.identity(leg.field, leg.dom))
                  for leg, d in zip(legs, daggers)]
     residuals += [(daggers[j] @ legs[i]).norm() for i, j in combinations(range(len(legs)), 2)]
-    id_total = Morphism.identity(legs[0].field, legs[0].cod)
     total = functools.reduce(derived_add, [leg @ d for leg, d in zip(legs, daggers)])
-    residuals.append(frobenius_distance(total, id_total))
-    worst = worse(*residuals)
-    scale = max(1.0, id_total.norm())
-    return worst <= tol.bound(scale, scale), worst
+    residuals.append(frobenius_distance(total, Morphism.identity(legs[0].field, legs[0].cod)))
+    return worse(*residuals)
 
 
 def oplus_mor(f: Morphism, g: Morphism) -> Morphism:

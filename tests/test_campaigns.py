@@ -13,7 +13,7 @@ from daggerlab import axioms, biproduct, campaigns, projspan
 from daggerlab.biproduct import injections, verify_biproduct
 from daggerlab.campaigns import CampaignConfig
 from daggerlab.errors import DomainError
-from daggerlab.matcat import Morphism, Obj, native_stack
+from daggerlab.matcat import Morphism, Obj, native_stack, scaled
 from daggerlab.reports import ERROR, FAIL, INFEASIBLE, PASS, worse
 from daggerlab.sampling import random_coordinate_projection
 from daggerlab.scalars import Field, Scalar, TolerancePolicy
@@ -51,8 +51,7 @@ def test_nan_residual_after_a_finite_one_fails_the_check(monkeypatch):
 def test_nan_residual_fails_the_biproduct_laws(monkeypatch):
     monkeypatch.setattr(biproduct, "frobenius_distance",
                         _nan_after_first(biproduct.frobenius_distance))
-    ok, worst = verify_biproduct(injections(Field.REAL, [Obj(2), Obj(1)]))
-    assert not ok and math.isnan(worst)
+    assert math.isnan(verify_biproduct(injections(Field.REAL, [Obj(2), Obj(1)])))
 
 
 def test_nan_arrows_fail_the_colimit_check(monkeypatch):
@@ -83,7 +82,8 @@ def test_squared_length_off_the_positive_reals_fails_with_its_column(w, x):
     assert report.witness is u
 
 
-def _raising_check(cfg):
+@campaigns.check("_raising_check")
+def _raising_check(cfg, rng):
     raise DomainError("no sample could be drawn")
 
 
@@ -169,6 +169,44 @@ def test_an_empty_nfold_biproduct_is_a_passing_sample(field):
     assert (report.status, report.residual, report.details) == (PASS, 0.0, {})
 
 
+def _scaled_legs(fn):
+    """fn, with the leg or legs it returns scaled by 1 + 1e-6."""
+    def patched(*args):
+        legs = fn(*args)
+        if isinstance(legs, list):
+            return [scaled(leg, 1.0 + 1e-6) for leg in legs]
+        return scaled(legs, 1.0 + 1e-6)
+
+    return patched
+
+
+@pytest.mark.parametrize("check, module, name", [
+    (campaigns.check_h1, campaigns, "injections"),
+    (campaigns.check_h3_complement, axioms, "complement_h3"),
+    (campaigns.check_nfold_injections, campaigns, "injections"),
+    (campaigns.check_zero_leg_forces_unitary, campaigns, "random_unitary"),
+], ids=lambda arg: getattr(arg, "check_id", None))
+def test_biproduct_laws_are_judged_by_one_rule(monkeypatch, check, module, name):
+    # each sample's residual is judged once, against abs_eps + rel_eps:
+    # legs off by 1 + 1e-6 fail at the default tolerance, pass at 1e-2,
+    # and the verdict turns exactly at the worst residual
+    monkeypatch.setattr(module, name, _scaled_legs(getattr(module, name)))
+    cfg = CampaignConfig(field=Field.COMPLEX, seed=42, trials=5)
+
+    def run(eps):
+        return check(dataclasses.replace(cfg, tol=TolerancePolicy(eps, eps)))
+
+    report = check(cfg)
+    assert report.status == FAIL and 1e-6 < report.residual < 1e-5
+    loose = run(1e-2)
+    worst = loose.residual
+    assert loose.status == PASS and 1e-6 < worst < 1e-5
+    at = run(worst / 2)
+    assert (at.status, at.residual) == (PASS, worst)
+    below = run(worst / 2 * (1 - 1e-9))
+    assert below.status == FAIL and below.residual == pytest.approx(worst, rel=1e-9)
+
+
 def test_inverse_check_with_only_zero_scalars_is_an_error(monkeypatch):
     cfg = CampaignConfig(field=Field.QUATERNION, seed=5, trials=4)
     assert campaigns.check_inverse_two_sided(cfg).status == PASS
@@ -196,7 +234,7 @@ def _every_check(field):
 # the checks that skip draws by a rule run at more trials, the rest at 5
 TOLERANCE_CASES = [
     pytest.param(field, check, 50 if check in SKIPPING_CHECKS else 5,
-                 id=f"{field}-{getattr(check, 'check_id', check.__name__)}")
+                 id=f"{field}-{check.check_id}")
     for field in Field for check in _every_check(field)
 ]
 
@@ -259,6 +297,13 @@ def test_config_rejects_fewer_than_one_trial(trials):
 
 
 @pytest.mark.parametrize("field", list(Field))
+def test_every_suite_check_is_declared_under_a_distinct_id(field):
+    # H1 included: `_run` labels a raising check by its id, with no fallback
+    ids = [fn.check_id for fn in _every_check(field)]
+    assert len(set(ids)) == len(ids)
+
+
+@pytest.mark.parametrize("field", list(Field))
 def test_every_check_reports_under_its_one_declared_id(field):
     cfg = CampaignConfig(field=field, dims=(1, 2), seed=1, trials=1)
     lemma_ids = [fn.check_id for fn in campaigns.lemma_checks(field)]
@@ -266,9 +311,8 @@ def test_every_check_reports_under_its_one_declared_id(field):
     lemma_reports = {fn.check_id: fn(cfg) for fn in campaigns.lemma_checks(field)}
     assert all(report.axiom == cid for cid, report in lemma_reports.items())
 
-    # H1 draws nothing and has no check id: it reports under its label
     axiom_checks = campaigns.axiom_checks(field)
-    axiom_ids = [getattr(fn, "check_id", label) for label, fn in axiom_checks]
+    axiom_ids = [fn.check_id for _, fn in axiom_checks]
     assert len(set(axiom_ids)) == len(axiom_ids)
     assert [fn(cfg).axiom for _, fn in axiom_checks] == axiom_ids
 

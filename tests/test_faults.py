@@ -23,6 +23,14 @@ from daggerlab.scalars import Field, Scalar
 R, C, H = Field.REAL, Field.COMPLEX, Field.QUATERNION
 
 
+@pytest.fixture(autouse=True)
+def _no_faulty_diagonal_left_cached():
+    """The cached diagonal pairs are built through the dagger, so one
+    built under a dagger fault must not outlive its test."""
+    yield
+    biproduct._diagonal_pair.cache_clear()
+
+
 def negated_mediator(monkeypatch):
     """The mediator of H2 times -1: still an isometry, but not the mediator."""
     mediating = axioms.mediating_dagger_mono
@@ -79,6 +87,24 @@ def scaled_dagger(monkeypatch):
     monkeypatch.setattr(Morphism, "dagger", lambda m: matcat.scaled(dagger(m), 1.0 + 1e-6))
 
 
+def offset_dagger(monkeypatch):
+    """The dagger with 1e-6 added to the real part of its entry (0, 0):
+    over H, to both diagonal halves of the first native 2x2 block.  Unlike
+    a scaled dagger, the offset does not cancel from a law linear in it."""
+    dagger = Morphism.dagger
+
+    def offset(m):
+        d = dagger(m)
+        if not d._a.size:
+            return d
+        k = 2 if m.field is H else 1
+        a = d._a.copy()
+        a[:k, :k] += 1e-6 * np.eye(k)
+        return matcat._wrap(d.field, d.dom, d.cod, a)
+
+    monkeypatch.setattr(Morphism, "dagger", offset)
+
+
 def rotated_root(monkeypatch):
     """The strict root times the phase e^(i 1e-6), with the certificate's
     residual left at the genuine root's."""
@@ -131,6 +157,13 @@ FAULT_TABLE = [
     (transpose_dagger, [C], campaigns.check_h3_complement, lambda r: r.witness is not None),
     # (f-dagger)-dagger is (1 + 1e-6)^2 f
     (scaled_dagger, [R, C, H], campaigns.check_dagger_functor_laws, lambda r: r.residual > 1e-6),
+    # one dagger corner is off by 1e-6: the dagger of a sum has it once and
+    # the sum of the daggers twice, and a leg-dagger . leg misses the identity
+    (offset_dagger, [R, C, H], campaigns.check_dagger_distributes_over_oplus,
+     lambda r: r.residual >= 0.99e-6),
+    (offset_dagger, [R, C, H], campaigns.check_dagger_of_derived_sum,
+     lambda r: r.residual >= 0.99e-6),
+    (offset_dagger, [R, C, H], campaigns.check_h1, lambda r: r.residual >= 0.99e-6),
     # still strict, but its square is u times e^(i 2e-6)
     (rotated_root, [C], campaigns.check_h5_strict_sqrt,
      lambda r: r.residual > campaigns.SQRT_RESIDUAL_TARGET),

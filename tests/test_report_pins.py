@@ -1,4 +1,4 @@
-"""Report bytes of eleven fixed runs, pinned by sha256 and exit code.
+"""Report bytes of twelve fixed runs, pinned by sha256 and exit code.
 
 Each argv runs through `cli.main` in-process at seed 42 in JSON format,
 twice: first with the identity and diagonal-pair caches emptied, then
@@ -40,6 +40,8 @@ PINS = [
     (["verify-axioms", "--field", "C", "--dims", "1,2", "--trials", "2",
       "--tol-abs", "0", "--tol-rel", "0"],
      "bf46fdfe64123aed1692e635c5d54647db6482ef366bad8fe117c072bd41e492", 1),
+    (["verify-axioms", "--field", "C", "--trials", "5", "--tol-abs", "1e-2", "--tol-rel", "1e-2"],
+     "ce4cf06dcf930442caed4c464c679148eaaf21b17718ce8898b3f2a0fdd0ca46", 0),
     (["span", "--dims", _dims(2, 7)],
      "8d8e23f85b0577cfcbfa8c6d9284937dcd3cca6626cb7698149d396c5ed4f795", 0),
 ]
